@@ -5,7 +5,8 @@ command prints a self-describing JSON report to stdout; ``--out`` (or
 ``--out-dir`` for gen) additionally writes the primary payload to disk.
 
 Exit codes: 0 success, 2 usage, 3 file parse error, 4 validation or
-precondition failure, 5 search-budget guard tripped, 6 internal assertion.
+precondition failure, 5 search-budget guard tripped, 6 internal consistency
+check failed.
 The ``TRAJCORE_BUDGET`` environment variable overrides the default search
 budget wherever ``--budget`` is not given explicitly.
 """
@@ -23,6 +24,7 @@ from . import __version__
 from .drift import EpisodeSequence, drift_report, variation_budget
 from .envs import build_coop_keydoor, build_keydoor
 from .errors import (
+    ConsistencyError,
     EmptySuccessSet,
     GuardError,
     OracleScaleError,
@@ -86,7 +88,7 @@ def _input_digests(paths) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (results payload, input paths, out files)
+# Command implementations: each returns (results payload, input paths)
 # ---------------------------------------------------------------------------
 
 
@@ -95,9 +97,7 @@ def cmd_enumerate(args):
     mdp = formats.mdp_from_payload(formats.read_json(args.mdp_file), args.mdp_file)
     successes = enumerate_successes(mdp, node_budget=node_budget)
     payload = formats.successes_to_payload(successes)
-    if args.out:
-        formats.write_json(args.out, payload)
-    return payload, [args.mdp_file], args.out
+    return payload, [args.mdp_file]
 
 
 def cmd_mine(args):
@@ -126,9 +126,7 @@ def cmd_mine(args):
         "collapse_runs": phi.collapse_runs,
         **formats.core_to_payload(mined),
     }
-    if args.out:
-        formats.write_json(args.out, payload)
-    return payload, [args.input_file, getattr(args, "phi", None)], args.out
+    return payload, [args.input_file, args.phi]
 
 
 def cmd_induce(args):
@@ -136,9 +134,7 @@ def cmd_induce(args):
     peer = formats.peer_from_payload(formats.read_json(args.peer_file), args.peer_file)
     induced = induce_mdp(game, peer)
     payload = formats.mdp_to_payload(induced)
-    if args.out:
-        formats.write_json(args.out, payload)
-    return payload, [args.game_file, args.peer_file], args.out
+    return payload, [args.game_file, args.peer_file]
 
 
 def _episode_sequence(args) -> tuple[EpisodeSequence, list[str]]:
@@ -158,9 +154,7 @@ def cmd_budget(args):
         "num_episodes": seq.num_episodes,
         **formats.budget_to_payload(budget),
     }
-    if args.out:
-        formats.write_json(args.out, payload)
-    return payload, inputs, args.out
+    return payload, inputs
 
 
 def cmd_drift(args):
@@ -180,11 +174,7 @@ def cmd_drift(args):
         "num_episodes": seq.num_episodes,
         **formats.drift_to_payload(report),
     }
-    if args.out:
-        formats.write_json(args.out, payload)
-    if getattr(args, "phi", None):
-        inputs = inputs + [args.phi]
-    return payload, inputs, args.out
+    return payload, inputs + [args.phi]
 
 
 def cmd_gen(args):
@@ -224,7 +214,7 @@ def cmd_gen(args):
         "env_kind": args.env_kind,
         "written": written,
     }
-    return payload, [args.config_file], None
+    return payload, [args.config_file]
 
 
 def _random_family(rng: np.random.Generator, alphabet: str) -> list[tuple]:
@@ -256,6 +246,11 @@ def cmd_oracle_check(args):
                     "oracle": [list(m) for m in slow.members],
                 }
             )
+    if mismatches:
+        raise ConsistencyError(
+            f"fast path disagrees with oracle on {len(mismatches)} trials: "
+            f"{formats.canonical_json(mismatches)}"
+        )
     payload = {
         "format": "oracle_check",
         "version": formats.FORMAT_VERSION,
@@ -264,10 +259,7 @@ def cmd_oracle_check(args):
         "agreements": args.trials - len(mismatches),
         "mismatches": mismatches,
     }
-    if args.out:
-        formats.write_json(args.out, payload)
-    assert not mismatches, f"fast path disagrees with oracle on {len(mismatches)} trials"
-    return payload, [], args.out
+    return payload, []
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +358,9 @@ def main(argv=None) -> int:
     command_echo = list(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
     try:
-        results, input_paths, _out = args.func(args)
+        results, input_paths = args.func(args)
+        if getattr(args, "out", None):
+            formats.write_json(args.out, results)
         report = formats.build_report(
             command_echo, _input_digests(input_paths), results, time.perf_counter() - start
         )

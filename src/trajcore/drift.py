@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptySuccessSet
+from .errors import ConsistencyError, DimensionMismatch, EmptySuccessSet
 from .mdp import (
     DEFAULT_NODE_BUDGET,
     MarkovGame,
@@ -28,8 +28,10 @@ from .mdp import (
     SuccessSet,
     TabularMDP,
     Trajectory,
+    _fold_peer,
     enumerate_successes,
     induce_mdp,
+    validate_game,
 )
 from .mining import (
     DEFAULT_SEQ_BUDGET,
@@ -37,9 +39,10 @@ from .mining import (
     Abstraction,
     CoreSet,
     SymbolSeq,
+    _mine_prepared,
+    _prepare_sequences,
     apply_abstraction,
     canonical_member_order,
-    core,
     is_subsequence,
 )
 
@@ -63,7 +66,8 @@ class EpisodeSequence:
         schedule = tuple(schedule)
         if not schedule:
             raise ValueError("need at least one episode")
-        induced = tuple(induce_mdp(game, peer) for peer in schedule)
+        validate_game(game)
+        induced = tuple(_fold_peer(game, peer) for peer in schedule)
         return cls(game=game, schedule=schedule, induced=induced)
 
     @property
@@ -150,6 +154,21 @@ def uniform_peer(game: MarkovGame) -> PeerPolicy:
     return PeerPolicy(probs=probs, label="uniform-full-support")
 
 
+def _mine_episode(
+    mdp: TabularMDP,
+    phi: Abstraction,
+    strip_terminal: bool,
+    node_budget: int,
+    seq_budget: int,
+) -> tuple[SuccessSet, list[SymbolSeq], CoreSet | None]:
+    """Successes, prepared sequences and core of one MDP; no core when none succeed."""
+    successes = enumerate_successes(mdp, node_budget=node_budget)
+    if not len(successes):
+        return successes, [], None
+    seqs = _prepare_sequences(successes, phi, strip_terminal)
+    return successes, seqs, _mine_prepared(seqs, phi, strip_terminal, seq_budget)
+
+
 def individual_core(
     game: MarkovGame,
     phi: Abstraction = IDENTITY,
@@ -164,10 +183,10 @@ def individual_core(
     peer policy.
     """
     full = induce_mdp(game, uniform_peer(game))
-    successes = enumerate_successes(full, node_budget=node_budget)
-    if not len(successes):
+    _, _, found = _mine_episode(full, phi, strip_terminal, node_budget, seq_budget)
+    if found is None:
         raise EmptySuccessSet("no trajectory succeeds under any peer behavior")
-    return core(successes, phi=phi, strip_terminal=strip_terminal, budget=seq_budget)
+    return found
 
 
 def episode_cores(
@@ -178,14 +197,10 @@ def episode_cores(
     seq_budget: int = DEFAULT_SEQ_BUDGET,
 ) -> list[CoreSet | None]:
     """Per-episode cores; None marks an episode whose success set is empty."""
-    out: list[CoreSet | None] = []
-    for mdp in seq.induced:
-        successes = enumerate_successes(mdp, node_budget=node_budget)
-        if not len(successes):
-            out.append(None)
-        else:
-            out.append(core(successes, phi=phi, strip_terminal=strip_terminal, budget=seq_budget))
-    return out
+    return [
+        _mine_episode(mdp, phi, strip_terminal, node_budget, seq_budget)[2]
+        for mdp in seq.induced
+    ]
 
 
 def _certified_changes(
@@ -203,17 +218,16 @@ def _certified_changes(
     for member in lost_from.members:
         if any(is_subsequence(member, other) for other in kept_in.members):
             continue
-        witness = None
         for traj in other_successes:
             image = apply_abstraction(traj, phi)
             if not is_subsequence(member, image):
-                witness = PrototypeChange(member=member, witness=traj, witness_image=image)
+                changes.append(PrototypeChange(member=member, witness=traj, witness_image=image))
                 break
-        assert witness is not None, (
-            f"prototype {member!r} embeds in every success yet has no "
-            f"superseding core member; core computation is inconsistent"
-        )
-        changes.append(witness)
+        else:
+            raise ConsistencyError(
+                f"prototype {member!r} embeds in every success yet has no "
+                f"superseding core member; core computation is inconsistent"
+            )
     return tuple(changes)
 
 
@@ -232,12 +246,9 @@ def drift_report(
     task core, the variation budget, and a per-step check that the shared
     structure is embedded in the individual core.
     """
-    success_sets = [enumerate_successes(m, node_budget=node_budget) for m in seq.induced]
-    cores: list[CoreSet | None] = [
-        core(s, phi=phi, strip_terminal=strip_terminal, budget=seq_budget)
-        if len(s)
-        else None
-        for s in success_sets
+    episodes = [
+        _mine_episode(mdp, phi, strip_terminal, node_budget, seq_budget)
+        for mdp in seq.induced
     ]
 
     try:
@@ -252,12 +263,13 @@ def drift_report(
         individual = None
 
     steps = []
-    for e in range(len(cores) - 1):
-        core_a, core_b = cores[e], cores[e + 1]
+    for index, (before, after) in enumerate(zip(episodes, episodes[1:]), start=1):
+        successes_a, seqs_a, core_a = before
+        successes_b, seqs_b, core_b = after
         if core_a is None or core_b is None:
             steps.append(
                 DriftStep(
-                    index=e + 1,
+                    index=index,
                     common_core=None,
                     literal_intersection=None,
                     vanished=(),
@@ -266,15 +278,12 @@ def drift_report(
                 )
             )
             continue
-        union_trajectories = list(success_sets[e]) + list(success_sets[e + 1])
-        common = core(
-            union_trajectories, phi=phi, strip_terminal=strip_terminal, budget=seq_budget
-        )
+        common = _mine_prepared(sorted({*seqs_a, *seqs_b}), phi, strip_terminal, seq_budget)
         literal = canonical_member_order(
             set(core_a.members) & set(core_b.members)
         )
-        vanished = _certified_changes(core_a, core_b, success_sets[e + 1], phi)
-        gained = _certified_changes(core_b, core_a, success_sets[e], phi)
+        vanished = _certified_changes(core_a, core_b, successes_b, phi)
+        gained = _certified_changes(core_b, core_a, successes_a, phi)
         if individual is None:
             contained = None
         else:
@@ -284,7 +293,7 @@ def drift_report(
             )
         steps.append(
             DriftStep(
-                index=e + 1,
+                index=index,
                 common_core=common,
                 literal_intersection=literal,
                 vanished=vanished,
@@ -294,7 +303,7 @@ def drift_report(
         )
 
     return DriftReport(
-        episode_cores=tuple(cores),
+        episode_cores=tuple(found for _, _, found in episodes),
         steps=tuple(steps),
         individual=individual,
         budget=variation_budget(seq),

@@ -16,7 +16,7 @@ the peer's policy, which is exactly what the episode schedules vary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +26,8 @@ from .mdp import (
     MarkovGame,
     PeerPolicy,
     TabularMDP,
-    enumerate_successes,
-    induce_mdp,
+    _fold_peer,
+    goal_reachable,
     validate_game,
     validate_mdp,
 )
@@ -93,7 +93,7 @@ DEFAULT_COOP = CoopKeyDoorConfig(
 # ---------------------------------------------------------------------------
 
 
-def _check_keydoor(cfg: KeyDoorConfig) -> int:
+def _check_keydoor(cfg: KeyDoorConfig | CoopKeyDoorConfig) -> int:
     """Validate a layout and return the corridor direction (+1 or -1)."""
     length = cfg.corridor_length
     positions = (cfg.key_pos, cfg.door_pos, cfg.goal_pos, cfg.start_pos)
@@ -337,15 +337,7 @@ class _CoopLayout:
 
 
 def _check_coop(cfg: CoopKeyDoorConfig) -> None:
-    base = KeyDoorConfig(
-        corridor_length=cfg.corridor_length,
-        key_pos=cfg.key_pos,
-        door_pos=cfg.door_pos,
-        goal_pos=cfg.goal_pos,
-        start_pos=cfg.start_pos,
-        horizon=cfg.horizon,
-    )
-    direction = _check_keydoor(base)
+    direction = _check_keydoor(cfg)
     if direction != 1:
         raise ConfigError("cooperative layout requires key < door < goal ordering")
     if not cfg.key_pos <= cfg.peer_start <= cfg.door_pos:
@@ -429,8 +421,7 @@ def build_coop_keydoor(
     phi = Abstraction(mapping=mapping, label="coop-keydoor")
 
     for mode, peer in zip(cfg.peer_modes, schedule):
-        episode_mdp = induce_mdp(game, peer)
-        if not len(enumerate_successes(episode_mdp)):
+        if not goal_reachable(_fold_peer(game, peer)):
             raise ConfigError(
                 f"peer mode {mode!r} admits no success within horizon {cfg.horizon}"
             )
@@ -474,38 +465,20 @@ def random_mdp(
         start = int(rng.integers(0, num_states - 1))
         initial = np.zeros(num_states)
         initial[start] = 1.0
-
-        # goal reachable at state index <= horizon means <= horizon-1 hops
-        frontier = {start}
-        seen = {start}
-        reachable = start == goal
-        for _hop in range(horizon - 1):
-            if reachable:
-                break
-            nxt = set()
-            for s in frontier:
-                for a in range(num_actions):
-                    nxt.update(int(t) for t in np.nonzero(kernel[s, a])[0])
-            if goal in nxt:
-                reachable = True
-                break
-            frontier = nxt - seen
-            seen |= nxt
-            if not frontier:
-                break
-        if not reachable:
-            continue
-
-        mdp = TabularMDP(
+        candidate = TabularMDP(
             num_states=num_states,
             num_actions=num_actions,
             kernel=kernel,
-            reward=rng.random((num_states, num_actions)),
+            reward=np.zeros((num_states, num_actions)),
             horizon=horizon,
             goals=frozenset({goal}),
             initial=initial,
             goal_absorbing=True,
         )
+        if not goal_reachable(candidate):
+            continue
+        # the reward is drawn only for an accepted kernel
+        mdp = replace(candidate, reward=rng.random((num_states, num_actions)))
         validate_mdp(mdp)
         return mdp
     raise ConfigError(

@@ -74,6 +74,10 @@ class BudgetExceeded(GuardError):
         super().__init__(f"common-subsequence set exceeded budget {budget}")
 
 
+class ConsistencyError(TrajcoreError):
+    """Two results that must agree do not: a defect in the package, not bad input."""
+
+
 class OracleScaleError(TrajcoreError):
     """The brute-force oracle was invoked outside its supported scale."""
 

@@ -12,12 +12,13 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any
+from dataclasses import fields
+from typing import Any, get_type_hints
 
 import numpy as np
 
 from . import __version__
-from .drift import BudgetReport, DriftReport
+from .drift import BudgetReport, DriftReport, PrototypeChange
 from .envs import CoopKeyDoorConfig, KeyDoorConfig
 from .errors import ParseError
 from .mdp import MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory
@@ -161,30 +162,33 @@ def game_from_payload(payload: dict, path: str = "<memory>") -> MarkovGame:
 # ---------------------------------------------------------------------------
 
 
+def _peer_entry(peer: PeerPolicy) -> dict:
+    return {"label": peer.label, "probs": peer.probs.tolist()}
+
+
+def _peer_from_entry(entry: dict, path: str, default_label: str) -> PeerPolicy:
+    try:
+        return PeerPolicy(
+            probs=np.asarray(_field(entry, path, "probs"), dtype=float),
+            label=str(entry.get("label", default_label)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, f"malformed peer policy: {exc}") from exc
+
+
 def peer_to_payload(peer: PeerPolicy) -> dict:
-    return {
-        "format": "peer_policy",
-        "version": FORMAT_VERSION,
-        "label": peer.label,
-        "probs": peer.probs.tolist(),
-    }
+    return {"format": "peer_policy", "version": FORMAT_VERSION, **_peer_entry(peer)}
 
 
 def peer_from_payload(payload: dict, path: str = "<memory>") -> PeerPolicy:
-    payload = _expect(payload, path, "peer_policy")
-    return PeerPolicy(
-        probs=np.asarray(_field(payload, path, "probs"), dtype=float),
-        label=str(payload.get("label", "peer")),
-    )
+    return _peer_from_entry(_expect(payload, path, "peer_policy"), path, "peer")
 
 
 def schedule_to_payload(schedule: "list[PeerPolicy] | tuple[PeerPolicy, ...]") -> dict:
     return {
         "format": "peer_schedule",
         "version": FORMAT_VERSION,
-        "policies": [
-            {"label": p.label, "probs": p.probs.tolist()} for p in schedule
-        ],
+        "policies": [_peer_entry(p) for p in schedule],
     }
 
 
@@ -193,13 +197,7 @@ def schedule_from_payload(payload: dict, path: str = "<memory>") -> list[PeerPol
     policies = _field(payload, path, "policies")
     if not isinstance(policies, list) or not policies:
         raise ParseError(path, "field 'policies' must be a nonempty list")
-    return [
-        PeerPolicy(
-            probs=np.asarray(_field(entry, path, "probs"), dtype=float),
-            label=str(entry.get("label", f"peer-e{i + 1}")),
-        )
-        for i, entry in enumerate(policies)
-    ]
+    return [_peer_from_entry(entry, path, f"peer-e{i + 1}") for i, entry in enumerate(policies)]
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +283,16 @@ def symbol_from_json(value) -> Any:
     return value
 
 
+def _members_to_payload(members) -> list:
+    return [[symbol_to_json(sym) for sym in member] for member in members]
+
+
 def core_to_payload(core_set: CoreSet) -> dict:
     return {
         "alphabet_tag": core_set.alphabet_tag,
         "strip_terminal_applied": core_set.strip_terminal_applied,
         "count": len(core_set),
-        "members": [[symbol_to_json(sym) for sym in member] for member in core_set],
+        "members": _members_to_payload(core_set.members),
     }
 
 
@@ -299,66 +301,45 @@ def core_to_payload(core_set: CoreSet) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def keydoor_config_to_payload(cfg: KeyDoorConfig) -> dict:
-    return {
-        "format": "keydoor_config",
-        "version": FORMAT_VERSION,
-        "corridor_length": cfg.corridor_length,
-        "key_pos": cfg.key_pos,
-        "door_pos": cfg.door_pos,
-        "goal_pos": cfg.goal_pos,
-        "start_pos": cfg.start_pos,
-        "horizon": cfg.horizon,
-    }
-
-
-def keydoor_config_from_payload(payload: dict, path: str = "<memory>") -> KeyDoorConfig:
-    payload = _expect(payload, path, "keydoor_config")
-    try:
-        return KeyDoorConfig(
-            corridor_length=int(_field(payload, path, "corridor_length")),
-            key_pos=int(_field(payload, path, "key_pos")),
-            door_pos=int(_field(payload, path, "door_pos")),
-            goal_pos=int(_field(payload, path, "goal_pos")),
-            start_pos=int(_field(payload, path, "start_pos")),
-            horizon=int(_field(payload, path, "horizon")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, f"malformed keydoor config: {exc}") from exc
-
-
-def coop_config_to_payload(cfg: CoopKeyDoorConfig) -> dict:
-    payload = keydoor_config_to_payload(
-        KeyDoorConfig(
-            corridor_length=cfg.corridor_length,
-            key_pos=cfg.key_pos,
-            door_pos=cfg.door_pos,
-            goal_pos=cfg.goal_pos,
-            start_pos=cfg.start_pos,
-            horizon=cfg.horizon,
-        )
-    )
-    payload["format"] = "coop_keydoor_config"
-    payload["peer_start"] = cfg.peer_start
-    payload["peer_modes"] = list(cfg.peer_modes)
+def _config_to_payload(cfg, kind: str) -> dict:
+    payload = {"format": kind, "version": FORMAT_VERSION}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        payload[f.name] = list(value) if isinstance(value, tuple) else value
     return payload
 
 
-def coop_config_from_payload(payload: dict, path: str = "<memory>") -> CoopKeyDoorConfig:
-    payload = _expect(payload, path, "coop_keydoor_config")
+def _config_from_payload(cls, payload: dict, path: str, kind: str):
+    """Config dataclass ``cls`` from a payload that holds every one of its fields.
+
+    Fields annotated ``int`` are read as ints, the others as tuples of strings.
+    """
+    payload = _expect(payload, path, kind)
+    types = get_type_hints(cls)
+    values = {}
     try:
-        return CoopKeyDoorConfig(
-            corridor_length=int(_field(payload, path, "corridor_length")),
-            key_pos=int(_field(payload, path, "key_pos")),
-            door_pos=int(_field(payload, path, "door_pos")),
-            goal_pos=int(_field(payload, path, "goal_pos")),
-            start_pos=int(_field(payload, path, "start_pos")),
-            peer_start=int(_field(payload, path, "peer_start")),
-            horizon=int(_field(payload, path, "horizon")),
-            peer_modes=tuple(str(m) for m in _field(payload, path, "peer_modes")),
-        )
+        for f in fields(cls):
+            value = _field(payload, path, f.name)
+            values[f.name] = int(value) if types[f.name] is int else tuple(str(v) for v in value)
     except (TypeError, ValueError) as exc:
-        raise ParseError(path, f"malformed coop config: {exc}") from exc
+        raise ParseError(path, f"malformed {kind.replace('_', ' ')}: {exc}") from exc
+    return cls(**values)
+
+
+def keydoor_config_to_payload(cfg: KeyDoorConfig) -> dict:
+    return _config_to_payload(cfg, "keydoor_config")
+
+
+def keydoor_config_from_payload(payload: dict, path: str = "<memory>") -> KeyDoorConfig:
+    return _config_from_payload(KeyDoorConfig, payload, path, "keydoor_config")
+
+
+def coop_config_to_payload(cfg: CoopKeyDoorConfig) -> dict:
+    return _config_to_payload(cfg, "coop_keydoor_config")
+
+
+def coop_config_from_payload(payload: dict, path: str = "<memory>") -> CoopKeyDoorConfig:
+    return _config_from_payload(CoopKeyDoorConfig, payload, path, "coop_keydoor_config")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +355,14 @@ def budget_to_payload(budget: BudgetReport) -> dict:
     }
 
 
+def _change_to_payload(change: PrototypeChange) -> dict:
+    return {
+        "member": [symbol_to_json(s) for s in change.member],
+        "witness": trajectory_to_payload(change.witness),
+        "witness_image": [symbol_to_json(s) for s in change.witness_image],
+    }
+
+
 def drift_to_payload(report: DriftReport) -> dict:
     steps = []
     for step in report.steps:
@@ -385,26 +374,9 @@ def drift_to_payload(report: DriftReport) -> dict:
                 else core_to_payload(step.common_core),
                 "literal_intersection": None
                 if step.literal_intersection is None
-                else [
-                    [symbol_to_json(sym) for sym in member]
-                    for member in step.literal_intersection
-                ],
-                "vanished": [
-                    {
-                        "member": [symbol_to_json(s) for s in change.member],
-                        "witness": trajectory_to_payload(change.witness),
-                        "witness_image": [symbol_to_json(s) for s in change.witness_image],
-                    }
-                    for change in step.vanished
-                ],
-                "gained": [
-                    {
-                        "member": [symbol_to_json(s) for s in change.member],
-                        "witness": trajectory_to_payload(change.witness),
-                        "witness_image": [symbol_to_json(s) for s in change.witness_image],
-                    }
-                    for change in step.gained
-                ],
+                else _members_to_payload(step.literal_intersection),
+                "vanished": [_change_to_payload(change) for change in step.vanished],
+                "gained": [_change_to_payload(change) for change in step.gained],
                 "common_within_individual": step.common_within_individual,
             }
         )

@@ -60,7 +60,8 @@ class TabularMDP:
     """Finite-horizon goal-conditioned MDP.
 
     kernel has shape (S, A, S), reward (S, A), initial (S,).  ``horizon`` is
-    the maximum number of action steps per episode.  ``goal_absorbing``
+    the last 1-indexed state index at which a goal still counts, so a
+    success has at most ``horizon - 1`` action steps.  ``goal_absorbing``
     declares that every goal state self-loops under all actions; it is
     enforced by :func:`validate_mdp` when set.
     """
@@ -265,6 +266,11 @@ def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
     reward(s, a1)     = sum_a2 reward_1(s, a1, a2)        * probs(s, a2)
     """
     validate_game(game)
+    return _fold_peer(game, peer)
+
+
+def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
+    """:func:`induce_mdp` for a game the caller has already validated."""
     validate_peer(peer)
     if peer.probs.shape != (game.num_states, game.num_actions_2):
         raise DimensionMismatch(
@@ -273,12 +279,8 @@ def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
         )
     kernel = np.einsum("sabt,sb->sat", game.joint_kernel, peer.probs)
     reward = np.einsum("sab,sb->sa", game.reward_1, peer.probs)
-    absorbing = all(
-        abs(game.joint_kernel[g, a1, a2, g] - 1.0) <= ROW_TOL
-        for g in game.goals
-        for a1 in range(game.num_actions_1)
-        for a2 in range(game.num_actions_2)
-    )
+    goals = sorted(game.goals)
+    absorbing = bool(np.all(np.abs(game.joint_kernel[goals, :, :, goals] - 1.0) <= ROW_TOL))
     induced = TabularMDP(
         num_states=game.num_states,
         num_actions=game.num_actions_1,
@@ -348,6 +350,25 @@ def enumerate_successes(
     return SuccessSet.from_iterable(found)
 
 
+def goal_reachable(mdp: TabularMDP) -> bool:
+    """True iff a goal lies within ``horizon - 1`` support steps of the initial support.
+
+    A breadth-first search over the kernel support: it decides
+    ``len(enumerate_successes(mdp)) > 0`` without enumerating.
+    """
+    goal_mask = np.zeros(mdp.num_states, dtype=bool)
+    goal_mask[list(mdp.goals)] = True
+    adjacent = (mdp.kernel != 0).any(axis=1)
+    seen = mdp.initial != 0
+    frontier = seen
+    for _step in range(mdp.horizon - 1):
+        if (frontier & goal_mask).any():
+            return True
+        frontier = adjacent[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool((frontier & goal_mask).any())
+
+
 def is_successful(traj: Trajectory, mdp: TabularMDP) -> bool:
     """Decide membership of ``traj`` in the support-based success set.
 
@@ -377,8 +398,15 @@ def is_successful(traj: Trajectory, mdp: TabularMDP) -> bool:
 
 
 def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:
-    """Inverse-CDF categorical draw from one uniform variate."""
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
+    """Inverse-CDF categorical draw from one uniform variate.
+
+    A variate above a rounded-down ``cdf[-1]`` goes to the last outcome with
+    positive probability.
+    """
+    index = int(np.searchsorted(cdf, rng.random(), side="right"))
+    if index == len(cdf):
+        index = int(np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1])
+    return index
 
 
 def rollout(

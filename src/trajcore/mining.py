@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
+    ConsistencyError,
     EmptySuccessSet,
     OracleScaleError,
     UnmappedSymbol,
@@ -266,6 +267,10 @@ def maximal_elements(commons: Iterable[SymbolSeq]) -> set[SymbolSeq]:
 def _prepare_sequences(
     successes: SuccessSet | Iterable, phi: Abstraction, strip_terminal: bool
 ) -> list[SymbolSeq]:
+    """Abstract, deduplicate and optionally strip terminals, in sorted order.
+
+    Elementwise, so preparing a union gives the union of the prepared sets.
+    """
     if isinstance(successes, SuccessSet):
         items: Iterable = successes.trajectories
     else:
@@ -293,7 +298,19 @@ def core(
     sequences.  With ``strip_terminal``, terminal symbols are removed before
     mining, matching the "ignore the trivial goal symbol" reading.
     """
-    seqs = _prepare_sequences(successes, phi, strip_terminal)
+    return _mine_prepared(
+        _prepare_sequences(successes, phi, strip_terminal), phi, strip_terminal, budget
+    )
+
+
+def _mine_prepared(
+    seqs: Sequence[SymbolSeq], phi: Abstraction, strip_terminal: bool, budget: int
+) -> CoreSet:
+    """Core of a sequence set already prepared by :func:`_prepare_sequences`.
+
+    ``phi`` and ``strip_terminal`` only label the result; they must be the
+    values the set was prepared with.
+    """
     commons = common_subsequences(seqs, budget=budget)
     members = [m for m in maximal_elements(commons) if m]
     return CoreSet(
@@ -310,7 +327,7 @@ def core_nonempty_witness(
 
     The terminal encoding guarantees the goal pseudo-pair (or its abstract
     image) is shared by all successes; a failed embedding check here signals
-    a bug, not bad input.
+    a bug, not bad input, and raises :class:`ConsistencyError`.
     """
     if not len(successes):
         raise EmptySuccessSet("no successes to witness")
@@ -323,9 +340,8 @@ def core_nonempty_witness(
     witness = phi.image((goal, TERMINAL)) if not phi.is_identity else (goal, TERMINAL)
     for traj in successes:
         image = apply_abstraction(traj, phi)
-        assert is_subsequence((witness,), image), (
-            f"terminal witness {witness!r} missing from {image!r}"
-        )
+        if not is_subsequence((witness,), image):
+            raise ConsistencyError(f"terminal witness {witness!r} missing from {image!r}")
     return witness
 
 

@@ -109,3 +109,20 @@ def reweight_support(rng: np.random.Generator, mdp: TabularMDP) -> TabularMDP:
         initial=initial,
         goal_absorbing=mdp.goal_absorbing,
     )
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Count calls of a package function under every module name that holds it."""
+    from trajcore import drift, envs, mdp, mining
+
+    calls = []
+    for module in (mdp, mining, drift, envs):
+        if not hasattr(module, name):
+            continue
+
+        def counted(*args, _original=getattr(module, name), **kwargs):
+            calls.append(name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls

@@ -4,10 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajcore import (
+    IDENTITY,
+    ConsistencyError,
+    CoreSet,
     DimensionMismatch,
     EpisodeSequence,
     MarkovGame,
     PeerPolicy,
+    SuccessSet,
+    Trajectory,
     build_coop_keydoor,
     build_keydoor,
     core,
@@ -22,9 +27,10 @@ from trajcore import (
     uniform_peer,
     variation_budget,
 )
+from trajcore.drift import _certified_changes
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
-from conftest import random_game, random_peer
+from conftest import count_calls, random_game, random_peer
 
 
 def _gate_game() -> MarkovGame:
@@ -276,3 +282,38 @@ def test_uniform_peer_has_full_support():
     peer = uniform_peer(game)
     assert peer.probs.shape == (2, 2)
     assert np.allclose(peer.probs, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# one pass per episode
+# ---------------------------------------------------------------------------
+
+
+def test_from_schedule_validates_the_game_once(monkeypatch):
+    rng = np.random.default_rng(7)
+    game = random_game(rng)
+    schedule = [random_peer(rng, game) for _ in range(5)]
+    calls = count_calls(monkeypatch, "validate_game")
+    seq = EpisodeSequence.from_schedule(game, schedule)
+    assert seq.num_episodes == 5
+    assert len(calls) == 1
+
+
+def test_drift_report_enumerates_and_prepares_each_success_set_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    game = random_game(rng)
+    seq = EpisodeSequence.from_schedule(game, [random_peer(rng, game) for _ in range(4)])
+    expected = drift_report(seq)
+    enumerated = count_calls(monkeypatch, "enumerate_successes")
+    prepared = count_calls(monkeypatch, "_prepare_sequences")
+    report = drift_report(seq)
+    # one per episode plus one for the individual core
+    assert len(enumerated) == len(prepared) == seq.num_episodes + 1
+    assert report == expected
+
+
+def test_certified_change_without_witness_is_a_consistency_error():
+    traj = Trajectory(steps=((0, 0),), terminal_state=1)
+    lost = CoreSet(members=(((0, 0),),))
+    with pytest.raises(ConsistencyError):
+        _certified_changes(lost, CoreSet(members=()), SuccessSet((traj,)), IDENTITY)

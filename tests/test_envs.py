@@ -25,6 +25,8 @@ from trajcore.envs import (
     shortest_solution_actions,
 )
 
+from conftest import count_calls
+
 PATTERN = ("find_key", "reach_door", "open_door")
 
 SWEEP = [
@@ -177,3 +179,11 @@ def test_random_mdp_is_deterministic_per_seed():
 def test_random_mdp_rejects_degenerate_sizes():
     with pytest.raises(ConfigError):
         random_mdp(num_states=1, num_actions=1, horizon=1, seed=0)
+
+
+def test_build_coop_keydoor_checks_feasibility_without_enumerating(monkeypatch):
+    calls = count_calls(monkeypatch, "enumerate_successes")
+    build_coop_keydoor(DEFAULT_COOP)
+    with pytest.raises(ConfigError):
+        build_coop_keydoor(replace(DEFAULT_COOP, horizon=4))
+    assert calls == []

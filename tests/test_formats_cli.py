@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ from trajcore import Abstraction, enumerate_successes
 from trajcore import formats
 from trajcore.cli import main
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_coop_keydoor, build_keydoor
+
+from conftest import random_game, random_peer
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +110,15 @@ def test_parse_errors_name_the_problem(tmp_path):
     with pytest.raises(formats.ParseError) as err:
         formats.mdp_from_payload(formats.read_json(str(path2)), str(path2))
     assert "num_states" in str(err.value)
+
+    for to_payload, from_payload, cfg in [
+        (formats.keydoor_config_to_payload, formats.keydoor_config_from_payload, DEFAULT_KEYDOOR),
+        (formats.coop_config_to_payload, formats.coop_config_from_payload, DEFAULT_COOP),
+    ]:
+        payload = to_payload(cfg)
+        del payload["horizon"]
+        with pytest.raises(formats.ParseError, match="missing field 'horizon'"):
+            from_payload(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +265,45 @@ def test_cli_oracle_check(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["agreements"] == 25
     assert report["results"]["mismatches"] == []
+
+
+def test_cli_oracle_disagreement_exits_internal_even_under_optimize():
+    # under -O a bare assert would vanish and the run would exit 0
+    script = (
+        "import sys\n"
+        "from trajcore import cli\n"
+        "from trajcore.mining import CoreSet\n"
+        "cli.brute_force_core = lambda family: CoreSet(members=(('z',),))\n"
+        "sys.exit(cli.main(['oracle-check', '--trials', '3', '--seed', '1']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 6
+    assert done.stdout == ""
+    assert "disagrees with oracle on 3 trials" in done.stderr
+
+
+def test_cli_malformed_peer_and_schedule_are_parse_errors(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    game = random_game(rng)
+    game_file = tmp_path / "game.json"
+    formats.write_json(str(game_file), formats.game_to_payload(game))
+
+    bad_schedule = tmp_path / "schedule.json"
+    formats.write_json(
+        str(bad_schedule), {"format": "peer_schedule", "version": 1, "policies": [1]}
+    )
+    assert main(["budget", str(game_file), str(bad_schedule)]) == 3
+
+    ragged_peer = tmp_path / "peer.json"
+    payload = formats.peer_to_payload(random_peer(rng, game))
+    payload["probs"][0] = payload["probs"][0][:1]
+    formats.write_json(str(ragged_peer), payload)
+    assert main(["induce", str(game_file), str(ragged_peer)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("parse error") == 2
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from trajcore import (
     validate_mdp,
 )
 from trajcore.envs import random_mdp
+from trajcore.mdp import _draw, goal_reachable
 
 from conftest import oracle_enumerate, random_game, random_peer, reweight_support
 
@@ -327,3 +330,61 @@ def test_game_from_mdp_round_trips_through_induce(chain_mdp):
     assert np.array_equal(induced.kernel, chain_mdp.kernel)
     assert np.array_equal(induced.reward, chain_mdp.reward)
     assert enumerate_successes(induced).as_set() == enumerate_successes(chain_mdp).as_set()
+
+
+# ---------------------------------------------------------------------------
+# goal reachability
+# ---------------------------------------------------------------------------
+
+
+def test_goal_reachable_agrees_with_enumeration_across_horizons():
+    outcomes = set()
+    for seed in range(30):
+        sampled = random_mdp(num_states=6, num_actions=2, horizon=6, seed=seed)
+        for horizon in range(1, 7):
+            mdp = replace(sampled, horizon=horizon)
+            expected = len(enumerate_successes(mdp)) > 0
+            assert goal_reachable(mdp) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_goal_reachable_from_initial_goal_and_on_blocked_chain(chain_mdp):
+    assert goal_reachable(chain_mdp)
+    assert not goal_reachable(replace(chain_mdp, horizon=2))
+    assert goal_reachable(replace(chain_mdp, initial=np.array([0.0, 0.0, 1.0]), horizon=1))
+
+
+# ---------------------------------------------------------------------------
+# sampler
+# ---------------------------------------------------------------------------
+
+
+class _FixedUniform:
+    """Stands in for a Generator whose next uniform variate is fixed."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+LARGEST_UNIFORM = 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "probs, expected",
+    [([0.1] * 10, 9), ([0.1] * 10 + [0.0, 0.0], 9)],
+    ids=["tenths", "tenths-then-zeros"],
+)
+def test_draw_clamps_largest_uniform_to_last_positive_outcome(probs, expected):
+    cdf = np.cumsum(probs)
+    assert cdf[-1] <= LARGEST_UNIFORM
+    assert _draw(_FixedUniform(LARGEST_UNIFORM), cdf) == expected
+
+
+def test_draw_is_unchanged_inside_the_cdf():
+    cdf = np.cumsum([0.1] * 10)
+    for u, expected in [(0.0, 0), (0.05, 0), (0.1, 1), (0.55, 5), (0.95, 9)]:
+        assert _draw(_FixedUniform(u), cdf) == expected
