@@ -102,14 +102,13 @@ def cmd_enumerate(args):
 
 def cmd_mine(args):
     node_budget, seq_budget = _budgets(args)
-    kind = formats.sniff_format(args.input_file)
+    source = formats.read_json(args.input_file)
+    kind = formats.sniff_format(source, args.input_file)
     if kind == "mdp":
-        mdp = formats.mdp_from_payload(formats.read_json(args.input_file), args.input_file)
+        mdp = formats.mdp_from_payload(source, args.input_file)
         successes = enumerate_successes(mdp, node_budget=node_budget)
     elif kind == "successes":
-        successes = formats.successes_from_payload(
-            formats.read_json(args.input_file), args.input_file
-        )
+        successes = formats.successes_from_payload(source, args.input_file)
     else:
         raise ParseError(args.input_file, f"cannot mine from format {kind!r}")
     if not len(successes):

@@ -2,9 +2,10 @@
 
 Every file is a single JSON object with a ``format`` and ``version`` field.
 Probability tables are dense row-major nested lists; floats round-trip
-exactly (shortest-repr decimal).  Writes are atomic (temp file then rename).
-Serialization is canonical (sorted keys), so fixed inputs produce
-byte-identical payloads across runs and platforms.
+exactly (shortest-repr decimal).  Files hold the canonical form (sorted keys,
+no whitespace), the same bytes that :func:`digest` hashes, and writes are
+atomic (temp file then rename), so fixed inputs produce byte-identical files
+and payloads across runs and platforms.
 """
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import fields
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from typing import Any, get_type_hints
 
 import numpy as np
@@ -41,14 +43,13 @@ def file_digest(path: str) -> str:
 
 
 def write_json(path: str, payload: Any) -> None:
-    """Atomic pretty-printed write: temp file in the target directory, then rename."""
+    """Atomic canonical write: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+            handle.write(canonical_json(payload) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,13 +58,27 @@ def write_json(path: str, payload: Any) -> None:
 
 
 def read_json(path: str) -> Any:
+    """Decode a UTF-8 JSON file; any failure to do so is a :class:`ParseError`."""
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            return json.loads(handle.read().decode("utf-8"))
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"not valid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError as exc:
+        raise ParseError(path, "JSON nested too deeply") from exc
+
+
+@contextmanager
+def _malformed(path: str, what: str):
+    """Report a fault met while converting a decoded payload as a :class:`ParseError`."""
+    try:
+        yield
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ParseError(path, f"malformed {what}: {exc}") from exc
 
 
 def _expect(payload: Any, path: str, kind: str) -> dict:
@@ -81,80 +96,84 @@ def _field(payload: dict, path: str, name: str):
     return payload[name]
 
 
-def sniff_format(path: str) -> str:
-    payload = read_json(path)
+def sniff_format(payload: Any, path: str = "<memory>") -> str:
+    """The ``format`` field of an already-decoded payload."""
     if not isinstance(payload, dict) or "format" not in payload:
         raise ParseError(path, "missing 'format' field")
     return str(payload["format"])
 
 
 # ---------------------------------------------------------------------------
-# MDPs and games
+# Dataclass payloads: MDPs, games, environment configs
 # ---------------------------------------------------------------------------
+
+# how a decoded JSON value becomes a field of each annotated type
+_READERS = {
+    int: int,
+    bool: bool,
+    np.ndarray: lambda value: np.asarray(value, dtype=float),
+    frozenset[int]: lambda value: frozenset(int(v) for v in value),
+    tuple[str, ...]: lambda value: tuple(str(v) for v in value),
+}
+
+
+def _to_payload(obj, kind: str) -> dict:
+    payload = {"format": kind, "version": FORMAT_VERSION}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, frozenset):
+            value = sorted(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        payload[f.name] = value
+    return payload
+
+
+def _from_payload(cls, payload: Any, path: str, kind: str):
+    """Dataclass ``cls`` from a payload holding each field that has no default."""
+    payload = _expect(payload, path, kind)
+    types = get_type_hints(cls)
+    readers = [
+        (f.name, _READERS[types[f.name]])
+        for f in fields(cls)
+        if f.name in payload or f.default is MISSING
+    ]
+    with _malformed(path, kind.replace("_", " ")):
+        return cls(**{name: read(_field(payload, path, name)) for name, read in readers})
 
 
 def mdp_to_payload(mdp: TabularMDP) -> dict:
-    return {
-        "format": "mdp",
-        "version": FORMAT_VERSION,
-        "num_states": mdp.num_states,
-        "num_actions": mdp.num_actions,
-        "kernel": mdp.kernel.tolist(),
-        "reward": mdp.reward.tolist(),
-        "horizon": mdp.horizon,
-        "goals": sorted(mdp.goals),
-        "initial": mdp.initial.tolist(),
-        "goal_absorbing": mdp.goal_absorbing,
-    }
+    return _to_payload(mdp, "mdp")
 
 
 def mdp_from_payload(payload: dict, path: str = "<memory>") -> TabularMDP:
-    payload = _expect(payload, path, "mdp")
-    try:
-        return TabularMDP(
-            num_states=int(_field(payload, path, "num_states")),
-            num_actions=int(_field(payload, path, "num_actions")),
-            kernel=np.asarray(_field(payload, path, "kernel"), dtype=float),
-            reward=np.asarray(_field(payload, path, "reward"), dtype=float),
-            horizon=int(_field(payload, path, "horizon")),
-            goals=frozenset(int(g) for g in _field(payload, path, "goals")),
-            initial=np.asarray(_field(payload, path, "initial"), dtype=float),
-            goal_absorbing=bool(payload.get("goal_absorbing", False)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, f"malformed mdp payload: {exc}") from exc
+    return _from_payload(TabularMDP, payload, path, "mdp")
 
 
 def game_to_payload(game: MarkovGame) -> dict:
-    return {
-        "format": "game",
-        "version": FORMAT_VERSION,
-        "num_states": game.num_states,
-        "num_actions_1": game.num_actions_1,
-        "num_actions_2": game.num_actions_2,
-        "joint_kernel": game.joint_kernel.tolist(),
-        "reward_1": game.reward_1.tolist(),
-        "horizon": game.horizon,
-        "goals": sorted(game.goals),
-        "initial": game.initial.tolist(),
-    }
+    return _to_payload(game, "game")
 
 
 def game_from_payload(payload: dict, path: str = "<memory>") -> MarkovGame:
-    payload = _expect(payload, path, "game")
-    try:
-        return MarkovGame(
-            num_states=int(_field(payload, path, "num_states")),
-            num_actions_1=int(_field(payload, path, "num_actions_1")),
-            num_actions_2=int(_field(payload, path, "num_actions_2")),
-            joint_kernel=np.asarray(_field(payload, path, "joint_kernel"), dtype=float),
-            reward_1=np.asarray(_field(payload, path, "reward_1"), dtype=float),
-            horizon=int(_field(payload, path, "horizon")),
-            goals=frozenset(int(g) for g in _field(payload, path, "goals")),
-            initial=np.asarray(_field(payload, path, "initial"), dtype=float),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, f"malformed game payload: {exc}") from exc
+    return _from_payload(MarkovGame, payload, path, "game")
+
+
+def keydoor_config_to_payload(cfg: KeyDoorConfig) -> dict:
+    return _to_payload(cfg, "keydoor_config")
+
+
+def keydoor_config_from_payload(payload: dict, path: str = "<memory>") -> KeyDoorConfig:
+    return _from_payload(KeyDoorConfig, payload, path, "keydoor_config")
+
+
+def coop_config_to_payload(cfg: CoopKeyDoorConfig) -> dict:
+    return _to_payload(cfg, "coop_keydoor_config")
+
+
+def coop_config_from_payload(payload: dict, path: str = "<memory>") -> CoopKeyDoorConfig:
+    return _from_payload(CoopKeyDoorConfig, payload, path, "coop_keydoor_config")
 
 
 # ---------------------------------------------------------------------------
@@ -167,13 +186,11 @@ def _peer_entry(peer: PeerPolicy) -> dict:
 
 
 def _peer_from_entry(entry: dict, path: str, default_label: str) -> PeerPolicy:
-    try:
+    with _malformed(path, "peer policy"):
         return PeerPolicy(
             probs=np.asarray(_field(entry, path, "probs"), dtype=float),
             label=str(entry.get("label", default_label)),
         )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, f"malformed peer policy: {exc}") from exc
 
 
 def peer_to_payload(peer: PeerPolicy) -> dict:
@@ -225,10 +242,8 @@ def abstraction_from_payload(payload: dict, path: str = "<memory>") -> Abstracti
         mapping = None
     else:
         entries = _field(payload, path, "entries")
-        try:
+        with _malformed(path, "abstraction entries"):
             mapping = {(int(s), int(a)): str(symbol) for s, a, symbol in entries}
-        except (TypeError, ValueError) as exc:
-            raise ParseError(path, f"malformed abstraction entries: {exc}") from exc
     return Abstraction(
         mapping=mapping,
         collapse_runs=bool(payload.get("collapse_runs", False)),
@@ -244,14 +259,12 @@ def trajectory_to_payload(traj: Trajectory) -> dict:
 
 
 def trajectory_from_payload(entry: dict, path: str = "<memory>") -> Trajectory:
-    try:
+    with _malformed(path, "trajectory entry"):
         terminal = entry.get("terminal_state")
         return Trajectory(
             steps=tuple((int(s), int(a)) for s, a in entry["steps"]),
             terminal_state=None if terminal is None else int(terminal),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(path, f"malformed trajectory entry: {exc}") from exc
 
 
 def successes_to_payload(successes: SuccessSet) -> dict:
@@ -266,9 +279,10 @@ def successes_to_payload(successes: SuccessSet) -> dict:
 def successes_from_payload(payload: dict, path: str = "<memory>") -> SuccessSet:
     payload = _expect(payload, path, "successes")
     entries = _field(payload, path, "trajectories")
-    return SuccessSet.from_iterable(
-        trajectory_from_payload(entry, path) for entry in entries
-    )
+    with _malformed(path, "successes"):
+        return SuccessSet.from_iterable(
+            trajectory_from_payload(entry, path) for entry in entries
+        )
 
 
 def symbol_to_json(symbol) -> Any:
@@ -294,52 +308,6 @@ def core_to_payload(core_set: CoreSet) -> dict:
         "count": len(core_set),
         "members": _members_to_payload(core_set.members),
     }
-
-
-# ---------------------------------------------------------------------------
-# Environment configs
-# ---------------------------------------------------------------------------
-
-
-def _config_to_payload(cfg, kind: str) -> dict:
-    payload = {"format": kind, "version": FORMAT_VERSION}
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        payload[f.name] = list(value) if isinstance(value, tuple) else value
-    return payload
-
-
-def _config_from_payload(cls, payload: dict, path: str, kind: str):
-    """Config dataclass ``cls`` from a payload that holds every one of its fields.
-
-    Fields annotated ``int`` are read as ints, the others as tuples of strings.
-    """
-    payload = _expect(payload, path, kind)
-    types = get_type_hints(cls)
-    values = {}
-    try:
-        for f in fields(cls):
-            value = _field(payload, path, f.name)
-            values[f.name] = int(value) if types[f.name] is int else tuple(str(v) for v in value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(path, f"malformed {kind.replace('_', ' ')}: {exc}") from exc
-    return cls(**values)
-
-
-def keydoor_config_to_payload(cfg: KeyDoorConfig) -> dict:
-    return _config_to_payload(cfg, "keydoor_config")
-
-
-def keydoor_config_from_payload(payload: dict, path: str = "<memory>") -> KeyDoorConfig:
-    return _config_from_payload(KeyDoorConfig, payload, path, "keydoor_config")
-
-
-def coop_config_to_payload(cfg: CoopKeyDoorConfig) -> dict:
-    return _config_to_payload(cfg, "coop_keydoor_config")
-
-
-def coop_config_from_payload(payload: dict, path: str = "<memory>") -> CoopKeyDoorConfig:
-    return _config_from_payload(CoopKeyDoorConfig, payload, path, "coop_keydoor_config")
 
 
 # ---------------------------------------------------------------------------

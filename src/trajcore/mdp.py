@@ -10,7 +10,9 @@ Conventions used throughout the package:
   support of the initial distribution, every transition has positive kernel
   probability, no intermediate state is a goal, and the goal is reached at
   state index ``t <= horizon`` (states are 1-indexed, so a success has at
-  most ``horizon - 1`` real action steps).
+  most ``horizon - 1`` real action steps).  The support of a distribution is
+  its set of entries ``> 0``; the small negative entries that validation
+  tolerates (down to ``-ROW_TOL``) are outside it.
 * Randomness comes from NumPy's PCG64 generator seeded explicitly, with
   categorical draws done by inverse-CDF on a single uniform, so rollouts are
   bit-reproducible for a fixed seed across platforms.
@@ -97,11 +99,11 @@ class TabularMDP:
             raise DimensionMismatch(f"goal state out of range: {sorted(self.goals)}")
 
     def support(self, state: int, action: int) -> tuple[int, ...]:
-        """States reachable from (state, action) with positive probability."""
-        return tuple(int(t) for t in np.nonzero(self.kernel[state, action])[0])
+        """States reachable from (state, action) with probability ``> 0``."""
+        return tuple(int(t) for t in np.flatnonzero(self.kernel[state, action] > 0))
 
     def initial_support(self) -> tuple[int, ...]:
-        return tuple(int(t) for t in np.nonzero(self.initial)[0])
+        return tuple(int(t) for t in np.flatnonzero(self.initial > 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,11 +268,17 @@ def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
     reward(s, a1)     = sum_a2 reward_1(s, a1, a2)        * probs(s, a2)
     """
     validate_game(game)
-    return _fold_peer(game, peer)
+    induced = _fold_peer(game, peer)
+    validate_mdp(induced)
+    return induced
 
 
 def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
-    """:func:`induce_mdp` for a game the caller has already validated."""
+    """:func:`induce_mdp` for a game the caller has already validated.
+
+    The result is not validated: a validated game and peer fold into a valid
+    MDP up to rounding, and :func:`enumerate_successes` validates its input.
+    """
     validate_peer(peer)
     if peer.probs.shape != (game.num_states, game.num_actions_2):
         raise DimensionMismatch(
@@ -281,7 +289,7 @@ def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
     reward = np.einsum("sab,sb->sa", game.reward_1, peer.probs)
     goals = sorted(game.goals)
     absorbing = bool(np.all(np.abs(game.joint_kernel[goals, :, :, goals] - 1.0) <= ROW_TOL))
-    induced = TabularMDP(
+    return TabularMDP(
         num_states=game.num_states,
         num_actions=game.num_actions_1,
         kernel=kernel,
@@ -291,8 +299,6 @@ def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
         initial=game.initial,
         goal_absorbing=absorbing,
     )
-    validate_mdp(induced)
-    return induced
 
 
 def game_from_mdp(mdp: TabularMDP) -> MarkovGame:
@@ -315,8 +321,8 @@ def enumerate_successes(
     """Enumerate every successful trajectory feasible under the kernel support.
 
     The search is support-based: probability magnitudes are ignored beyond
-    zero/nonzero, so the result depends only on the kernel support, initial
-    support, goals, and horizon.  Raises :class:`ExplosionGuard` if the DFS
+    positive/non-positive, so the result depends only on the kernel support,
+    initial support, goals, and horizon.  Raises :class:`ExplosionGuard` if the DFS
     visits more than ``node_budget`` nodes.
     """
     validate_mdp(mdp)
@@ -358,8 +364,8 @@ def goal_reachable(mdp: TabularMDP) -> bool:
     """
     goal_mask = np.zeros(mdp.num_states, dtype=bool)
     goal_mask[list(mdp.goals)] = True
-    adjacent = (mdp.kernel != 0).any(axis=1)
-    seen = mdp.initial != 0
+    adjacent = (mdp.kernel > 0).any(axis=1)
+    seen = mdp.initial > 0
     frontier = seen
     for _step in range(mdp.horizon - 1):
         if (frontier & goal_mask).any():

@@ -33,8 +33,6 @@ SymbolSeq = tuple[Symbol, ...]
 
 DEFAULT_SEQ_BUDGET = 1_000_000
 
-TERMINAL_NAME = "terminal"
-
 
 @dataclass(frozen=True)
 class Abstraction:
@@ -87,9 +85,10 @@ class Abstraction:
         return cached
 
     def is_terminal_symbol(self, sym: Symbol) -> bool:
+        """A concrete terminal pair, or a name this map gives a ``(s, TERMINAL)`` pair."""
         if isinstance(sym, tuple):
             return sym[1] == TERMINAL
-        return sym in self.terminal_symbols() or sym == TERMINAL_NAME
+        return sym in self.terminal_symbols()
 
 
 IDENTITY = Abstraction()

@@ -1,0 +1,158 @@
+"""Every CLI verb maps malformed input files to a documented exit code.
+
+Runs ``cli.main`` in process on valid input files with one file replaced by
+arbitrary JSON, a truncated copy, arbitrary bytes, or the valid payload with
+one field replaced by an arbitrary JSON value.  Each run must exit 0, 3, 4
+or 5 without raising, and print no traceback.
+"""
+import contextlib
+import io
+import os
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from trajcore import TERMINAL, Abstraction, enumerate_successes, formats
+from trajcore.cli import main
+from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor
+
+from conftest import random_game, random_peer
+
+DOCUMENTED_EXITS = {0, 3, 4, 5}
+
+
+def _valid_payloads() -> dict:
+    mdp, kd_phi = build_keydoor(DEFAULT_KEYDOOR)
+    rng = np.random.default_rng(0)
+    game = random_game(rng)
+    game_phi = Abstraction(
+        mapping={
+            **{(s, a): f"a{a}" for s in range(game.num_states) for a in range(game.num_actions_1)},
+            **{(g, TERMINAL): "goal" for g in game.goals},
+        }
+    )
+    return {
+        "mdp": formats.mdp_to_payload(mdp),
+        "successes": formats.successes_to_payload(enumerate_successes(mdp)),
+        "kd_phi": formats.abstraction_to_payload(kd_phi),
+        "game": formats.game_to_payload(game),
+        "peer": formats.peer_to_payload(random_peer(rng, game)),
+        "schedule": formats.schedule_to_payload([random_peer(rng, game) for _ in range(2)]),
+        "game_phi": formats.abstraction_to_payload(game_phi),
+        "kd_cfg": formats.keydoor_config_to_payload(DEFAULT_KEYDOOR),
+        "coop_cfg": formats.coop_config_to_payload(DEFAULT_COOP),
+    }
+
+
+VALID = _valid_payloads()
+
+# (argv with {role} placeholders for input files, roles in argv order)
+CASES = [
+    (["enumerate", "{mdp}", "--budget", "100000", "--out", "{out}"], ["mdp"]),
+    (["mine", "{mdp}", "--phi", "{kd_phi}", "--strip-terminal", "--budget", "100000"], ["mdp", "kd_phi"]),
+    (["mine", "{successes}", "--collapse-runs", "--out", "{out}"], ["successes"]),
+    (["induce", "{game}", "{peer}", "--out", "{out}"], ["game", "peer"]),
+    (["budget", "{game}", "{schedule}"], ["game", "schedule"]),
+    (["drift", "{game}", "{schedule}", "--phi", "{game_phi}", "--budget", "100000"],
+     ["game", "schedule", "game_phi"]),
+    (["gen", "keydoor", "{kd_cfg}", "--out-dir", "{dir}"], ["kd_cfg"]),
+    (["gen", "coop-keydoor", "{coop_cfg}", "--out-dir", "{dir}"], ["coop_cfg"]),
+]
+
+# small integers only: a config field of a few hundred would build a huge game
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 5)
+    | st.floats()
+    | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=10,
+)
+
+
+@st.composite
+def corrupted_file(draw, payload: dict) -> bytes:
+    valid = formats.canonical_json(payload).encode("utf-8")
+    kind = draw(st.sampled_from(["arbitrary", "truncated", "bytes", "field"]))
+    if kind == "arbitrary":
+        return formats.canonical_json(draw(json_values)).encode("utf-8")
+    if kind == "truncated":
+        return valid[: draw(st.integers(0, len(valid) - 1))]
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    name = draw(st.sampled_from(sorted(payload)))
+    return formats.canonical_json({**payload, name: draw(json_values)}).encode("utf-8")
+
+
+def _run(argv_template: list, files: dict) -> tuple[int, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"dir": tmp, "out": os.path.join(tmp, "out.json")}
+        for role, data in files.items():
+            paths[role] = os.path.join(tmp, f"{role}.json")
+            with open(paths[role], "wb") as handle:
+                handle.write(data)
+        argv = [arg.format(**paths) for arg in argv_template]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    return code, stderr.getvalue()
+
+
+def _valid_files(roles) -> dict:
+    return {role: formats.canonical_json(VALID[role]).encode("utf-8") for role in roles}
+
+
+@pytest.mark.parametrize("argv,roles", CASES, ids=[" ".join(c[0][:2]) for c in CASES])
+def test_valid_inputs_exit_zero(argv, roles):
+    code, err = _run(argv, _valid_files(roles))
+    assert (code, err) == (0, "")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_verb_maps_malformed_files_to_documented_exits(data):
+    argv, roles = data.draw(st.sampled_from(CASES))
+    role = data.draw(st.sampled_from(roles))
+    files = _valid_files(roles)
+    files[role] = data.draw(corrupted_file(VALID[role]))
+    code, err = _run(argv, files)
+    assert code in DOCUMENTED_EXITS
+    assert "Traceback" not in err
+
+
+@settings(max_examples=20, deadline=None)
+@given(trials=st.integers(-2, 5), seed=st.integers(-(2**70), 2**70))
+def test_oracle_check_exits_are_documented(trials, seed):
+    code, err = _run(["oracle-check", "--trials", str(trials), "--seed", str(seed)], {})
+    assert code in DOCUMENTED_EXITS
+    assert "Traceback" not in err
+
+
+def _with_literal(payload: dict, name: str, literal: str) -> bytes:
+    text = formats.canonical_json({**payload, name: "@@"})
+    return text.replace('"@@"', literal).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv,role,data",
+    [
+        (["mine", "{successes}"], "successes", _with_literal(VALID["successes"], "trajectories", "5")),
+        (["mine", "{successes}"], "successes", _with_literal(VALID["successes"], "trajectories", "[1]")),
+        (["enumerate", "{mdp}"], "mdp", _with_literal(VALID["mdp"], "horizon", "1e400")),
+        (["gen", "keydoor", "{kd_cfg}", "--out-dir", "{dir}"], "kd_cfg",
+         _with_literal(VALID["kd_cfg"], "horizon", "1e400")),
+        (["enumerate", "{mdp}"], "mdp", b'{"format": "mdp", "label": "\xff"}'),
+        (["enumerate", "{mdp}"], "mdp", b"[" * 200_000 + b"]" * 200_000),
+    ],
+    ids=["trajectories-int", "trajectories-of-int", "mdp-horizon-overflow",
+         "config-horizon-overflow", "not-utf8", "deep-nesting"],
+)
+def test_known_malformed_files_are_parse_errors(argv, role, data):
+    code, err = _run(argv, {role: data})
+    assert code == 3
+    assert "parse error" in err and "Traceback" not in err

@@ -312,6 +312,17 @@ def test_drift_report_enumerates_and_prepares_each_success_set_once(monkeypatch)
     assert report == expected
 
 
+def test_drift_path_validates_each_induced_mdp_once(monkeypatch):
+    rng = np.random.default_rng(13)
+    game = random_game(rng)
+    schedule = [random_peer(rng, game) for _ in range(5)]
+    calls = count_calls(monkeypatch, "validate_mdp")
+    seq = EpisodeSequence.from_schedule(game, schedule)
+    drift_report(seq)
+    # one per episode (in enumeration) plus two for the individual core's induce_mdp
+    assert len(calls) == seq.num_episodes + 2
+
+
 def test_certified_change_without_witness_is_a_consistency_error():
     traj = Trajectory(steps=((0, 0),), terminal_state=1)
     lost = CoreSet(members=(((0, 0),),))

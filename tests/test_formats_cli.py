@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,13 @@ import pytest
 from trajcore import Abstraction, enumerate_successes
 from trajcore import formats
 from trajcore.cli import main
-from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_coop_keydoor, build_keydoor
+from trajcore.envs import (
+    DEFAULT_COOP,
+    DEFAULT_KEYDOOR,
+    build_coop_keydoor,
+    build_keydoor,
+    random_mdp,
+)
 
 from conftest import random_game, random_peer
 
@@ -96,6 +103,76 @@ def test_config_round_trips(tmp_path):
         formats.coop_config_from_payload(formats.read_json(str(cp)), str(cp))
         == DEFAULT_COOP
     )
+
+
+# sha256 prefixes of canonical_json(payload); a change here changes every file digest
+PAYLOAD_DIGESTS = {
+    "keydoor_mdp": "5edde29bf8fd9f73",
+    "coop_game": "586989132b788c43",
+    "coop_schedule": "b724bc1714437a4c",
+    "coop_phi": "2c379c66d4b4e7c2",
+    "keydoor_config": "c588aad0156539ee",
+    "coop_config": "29a2c1a8924cedc9",
+}
+RANDOM_MDP_PAYLOADS_DIGEST = "44d005ecac90c0b3"
+
+
+def test_payload_bytes_are_pinned_and_round_trip(keydoor, coop):
+    mdp, _ = keydoor
+    game, schedule, phi = coop
+    cases = {
+        "keydoor_mdp": (mdp, formats.mdp_to_payload, formats.mdp_from_payload),
+        "coop_game": (game, formats.game_to_payload, formats.game_from_payload),
+        "coop_schedule": (schedule, formats.schedule_to_payload, formats.schedule_from_payload),
+        "coop_phi": (phi, formats.abstraction_to_payload, formats.abstraction_from_payload),
+        "keydoor_config": (
+            DEFAULT_KEYDOOR, formats.keydoor_config_to_payload, formats.keydoor_config_from_payload
+        ),
+        "coop_config": (
+            DEFAULT_COOP, formats.coop_config_to_payload, formats.coop_config_from_payload
+        ),
+    }
+    for name, (obj, to_payload, from_payload) in cases.items():
+        payload = to_payload(obj)
+        assert formats.digest(payload)[:16] == PAYLOAD_DIGESTS[name], name
+        again = to_payload(from_payload(json.loads(formats.canonical_json(payload))))
+        assert formats.canonical_json(again) == formats.canonical_json(payload), name
+
+    hasher = hashlib.sha256()
+    for seed in range(30):
+        m = random_mdp(3 + seed % 5, 2 + seed % 2, 3 + seed % 4, seed=seed)
+        text = formats.canonical_json(formats.mdp_to_payload(m))
+        again = formats.mdp_to_payload(formats.mdp_from_payload(json.loads(text)))
+        assert formats.canonical_json(again) == text
+        hasher.update(text.encode("utf-8"))
+    assert hasher.hexdigest()[:16] == RANDOM_MDP_PAYLOADS_DIGEST
+
+
+def test_write_json_writes_the_digested_bytes(tmp_path, coop):
+    game, _, _ = coop
+    for payload in (formats.game_to_payload(game), {"b": 1, "a": [1.5, 0.1, "\u00e9"]}):
+        path = tmp_path / "x.json"
+        formats.write_json(str(path), payload)
+        data = path.read_bytes()
+        assert data == (formats.canonical_json(payload) + "\n").encode("utf-8")
+        assert formats.file_digest(str(path)) == hashlib.sha256(data).hexdigest()
+
+
+def test_fields_with_a_default_may_be_omitted(keydoor):
+    mdp, _ = keydoor
+    payload = formats.mdp_to_payload(mdp)
+    del payload["goal_absorbing"]
+    assert formats.mdp_from_payload(payload).goal_absorbing is False
+    payload = formats.coop_config_to_payload(DEFAULT_COOP)
+    del payload["peer_modes"]
+    assert formats.coop_config_from_payload(payload) == DEFAULT_COOP
+
+
+def test_sniff_format_reads_the_decoded_payload():
+    assert formats.sniff_format({"format": "mdp"}) == "mdp"
+    for bad in ([], {"version": 1}):
+        with pytest.raises(formats.ParseError, match="missing 'format' field"):
+            formats.sniff_format(bad, "in.json")
 
 
 def test_parse_errors_name_the_problem(tmp_path):

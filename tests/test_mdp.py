@@ -388,3 +388,27 @@ def test_draw_is_unchanged_inside_the_cdf():
     cdf = np.cumsum([0.1] * 10)
     for u, expected in [(0.0, 0), (0.05, 0), (0.1, 1), (0.55, 5), (0.95, 9)]:
         assert _draw(_FixedUniform(u), cdf) == expected
+
+
+def test_entries_tolerated_below_zero_are_outside_the_support():
+    # validation accepts -5e-10 (within ROW_TOL), but the support is entries > 0
+    kernel = np.zeros((3, 1, 3))
+    kernel[0, 0, 0] = 1 + 5e-10
+    kernel[0, 0, 2] = -5e-10
+    kernel[1, 0, 1] = 1.0
+    kernel[2, 0, 2] = 1.0
+    mdp = TabularMDP(
+        num_states=3,
+        num_actions=1,
+        kernel=kernel,
+        reward=np.zeros((3, 1)),
+        horizon=3,
+        goals=frozenset({2}),
+        initial=np.array([1 + 5e-10, 0.0, -5e-10]),
+    )
+    validate_mdp(mdp)
+    assert mdp.support(0, 0) == (0,)
+    assert mdp.initial_support() == (0,)
+    assert not is_successful(Trajectory(steps=((0, 0),), terminal_state=2), mdp)
+    assert len(enumerate_successes(mdp)) == 0
+    assert not goal_reachable(mdp)

@@ -292,3 +292,13 @@ def test_witness_under_abstraction(chain_mdp):
     mapping[(2, TERMINAL)] = "goal!"
     phi = Abstraction(mapping=mapping, label="coarse")
     assert core_nonempty_witness(successes, phi) == "goal!"
+
+
+def test_terminal_name_on_a_non_terminal_pair_survives_strip_terminal():
+    # a symbol is terminal only if phi maps some (s, TERMINAL) pair to it
+    phi = Abstraction(mapping={(0, 0): "terminal", (1, 0): "move", (2, TERMINAL): "goal"})
+    traj = Trajectory(steps=((0, 0), (1, 0)), terminal_state=2)
+    assert not phi.is_terminal_symbol("terminal")
+    assert phi.is_terminal_symbol("goal")
+    assert core([traj], phi=phi, strip_terminal=True).members == (("terminal", "move"),)
+    assert core([("terminal", "a")], strip_terminal=True).members == (("terminal", "a"),)
