@@ -51,7 +51,8 @@ def _check_rows(table: np.ndarray, what: str) -> None:
     if np.any(table < -ROW_TOL):
         raise RowSumError(what, "(negative entry)", float(table.min()), ROW_TOL)
     sums = table.sum(axis=-1)
-    bad = np.argwhere(np.abs(sums - 1.0) > ROW_TOL)
+    # a NaN or infinite entry makes its row sum non-finite, which fails `<=`
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= ROW_TOL))
     if bad.size:
         row = tuple(int(i) for i in bad[0])
         raise RowSumError(what, row, float(sums[tuple(bad[0])]), ROW_TOL)
@@ -322,8 +323,12 @@ def enumerate_successes(
 
     The search is support-based: probability magnitudes are ignored beyond
     positive/non-positive, so the result depends only on the kernel support,
-    initial support, goals, and horizon.  Raises :class:`ExplosionGuard` if the DFS
-    visits more than ``node_budget`` nodes.
+    initial support, goals, and horizon.  The DFS expands only nodes that can
+    still reach a goal within the horizon (see :func:`_goal_distances`), so
+    every node it visits is a prefix of some success and ``node_budget``
+    counts prefixes of successes.  Raises :class:`ExplosionGuard` if the DFS
+    visits more than ``node_budget`` nodes; its ``needed`` field is the node
+    count of the full search.
     """
     validate_mdp(mdp)
     supports = [
@@ -332,47 +337,86 @@ def enumerate_successes(
     ]
     goals = mdp.goals
     horizon = mdp.horizon
+    dist = _goal_distances(mdp).tolist()
+    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
     found: list[Trajectory] = []
     visited = 0
 
     # Iterative DFS; stack entries are (state, state_index, prefix of pairs).
+    # A node (state, t) is pushed only if t + dist[state] <= horizon, so a
+    # non-goal node always has t < horizon.
     stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [
-        (s, 1, ()) for s in reversed(mdp.initial_support())
+        (s, 1, ()) for s in reversed(seeds)
     ]
     while stack:
         state, t, prefix = stack.pop()
         visited += 1
         if visited > node_budget:
-            raise ExplosionGuard(node_budget, visited)
+            needed = _count_nodes(supports, goals, horizon, dist, seeds)
+            raise ExplosionGuard(node_budget, visited, needed)
         if state in goals:
             found.append(Trajectory(steps=prefix, terminal_state=state))
             continue
-        if t == horizon:
-            continue
+        slack = horizon - t - 1
         for a in range(mdp.num_actions - 1, -1, -1):
             pair = (state, a)
             for nxt in reversed(supports[state][a]):
-                stack.append((nxt, t + 1, prefix + (pair,)))
+                if dist[nxt] <= slack:
+                    stack.append((nxt, t + 1, prefix + (pair,)))
     return SuccessSet.from_iterable(found)
+
+
+def _goal_distances(mdp: TabularMDP) -> np.ndarray:
+    """Fewest support steps from each state to a goal, through non-goal states.
+
+    One backward breadth-first pass over the kernel support.  Goals are at
+    distance 0; a state with no goal within ``horizon - 1`` steps gets
+    ``horizon``, which no state reached at index ``t >= 1`` can afford.
+    """
+    dist = np.full(mdp.num_states, mdp.horizon, dtype=np.int64)
+    adjacent = (mdp.kernel > 0).any(axis=1)
+    frontier = np.zeros(mdp.num_states, dtype=bool)
+    frontier[list(mdp.goals)] = True
+    seen = frontier.copy()
+    dist[frontier] = 0
+    for steps in range(1, mdp.horizon):
+        frontier = adjacent[:, frontier].any(axis=1) & ~seen
+        if not frontier.any():
+            break
+        seen |= frontier
+        dist[frontier] = steps
+    return dist
+
+
+def _count_nodes(supports, goals, horizon: int, dist: list, seeds: list) -> int:
+    """Exact node count of the pruned DFS, by a forward count over (state, t).
+
+    Python ints, so the count cannot overflow however large it is.
+    """
+    layer = {s: 1 for s in seeds}
+    total = len(seeds)
+    for t in range(1, horizon):
+        slack = horizon - t - 1
+        following: dict[int, int] = {}
+        for state, paths in layer.items():
+            if state in goals:
+                continue
+            for successors in supports[state]:
+                for nxt in successors:
+                    if dist[nxt] <= slack:
+                        following[nxt] = following.get(nxt, 0) + paths
+        total += sum(following.values())
+        layer = following
+    return total
 
 
 def goal_reachable(mdp: TabularMDP) -> bool:
     """True iff a goal lies within ``horizon - 1`` support steps of the initial support.
 
-    A breadth-first search over the kernel support: it decides
-    ``len(enumerate_successes(mdp)) > 0`` without enumerating.
+    Decides ``len(enumerate_successes(mdp)) > 0`` without enumerating.
     """
-    goal_mask = np.zeros(mdp.num_states, dtype=bool)
-    goal_mask[list(mdp.goals)] = True
-    adjacent = (mdp.kernel > 0).any(axis=1)
-    seen = mdp.initial > 0
-    frontier = seen
-    for _step in range(mdp.horizon - 1):
-        if (frontier & goal_mask).any():
-            return True
-        frontier = adjacent[frontier].any(axis=0) & ~seen
-        seen = seen | frontier
-    return bool((frontier & goal_mask).any())
+    dist = _goal_distances(mdp)
+    return any(1 + dist[s] <= mdp.horizon for s in mdp.initial_support())
 
 
 def is_successful(traj: Trajectory, mdp: TabularMDP) -> bool:

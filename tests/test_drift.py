@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from trajcore import (
     uniform_peer,
     variation_budget,
 )
+from trajcore import formats
 from trajcore.drift import _certified_changes
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
@@ -328,3 +331,18 @@ def test_certified_change_without_witness_is_a_consistency_error():
     lost = CoreSet(members=(((0, 0),),))
     with pytest.raises(ConsistencyError):
         _certified_changes(lost, CoreSet(members=()), SuccessSet((traj,)), IDENTITY)
+
+
+# Results digest of drift_report(..., phi, strip_terminal=True) on this layout,
+# computed by the unpruned search with a 100M-node budget; the unpruned
+# search trips the default 10M-node guard here.
+L5_K0_D2_G3_S1_P0_H9_DIGEST = "98f3798a49b7ec65fbfdd985cfeb23cffc2a3ac27e02a12b685f9b4d12fa5b28"
+
+
+def test_horizon_9_coop_layout_drifts_under_the_default_budget():
+    cfg = replace(DEFAULT_COOP, corridor_length=5, key_pos=0, door_pos=2, goal_pos=3,
+                  start_pos=1, peer_start=0, horizon=9)
+    game, schedule, phi = build_coop_keydoor(cfg)
+    report = drift_report(EpisodeSequence.from_schedule(game, schedule), phi=phi,
+                          strip_terminal=True)
+    assert formats.digest(formats.drift_to_payload(report)) == L5_K0_D2_G3_S1_P0_H9_DIGEST

@@ -403,6 +403,29 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_enumerate_nan_probability_is_validation_error(tmp_path, capsys):
+    mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
+    payload = formats.mdp_to_payload(mdp)
+    payload["kernel"][0][0][0] = float("nan")
+    path = tmp_path / "nan.json"
+    formats.write_json(str(path), payload)
+    assert "NaN" in path.read_text()
+    assert main(["enumerate", str(path)]) == 4
+    assert "sums to nan" in capsys.readouterr().err
+
+
+def test_cli_guard_message_says_what_budget_would_suffice(tmp_path, capsys):
+    mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
+    path = tmp_path / "good.json"
+    formats.write_json(str(path), formats.mdp_to_payload(mdp))
+    assert main(["enumerate", str(path), "--budget", "3"]) == 5
+    needed = int(capsys.readouterr().err.split("the full search needs ")[1].split(")")[0])
+    assert main(["enumerate", str(path), "--budget", str(needed - 1)]) == 5
+    capsys.readouterr()
+    assert main(["enumerate", str(path), "--budget", str(needed)]) == 0
+    capsys.readouterr()
+
+
 def test_cli_env_budget_override(tmp_path, capsys, monkeypatch):
     mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
     good = tmp_path / "good.json"

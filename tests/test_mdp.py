@@ -21,7 +21,9 @@ from trajcore import (
     induce_mdp,
     is_successful,
     rollout,
+    validate_game,
     validate_mdp,
+    validate_peer,
 )
 from trajcore.envs import random_mdp
 from trajcore.mdp import _draw, goal_reachable
@@ -125,6 +127,26 @@ def _two_row_game() -> MarkovGame:
     )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validation_rejects_non_finite_probabilities(chain_mdp, bad):
+    kernel = np.array(chain_mdp.kernel)
+    kernel[1, 1, :2] = [bad, 1.0]
+    with pytest.raises(RowSumError):
+        validate_mdp(replace(chain_mdp, kernel=kernel))
+    with pytest.raises(RowSumError):
+        validate_mdp(replace(chain_mdp, initial=np.array([bad, 1.0, 0.0])))
+
+    game = _two_row_game()
+    joint = np.array(game.joint_kernel)
+    joint[0, 0, 0] = [bad, 1.0]
+    with pytest.raises(RowSumError):
+        validate_game(replace(game, joint_kernel=joint))
+    with pytest.raises(RowSumError):
+        validate_game(replace(game, initial=np.array([bad, 1.0])))
+    with pytest.raises(RowSumError):
+        validate_peer(PeerPolicy(probs=np.array([[bad, 1.0], [0.5, 0.5]])))
+
+
 def test_induce_weighted_sum_row():
     game = _two_row_game()
     peer = PeerPolicy(probs=np.array([[0.3, 0.7], [0.5, 0.5]]))
@@ -214,6 +236,64 @@ def test_enumerate_explosion_guard():
     mdp = random_mdp(num_states=6, num_actions=3, horizon=6, seed=0, support_size=3)
     with pytest.raises(ExplosionGuard):
         enumerate_successes(mdp, node_budget=5)
+
+
+def _chain_with_dead_ends(chain_mdp, width: int) -> TabularMDP:
+    """The chain plus ``width`` states that LEFT from 0 can enter but never leave."""
+    n = 3 + width
+    kernel = np.zeros((n, 2, n))
+    kernel[:3, :, :3] = chain_mdp.kernel
+    kernel[0, 0, 0] = 0.5
+    kernel[0, 0, 3:] = 0.5 / width
+    kernel[3:, :, 3:] = 1.0 / width
+    initial = np.zeros(n)
+    initial[0] = 1.0
+    return TabularMDP(
+        num_states=n,
+        num_actions=2,
+        kernel=kernel,
+        reward=np.zeros((n, 2)),
+        horizon=chain_mdp.horizon,
+        goals=chain_mdp.goals,
+        initial=initial,
+    )
+
+
+def test_node_budget_counts_only_prefixes_of_successes(chain_mdp):
+    mdp = _chain_with_dead_ends(chain_mdp, width=8)
+    # the two chain successes share the root; together they have 6 prefixes
+    with pytest.raises(ExplosionGuard) as err:
+        enumerate_successes(mdp, node_budget=5)
+    assert (err.value.budget, err.value.visited, err.value.needed) == (5, 6, 6)
+    assert "the full search needs 6" in str(err.value)
+    successes = enumerate_successes(mdp, node_budget=err.value.needed)
+    assert {t.pairs() for t in successes} == CHAIN_SUCCESSES
+
+
+def _success_prefixes(successes) -> set:
+    """The DFS nodes of a search that visits only prefixes of successes."""
+    return {
+        (pairs[:i], pairs[i][0])
+        for pairs in (t.pairs() for t in successes)
+        for i in range(len(pairs))
+    }
+
+
+def test_guard_reports_the_exact_node_count_of_the_full_search():
+    checked = 0
+    for seed in range(40):
+        sampled = random_mdp(num_states=6, num_actions=3, horizon=6, seed=seed, support_size=3)
+        for horizon in range(1, 7):
+            mdp = replace(sampled, horizon=horizon)
+            needed = len(_success_prefixes(enumerate_successes(mdp)))
+            if needed == 0:
+                continue
+            with pytest.raises(ExplosionGuard) as err:
+                enumerate_successes(mdp, node_budget=needed - 1)
+            assert err.value.needed == needed
+            assert len(enumerate_successes(mdp, node_budget=needed)) > 0
+            checked += 1
+    assert checked > 100
 
 
 @settings(max_examples=30, deadline=None)
