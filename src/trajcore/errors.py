@@ -69,11 +69,16 @@ class ExplosionGuard(GuardError):
 
 
 class BudgetExceeded(GuardError):
-    """Common-subsequence search produced more sequences than the budget."""
+    """Common-subsequence search visited more sequences than the budget."""
 
-    def __init__(self, budget):
+    def __init__(self, budget, visited):
         self.budget = budget
-        super().__init__(f"common-subsequence set exceeded budget {budget}")
+        self.visited = visited
+        super().__init__(
+            f"common-subsequence search exceeded budget {budget} "
+            f"(visited {visited} common subsequences); "
+            f"raise the budget explicitly to proceed"
+        )
 
 
 class ConsistencyError(TrajcoreError):

@@ -331,10 +331,7 @@ def enumerate_successes(
     count of the full search.
     """
     validate_mdp(mdp)
-    supports = [
-        [mdp.support(s, a) for a in range(mdp.num_actions)]
-        for s in range(mdp.num_states)
-    ]
+    supports = _support_lists(mdp)
     goals = mdp.goals
     horizon = mdp.horizon
     dist = _goal_distances(mdp).tolist()
@@ -364,6 +361,17 @@ def enumerate_successes(
                 if dist[nxt] <= slack:
                     stack.append((nxt, t + 1, prefix + (pair,)))
     return SuccessSet.from_iterable(found)
+
+
+def _support_lists(mdp: TabularMDP) -> list[list[tuple[int, ...]]]:
+    """``supports[s][a] == mdp.support(s, a)`` for every pair, in one kernel pass."""
+    positive = mdp.kernel > 0
+    # flat indices are row-major, so the targets come grouped by (s, a)
+    targets = (np.flatnonzero(positive) % mdp.num_states).tolist()
+    ends = np.cumsum(np.count_nonzero(positive, axis=2)).tolist()
+    rows = [tuple(targets[start:end]) for start, end in zip([0] + ends, ends)]
+    width = mdp.num_actions
+    return [rows[s * width : (s + 1) * width] for s in range(mdp.num_states)]
 
 
 def _goal_distances(mdp: TabularMDP) -> np.ndarray:

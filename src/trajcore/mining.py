@@ -5,11 +5,17 @@ Symbols are plain hashable values: concrete ``(state, action)`` pairs
 a tuple of symbols.  Mixing the two alphabets inside one computation is never
 meaningful and is not supported.
 
-The fast path enumerates the exact set of common subsequences with a
-k-pointer automaton over leftmost-occurrence jumps (each distinct common
-subsequence is generated exactly once), then keeps the maximal elements.
+:func:`core` mines the maximal common subsequences directly
+(:func:`maximal_common_subsequences`): a depth-first search over the
+k-pointer automaton of leftmost-occurrence jumps, so each node is a distinct
+common subsequence, pruned by a dominance rule and closed by a leaf check.
+A child for symbol ``c'`` is skipped when another symbol ``c`` occurs next
+strictly before ``c'`` in every sequence, since ``c`` then fits in front of
+``c'`` in any continuation.  A node with no extension is kept iff no common
+symbol fits any of its inner gaps.  :func:`common_subsequences` (every common
+subsequence) and :func:`maximal_elements` are the exhaustive reference, and
 :func:`brute_force_core` is a deliberately independent oracle built on raw
-power-set enumeration and is used to cross-check the fast path.
+power-set enumeration; both cross-check the fast path.
 """
 from __future__ import annotations
 
@@ -17,6 +23,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from math import inf
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
@@ -228,7 +235,7 @@ def common_subsequences(
         pointers, prefix = stack.pop()
         results.add(prefix)
         if len(results) > budget:
-            raise BudgetExceeded(budget)
+            raise BudgetExceeded(budget, len(results))
         for sym in alphabet:
             advanced = []
             for occ, ptr in zip(occurrences, pointers):
@@ -263,6 +270,103 @@ def maximal_elements(commons: Iterable[SymbolSeq]) -> set[SymbolSeq]:
     return maximal
 
 
+def maximal_common_subsequences(
+    seqs: Sequence[Sequence], budget: int = DEFAULT_SEQ_BUDGET
+) -> set[SymbolSeq]:
+    """Exact set of maximal common subsequences of all ``seqs``.
+
+    Equals ``maximal_elements(common_subsequences(seqs))`` (so ``{()}`` when
+    the sequences share no symbol), found without listing every common
+    subsequence.  The search walks the same leftmost-occurrence tree as
+    :func:`common_subsequences`, over the symbols common to every sequence.
+    At each node, the child for ``c'`` is skipped when some ``c`` occurs
+    next strictly before ``c'`` in every sequence: ``c`` then fits in front
+    of ``c'`` in any continuation, so no node below that child is maximal.
+    A node with no extension is kept iff no common symbol fits any inner gap
+    (:func:`_no_gap_fits`); a node with one is never maximal.  Raises
+    :class:`BudgetExceeded` once the search visits more than ``budget``
+    nodes.  Each visited node is a distinct common subsequence, so this
+    trips only where :func:`common_subsequences` would trip too.
+    """
+    if not seqs:
+        raise ValueError("need at least one sequence")
+    seqs = [tuple(s) for s in seqs]
+    alphabet = set(seqs[0])
+    for seq in seqs[1:]:
+        alphabet.intersection_update(seq)
+    # index[c][j]: the positions of symbol c in sequence j
+    index = {
+        c: [[pos for pos, sym in enumerate(seq) if sym == c] for seq in seqs]
+        for c in alphabet
+    }
+
+    found: set[SymbolSeq] = set()
+    visited = 0
+    stack: list[tuple[tuple[int, ...], SymbolSeq]] = [((0,) * len(seqs), ())]
+    while stack:
+        pointers, prefix = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(budget, visited)
+        # (symbol, its next position in each sequence) for every extension
+        nexts = []
+        for c, occurrences in index.items():
+            at = []
+            for positions, ptr in zip(occurrences, pointers):
+                k = bisect_left(positions, ptr)
+                if k == len(positions):
+                    break
+                at.append(positions[k])
+            else:
+                nexts.append((c, at))
+        if not nexts:
+            if _no_gap_fits(prefix, index, len(seqs)):
+                found.add(prefix)
+            continue
+        for c, at in nexts:
+            if not any(all(p < q for p, q in zip(other, at)) for _, other in nexts):
+                stack.append((tuple(p + 1 for p in at), prefix + (c,)))
+    return found
+
+
+def _no_gap_fits(u: SymbolSeq, index: Mapping, num_seqs: int) -> bool:
+    """True iff no symbol of ``index`` can be inserted before any ``u[i]``.
+
+    In sequence ``j``, a symbol fits before ``u[i]`` iff it occurs at or
+    after the end of the leftmost embedding of ``u[:i]`` and before the
+    start of the rightmost embedding of ``u[i:]``.  The candidates of each
+    gap narrow sequence by sequence, so the check stops as soon as every
+    gap has none left.
+    """
+    gaps = {i: set(index) for i in range(len(u))}
+    for j in range(num_seqs):
+        if not gaps:
+            break
+        starts, ptr = [], 0
+        for c in u:
+            starts.append(ptr)
+            positions = index[c][j]
+            ptr = positions[bisect_left(positions, ptr)] + 1
+        ends, ptr = [], inf
+        for c in reversed(u):
+            positions = index[c][j]
+            ptr = positions[bisect_left(positions, ptr) - 1]
+            ends.append(ptr)
+        ends.reverse()
+        for i in list(gaps):
+            fits = set()
+            for c in gaps[i]:
+                positions = index[c][j]
+                k = bisect_left(positions, starts[i])
+                if k < len(positions) and positions[k] < ends[i]:
+                    fits.add(c)
+            if fits:
+                gaps[i] = fits
+            else:
+                del gaps[i]
+    return not gaps
+
+
 def _prepare_sequences(
     successes: SuccessSet | Iterable, phi: Abstraction, strip_terminal: bool
 ) -> list[SymbolSeq]:
@@ -295,7 +399,9 @@ def core(
 
     Accepts a :class:`SuccessSet` or any iterable of trajectories / raw symbol
     sequences.  With ``strip_terminal``, terminal symbols are removed before
-    mining, matching the "ignore the trivial goal symbol" reading.
+    mining, matching the "ignore the trivial goal symbol" reading.  Mining is
+    the dominance-pruned search of :func:`maximal_common_subsequences`;
+    ``budget`` bounds the nodes it visits (see :class:`BudgetExceeded`).
     """
     return _mine_prepared(
         _prepare_sequences(successes, phi, strip_terminal), phi, strip_terminal, budget
@@ -308,10 +414,12 @@ def _mine_prepared(
     """Core of a sequence set already prepared by :func:`_prepare_sequences`.
 
     ``phi`` and ``strip_terminal`` only label the result; they must be the
-    values the set was prepared with.
+    values the set was prepared with.  The members come straight from
+    :func:`maximal_common_subsequences`, which skips dominated children and
+    keeps a leaf only if no common symbol fits any of its gaps; the empty
+    sequence is dropped.
     """
-    commons = common_subsequences(seqs, budget=budget)
-    members = [m for m in maximal_elements(commons) if m]
+    members = [m for m in maximal_common_subsequences(seqs, budget=budget) if m]
     return CoreSet(
         members=canonical_member_order(members),
         alphabet_tag=phi.label,

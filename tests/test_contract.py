@@ -1,0 +1,98 @@
+"""The behaviour contract: CLI results digests on the default environments.
+
+Each verb runs in process on files generated from the default key-door and
+cooperative configs.  A change that keeps these digests and the rest of the
+suite keeps the results of every verb byte-identical.
+"""
+import json
+
+import pytest
+
+from trajcore import formats
+from trajcore.cli import main
+from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
+
+# verb and flags -> (argv after the verb, with {placeholders}, results digest)
+CONTRACT = {
+    "enumerate": (
+        ["{mdp}"],
+        "9a54b2a1bd1053766e910b659975db422409028e4ab3a25d4e2fd8f17df30a25",
+    ),
+    "mine": (
+        ["{mdp}"],
+        "7da9e6028b06f62fc58513dbee8745099561a1bae053e27b26fca7286365cd0a",
+    ),
+    "mine --phi": (
+        ["{mdp}", "--phi", "{keydoor_phi}"],
+        "2736af132fb72cc58dfabb3d36d4c41965b64a0e2dadf3a4299d256632059019",
+    ),
+    "mine --phi --strip-terminal": (
+        ["{mdp}", "--phi", "{keydoor_phi}", "--strip-terminal"],
+        "e9f5b2d455c6d5bc48c6168912c65f33082be3baa2ccd0ca790fdb879018b05b",
+    ),
+    "mine --phi --strip-terminal --collapse-runs": (
+        ["{mdp}", "--phi", "{keydoor_phi}", "--strip-terminal", "--collapse-runs"],
+        "5e73e1776fee2b90f08afc8e643876abb1900929725fd796e13a9915683ac9b3",
+    ),
+    "budget": (
+        ["{game}", "{schedule}"],
+        "ba5b5a214ce2492cd11fc9a31fafa9a1d0ff89ba3ca4a2087d4a6abe19848fea",
+    ),
+    "drift": (
+        ["{game}", "{schedule}"],
+        "e731c6340ef2bfbba54d2a9915c6b5a455ba97bc0c7274f8350b25f3594f9b4d",
+    ),
+    "drift --phi": (
+        ["{game}", "{schedule}", "--phi", "{coop_phi}"],
+        "380a582f38e0e9552f895667763b85775ca0e487338451950c3b2bcc43ae545e",
+    ),
+    "drift --phi --strip-terminal": (
+        ["{game}", "{schedule}", "--phi", "{coop_phi}", "--strip-terminal"],
+        "735f9d94987cedb105065eee46e598ff7fd944b529738a5564714033a5db3f12",
+    ),
+    "drift --phi --collapse-runs --strip-terminal": (
+        ["{game}", "{schedule}", "--phi", "{coop_phi}", "--collapse-runs", "--strip-terminal"],
+        "41c719776e112a3fd7dbf03aceab4e432f804bbebcb9a07aceb1e586fbfc1cf8",
+    ),
+    "induce": (
+        ["{game}", "{peer}"],
+        "84124e5888752a16c79b9e9838928bd9e57068027d6192359cae9b080138a22b",
+    ),
+    "oracle-check": (
+        ["--trials", "200", "--seed", "3"],
+        "fcdc8093e76f1b27a95c536e82d7eceea4d38710bd65eca0140fc73bb7ef4ff2",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Generated inputs: the default key-door MDP, the coop game and the first peer."""
+    root = tmp_path_factory.mktemp("contract")
+    keydoor_cfg, coop_cfg = str(root / "kd.json"), str(root / "coop.json")
+    formats.write_json(keydoor_cfg, formats.keydoor_config_to_payload(DEFAULT_KEYDOOR))
+    formats.write_json(coop_cfg, formats.coop_config_to_payload(DEFAULT_COOP))
+    assert main(["gen", "keydoor", keydoor_cfg, "--out-dir", str(root)]) == 0
+    assert main(["gen", "coop-keydoor", coop_cfg, "--out-dir", str(root)]) == 0
+    paths = {
+        "mdp": str(root / "keydoor.mdp.json"),
+        "keydoor_phi": str(root / "keydoor.phi.json"),
+        "game": str(root / "coop_keydoor.game.json"),
+        "schedule": str(root / "coop_keydoor.schedule.json"),
+        "coop_phi": str(root / "coop_keydoor.phi.json"),
+        "peer": str(root / "peer.json"),
+    }
+    first = formats.read_json(paths["schedule"])["policies"][0]
+    formats.write_json(
+        paths["peer"],
+        {"format": "peer_policy", "version": 1, "label": first["label"], "probs": first["probs"]},
+    )
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_results_digest_is_pinned(case, files, capsys):
+    capsys.readouterr()
+    args, expected = CONTRACT[case]
+    assert main([case.split()[0]] + [a.format(**files) for a in args]) == 0
+    assert json.loads(capsys.readouterr().out)["results_digest"] == expected

@@ -26,7 +26,7 @@ from trajcore import (
     validate_peer,
 )
 from trajcore.envs import random_mdp
-from trajcore.mdp import _draw, goal_reachable
+from trajcore.mdp import _draw, _support_lists, goal_reachable
 
 from conftest import oracle_enumerate, random_game, random_peer, reweight_support
 
@@ -492,3 +492,18 @@ def test_entries_tolerated_below_zero_are_outside_the_support():
     assert not is_successful(Trajectory(steps=((0, 0),), terminal_state=2), mdp)
     assert len(enumerate_successes(mdp)) == 0
     assert not goal_reachable(mdp)
+
+
+@pytest.mark.parametrize("support_size", [1, 2, 4])
+def test_support_lists_equal_the_support_of_every_pair(support_size):
+    for seed in range(10):
+        mdp = random_mdp(
+            num_states=7, num_actions=3, horizon=5, seed=seed, support_size=support_size
+        )
+        kernel = mdp.kernel.copy()
+        kernel[0, 0, -1] = -5e-10  # tolerated by validation, outside the support
+        mdp = replace(mdp, kernel=kernel)
+        assert _support_lists(mdp) == [
+            [mdp.support(s, a) for a in range(mdp.num_actions)]
+            for s in range(mdp.num_states)
+        ]

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -21,7 +22,11 @@ from trajcore import (
     is_subsequence,
     lcs_pair,
 )
-from trajcore.mining import maximal_elements
+from trajcore.mining import (
+    canonical_member_order,
+    maximal_common_subsequences,
+    maximal_elements,
+)
 
 symbols = st.sampled_from("abcd")
 seqs = st.lists(symbols, min_size=0, max_size=8).map(tuple)
@@ -148,6 +153,11 @@ def test_common_subsequences_with_empty_member():
 def test_common_subsequences_budget():
     with pytest.raises(BudgetExceeded):
         common_subsequences([tuple("abcdefgh")], budget=10)
+    # the budget bounds the result set: 2^8 subsequences, the empty one included
+    with pytest.raises(BudgetExceeded) as info:
+        common_subsequences([tuple("abcdefgh")], budget=255)
+    assert (info.value.budget, info.value.visited) == (255, 256)
+    assert len(common_subsequences([tuple("abcdefgh")], budget=256)) == 256
 
 
 @settings(max_examples=80, deadline=None)
@@ -257,6 +267,84 @@ def test_core_equals_brute_force_core(family):
     fast = core(family)
     slow = brute_force_core(family)
     assert fast.members == slow.members
+
+
+# families beyond oracle scale: up to 6 sequences of length <= 16 over 2-4 letters
+wide_families = st.integers(2, 4).flatmap(
+    lambda letters: st.lists(
+        st.lists(st.sampled_from("abcd"[:letters]), max_size=16).map(tuple),
+        min_size=1,
+        max_size=6,
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_families)
+def test_pruned_search_equals_exhaustive_maximal_elements(family):
+    exhaustive = maximal_elements(common_subsequences(family))
+    assert maximal_common_subsequences(family) == exhaustive
+    assert core(family).members == canonical_member_order(exhaustive - {()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from("abcd"), min_size=0, max_size=12).map(tuple),
+        min_size=2,
+        max_size=6,
+    )
+)
+def test_core_equals_brute_force_core_at_oracle_scale(family):
+    assert core(family).members == brute_force_core(family).members
+
+
+def _near_identical_family(seed, length=22, copies=3, edits=2):
+    """Copies of one random sequence over four letters, each with a few point edits."""
+    rng = random.Random(seed)
+    base = [rng.choice("abcd") for _ in range(length)]
+    family = []
+    for _ in range(copies):
+        seq = list(base)
+        for _ in range(edits):
+            seq[rng.randrange(length)] = rng.choice("abcd")
+        family.append(tuple(seq))
+    return family
+
+
+def test_core_of_near_identical_long_family_matches_exhaustive_search():
+    family = _near_identical_family(seed=5)
+    commons = common_subsequences(family)
+    expected = canonical_member_order(maximal_elements(commons) - {()})
+    assert len(commons) > 10_000 and len(expected) > 1
+    # the pruned search visits a small fraction of the common subsequences
+    budget = len(commons) // 10
+    assert core(family, budget=budget).members == expected
+    with pytest.raises(BudgetExceeded):
+        common_subsequences(family, budget=budget)
+
+
+def test_core_budget_counts_visited_search_nodes():
+    # dominance keeps one child per node: (), a, ab, ..., abcdefgh
+    with pytest.raises(BudgetExceeded) as info:
+        core([tuple("abcdefgh")], budget=8)
+    assert (info.value.budget, info.value.visited) == (8, 9)
+    assert "visited 9" in str(info.value)
+    assert core([tuple("abcdefgh")], budget=9).members == (tuple("abcdefgh"),)
+
+
+def test_pruned_search_of_disjoint_or_empty_sequences_is_the_empty_sequence():
+    assert maximal_common_subsequences([tuple("ab"), tuple("cd")]) == {()}
+    assert maximal_common_subsequences([tuple("ab"), ()]) == {()}
+    assert core([tuple("ab"), tuple("cd")]).members == ()
+
+
+def test_leaf_check_rejects_a_leaf_with_an_open_inner_gap():
+    # "b" is a leaf (no "a" follows the first sequence's "b") that no "a"
+    # dominates (it occurs later than "b" in the second sequence), yet "a"
+    # fits before it in both; only the gap check drops it
+    family = [tuple("aab"), tuple("bab")]
+    assert maximal_common_subsequences(family) == {tuple("ab")}
 
 
 def test_shared_symbol_appears_in_some_member():
