@@ -73,9 +73,15 @@ def _budgets(args) -> tuple[int, int]:
     return node, seq
 
 
-def _load_phi(args) -> Abstraction:
+def _read(path: str, inputs: dict):
+    """The decoded payload of an input file, read once; its digest goes to ``inputs``."""
+    payload, inputs[path] = formats.read_input(path)
+    return payload
+
+
+def _load_phi(args, inputs: dict) -> Abstraction:
     if getattr(args, "phi", None):
-        phi = formats.abstraction_from_payload(formats.read_json(args.phi), args.phi)
+        phi = formats.abstraction_from_payload(_read(args.phi, inputs), args.phi)
     else:
         phi = IDENTITY
     if getattr(args, "collapse_runs", False) and not phi.collapse_runs:
@@ -83,26 +89,22 @@ def _load_phi(args) -> Abstraction:
     return phi
 
 
-def _input_digests(paths) -> dict:
-    return {path: formats.file_digest(path) for path in paths if path}
-
-
 # ---------------------------------------------------------------------------
-# Command implementations: each returns (results payload, input paths)
+# Command implementations: each returns its results payload and records the
+# sha256 of every input file it reads in ``inputs`` (path -> digest)
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(args):
+def cmd_enumerate(args, inputs):
     node_budget, _ = _budgets(args)
-    mdp = formats.mdp_from_payload(formats.read_json(args.mdp_file), args.mdp_file)
+    mdp = formats.mdp_from_payload(_read(args.mdp_file, inputs), args.mdp_file)
     successes = enumerate_successes(mdp, node_budget=node_budget)
-    payload = formats.successes_to_payload(successes)
-    return payload, [args.mdp_file]
+    return formats.successes_to_payload(successes)
 
 
-def cmd_mine(args):
+def cmd_mine(args, inputs):
     node_budget, seq_budget = _budgets(args)
-    source = formats.read_json(args.input_file)
+    source = _read(args.input_file, inputs)
     kind = formats.sniff_format(source, args.input_file)
     if kind == "mdp":
         mdp = formats.mdp_from_payload(source, args.input_file)
@@ -113,7 +115,7 @@ def cmd_mine(args):
         raise ParseError(args.input_file, f"cannot mine from format {kind!r}")
     if not len(successes):
         raise EmptySuccessSet("input contains no successful trajectory")
-    phi = _load_phi(args)
+    phi = _load_phi(args, inputs)
     mined = core(
         successes, phi=phi, strip_terminal=args.strip_terminal, budget=seq_budget
     )
@@ -125,27 +127,25 @@ def cmd_mine(args):
         "collapse_runs": phi.collapse_runs,
         **formats.core_to_payload(mined),
     }
-    return payload, [args.input_file, args.phi]
+    return payload
 
 
-def cmd_induce(args):
-    game = formats.game_from_payload(formats.read_json(args.game_file), args.game_file)
-    peer = formats.peer_from_payload(formats.read_json(args.peer_file), args.peer_file)
-    induced = induce_mdp(game, peer)
-    payload = formats.mdp_to_payload(induced)
-    return payload, [args.game_file, args.peer_file]
+def cmd_induce(args, inputs):
+    game = formats.game_from_payload(_read(args.game_file, inputs), args.game_file)
+    peer = formats.peer_from_payload(_read(args.peer_file, inputs), args.peer_file)
+    return formats.mdp_to_payload(induce_mdp(game, peer))
 
 
-def _episode_sequence(args) -> tuple[EpisodeSequence, list[str]]:
-    game = formats.game_from_payload(formats.read_json(args.game_file), args.game_file)
+def _episode_sequence(args, inputs: dict) -> EpisodeSequence:
+    game = formats.game_from_payload(_read(args.game_file, inputs), args.game_file)
     schedule = formats.schedule_from_payload(
-        formats.read_json(args.schedule_file), args.schedule_file
+        _read(args.schedule_file, inputs), args.schedule_file
     )
-    return EpisodeSequence.from_schedule(game, schedule), [args.game_file, args.schedule_file]
+    return EpisodeSequence.from_schedule(game, schedule)
 
 
-def cmd_budget(args):
-    seq, inputs = _episode_sequence(args)
+def cmd_budget(args, inputs):
+    seq = _episode_sequence(args, inputs)
     budget = variation_budget(seq)
     payload = {
         "format": "budget",
@@ -153,13 +153,13 @@ def cmd_budget(args):
         "num_episodes": seq.num_episodes,
         **formats.budget_to_payload(budget),
     }
-    return payload, inputs
+    return payload
 
 
-def cmd_drift(args):
+def cmd_drift(args, inputs):
     node_budget, seq_budget = _budgets(args)
-    seq, inputs = _episode_sequence(args)
-    phi = _load_phi(args)
+    seq = _episode_sequence(args, inputs)
+    phi = _load_phi(args, inputs)
     report = drift_report(
         seq,
         phi=phi,
@@ -173,15 +173,15 @@ def cmd_drift(args):
         "num_episodes": seq.num_episodes,
         **formats.drift_to_payload(report),
     }
-    return payload, inputs + [args.phi]
+    return payload
 
 
-def cmd_gen(args):
+def cmd_gen(args, inputs):
     out_dir = args.out_dir or "."
     written = []
     if args.env_kind == "keydoor":
         cfg = formats.keydoor_config_from_payload(
-            formats.read_json(args.config_file), args.config_file
+            _read(args.config_file, inputs), args.config_file
         )
         mdp, phi = build_keydoor(cfg)
         prefix = args.prefix or "keydoor"
@@ -194,7 +194,7 @@ def cmd_gen(args):
         written = [paths["mdp"], paths["phi"]]
     else:  # coop-keydoor
         cfg = formats.coop_config_from_payload(
-            formats.read_json(args.config_file), args.config_file
+            _read(args.config_file, inputs), args.config_file
         )
         game, schedule, phi = build_coop_keydoor(cfg)
         prefix = args.prefix or "coop_keydoor"
@@ -213,7 +213,7 @@ def cmd_gen(args):
         "env_kind": args.env_kind,
         "written": written,
     }
-    return payload, [args.config_file]
+    return payload
 
 
 def _random_family(rng: np.random.Generator, alphabet: str) -> list[tuple]:
@@ -227,7 +227,7 @@ def _random_family(rng: np.random.Generator, alphabet: str) -> list[tuple]:
     return family
 
 
-def cmd_oracle_check(args):
+def cmd_oracle_check(args, inputs):
     _, seq_budget = _budgets(args)
     rng = np.random.Generator(np.random.PCG64(args.seed))
     alphabet = "abcdef"
@@ -258,7 +258,7 @@ def cmd_oracle_check(args):
         "agreements": args.trials - len(mismatches),
         "mismatches": mismatches,
     }
-    return payload, []
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +356,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     command_echo = list(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
+    inputs: dict[str, str] = {}
     try:
-        results, input_paths = args.func(args)
+        results = args.func(args, inputs)
         if getattr(args, "out", None):
             formats.write_json(args.out, results)
-        report = formats.build_report(
-            command_echo, _input_digests(input_paths), results, time.perf_counter() - start
-        )
+        report = formats.build_report(command_echo, inputs, results, time.perf_counter() - start)
     except ParseError as exc:
         print(f"trajcore: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

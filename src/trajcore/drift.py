@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConsistencyError, DimensionMismatch, EmptySuccessSet
 from .mdp import (
     DEFAULT_NODE_BUDGET,
+    KernelRows,
     MarkovGame,
     PeerPolicy,
     SuccessSet,
@@ -115,12 +116,45 @@ class DriftReport:
 
 
 def kernel_distance(kernel: np.ndarray, previous: np.ndarray) -> float:
-    """Largest L1 distance between matching next-state rows."""
+    """Largest L1 distance between matching next-state rows; 0.0 when there are none."""
     kernel = np.asarray(kernel, dtype=float)
     previous = np.asarray(previous, dtype=float)
     if kernel.shape != previous.shape:
         raise DimensionMismatch(f"kernel shapes differ: {kernel.shape} vs {previous.shape}")
+    if kernel.size == 0:
+        return 0.0
     return float(np.abs(kernel - previous).sum(axis=-1).max())
+
+
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _rows_distance(kernel: KernelRows, previous: KernelRows) -> float:
+    """:func:`kernel_distance` of two kernels held as rows.
+
+    Rows whose entries are equal are 0 apart.  Only the rows that differ are
+    made dense, ``_BLOCK_ENTRIES`` entries at a time, and
+    :func:`kernel_distance` sums each of them as it sums a row of the whole
+    dense kernel, so the result is the same float.
+    """
+    if kernel.shape != previous.shape:
+        raise DimensionMismatch(f"kernel shapes differ: {kernel.shape} vs {previous.shape}")
+    changed = np.diff(kernel.offsets) != np.diff(previous.offsets)
+    # in rows of equal length, compare the entries position by position
+    rows = kernel.entry_rows()
+    here = np.flatnonzero(~changed[rows])
+    there = here - kernel.offsets[rows[here]] + previous.offsets[rows[here]]
+    differ = (kernel.targets[here] != previous.targets[there]) | (
+        kernel.probs[here] != previous.probs[there]
+    )
+    changed[rows[here[differ]]] = True
+    which = np.flatnonzero(changed)
+    # a bounded number of dense rows at a time, whatever the number of states
+    step = max(1, _BLOCK_ENTRIES // max(kernel.shape[-1], 1))
+    return max(
+        kernel_distance(kernel.block(part), previous.block(part))
+        for part in np.split(which, range(step, len(which), step))
+    )
 
 
 def reward_distance(reward: np.ndarray, previous: np.ndarray) -> float:
@@ -139,7 +173,7 @@ def variation_budget(seq: EpisodeSequence) -> BudgetReport:
     kernel_deltas = []
     reward_deltas = []
     for prev, cur in zip(seq.induced, seq.induced[1:]):
-        kernel_deltas.append(kernel_distance(cur.kernel, prev.kernel))
+        kernel_deltas.append(_rows_distance(cur.rows, prev.rows))
         reward_deltas.append(reward_distance(cur.reward, prev.reward))
     total = float(sum(kernel_deltas) + sum(reward_deltas))
     return BudgetReport(

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError
 from .mdp import (
     TERMINAL,
+    KernelRows,
     MarkovGame,
     PeerPolicy,
     TabularMDP,
@@ -367,16 +368,23 @@ def build_coop_keydoor(
     layout = _CoopLayout(cfg)
     num_states = layout.num_states
 
-    kernel = np.zeros((num_states, 3, 3, num_states))
+    # deterministic dynamics: each (state, a1, a2) row holds one entry, 1.0
+    successors = np.zeros((num_states, 3, 3), dtype=np.int64)
     reward = np.zeros((num_states, 3, 3))
     goals = frozenset(s for s in range(num_states) if layout.is_goal(s))
     for state in range(num_states):
         for a1 in range(3):
             for a2 in range(3):
                 nxt = layout.joint_step(state, a1, a2)
-                kernel[state, a1, a2, nxt] = 1.0
+                successors[state, a1, a2] = nxt
                 if state not in goals and nxt in goals:
                     reward[state, a1, a2] = 1.0
+    kernel = KernelRows(
+        (num_states, 3, 3, num_states),
+        offsets=np.arange(successors.size + 1),
+        targets=successors.ravel(),
+        probs=np.ones(successors.size),
+    )
 
     initial = np.zeros(num_states)
     initial[layout.encode(cfg.start_pos, cfg.peer_start, layout.orig, 0)] = 1.0

@@ -1,11 +1,21 @@
 """Versioned JSON file formats and deterministic report emission.
 
 Every file is a single JSON object with a ``format`` and ``version`` field.
-Probability tables are dense row-major nested lists; floats round-trip
-exactly (shortest-repr decimal).  Files hold the canonical form (sorted keys,
-no whitespace), the same bytes that :func:`digest` hashes, and writes are
-atomic (temp file then rename), so fixed inputs produce byte-identical files
-and payloads across runs and platforms.
+Floats round-trip exactly (shortest-repr decimal).  Files hold the canonical
+form (sorted keys, no whitespace), the same bytes that :func:`digest` hashes,
+and writes are atomic (temp file then rename), so fixed inputs produce
+byte-identical files and payloads across runs and platforms.
+
+Games are written as version 2: the joint kernel is the list ``entries`` of
+its non-zero entries ``[s, a1, a2, t, p]``, in ascending (s, a1, a2, t)
+order, which is how :class:`~trajcore.mdp.KernelRows` holds it; a game's
+kernel is mostly zeros, so this is a small fraction of the dense table.
+The reader also accepts version 1, where ``joint_kernel`` is the dense
+row-major nested list.  Every other table is dense and every other format
+is version 1.  That includes the ``mdp`` payload, because the results of
+``trajcore induce`` are that payload and their digests must not change,
+and peer policies and schedules, whose tables hold one row of peer actions
+per state and so stay small.
 """
 from __future__ import annotations
 
@@ -22,11 +32,12 @@ import numpy as np
 from . import __version__
 from .drift import BudgetReport, DriftReport, PrototypeChange
 from .envs import CoopKeyDoorConfig, KeyDoorConfig
-from .errors import ParseError
-from .mdp import MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory
+from .errors import DimensionMismatch, ParseError
+from .mdp import KernelRows, MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory
 from .mining import Abstraction, CoreSet
 
 FORMAT_VERSION = 1
+GAME_FORMAT_VERSION = 2
 
 
 def canonical_json(payload: Any) -> str:
@@ -57,11 +68,15 @@ def write_json(path: str, payload: Any) -> None:
         raise
 
 
-def read_json(path: str) -> Any:
-    """Decode a UTF-8 JSON file; any failure to do so is a :class:`ParseError`."""
+def read_input(path: str) -> tuple[Any, str]:
+    """Read a UTF-8 JSON file once: its decoded payload and the sha256 of its bytes.
+
+    Any failure to read or decode the file is a :class:`ParseError`.
+    """
     try:
         with open(path, "rb") as handle:
-            return json.loads(handle.read().decode("utf-8"))
+            data = handle.read()
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except OSError as exc:
         raise ParseError(path, str(exc)) from exc
     except UnicodeDecodeError as exc:
@@ -70,6 +85,11 @@ def read_json(path: str) -> Any:
         raise ParseError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError as exc:
         raise ParseError(path, "JSON nested too deeply") from exc
+
+
+def read_json(path: str) -> Any:
+    """The decoded payload of :func:`read_input`."""
+    return read_input(path)[0]
 
 
 @contextmanager
@@ -107,19 +127,26 @@ def sniff_format(payload: Any, path: str = "<memory>") -> str:
 # Dataclass payloads: MDPs, games, environment configs
 # ---------------------------------------------------------------------------
 
+def _table(value):
+    """A dense table field, or kernel rows already read from version-2 entries."""
+    return value if isinstance(value, KernelRows) else np.asarray(value, dtype=float)
+
+
 # how a decoded JSON value becomes a field of each annotated type
 _READERS = {
     int: int,
     bool: bool,
-    np.ndarray: lambda value: np.asarray(value, dtype=float),
+    np.ndarray: _table,
     frozenset[int]: lambda value: frozenset(int(v) for v in value),
     tuple[str, ...]: lambda value: tuple(str(v) for v in value),
 }
 
 
-def _to_payload(obj, kind: str) -> dict:
+def _to_payload(obj, kind: str, skip: str = "") -> dict:
     payload = {"format": kind, "version": FORMAT_VERSION}
     for f in fields(obj):
+        if f.name == skip:
+            continue
         value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
             value = value.tolist()
@@ -153,11 +180,81 @@ def mdp_from_payload(payload: dict, path: str = "<memory>") -> TabularMDP:
 
 
 def game_to_payload(game: MarkovGame) -> dict:
-    return _to_payload(game, "game")
+    """Version 2: the joint kernel as its non-zero ``entries``."""
+    rows = game.rows
+    index = np.unravel_index(rows.entry_rows(), rows.shape[:-1])
+    columns = [column.tolist() for column in (*index, rows.targets, rows.probs)]
+    return {
+        **_to_payload(game, "game", skip="joint_kernel"),
+        "version": GAME_FORMAT_VERSION,
+        "entries": [list(entry) for entry in zip(*columns)],
+    }
 
 
 def game_from_payload(payload: dict, path: str = "<memory>") -> MarkovGame:
+    """A game from a version-2 payload, or from a dense version-1 one."""
+    payload = _expect(payload, path, "game")
+    version = payload.get("version")
+    if version == GAME_FORMAT_VERSION:
+        payload = {**payload, "joint_kernel": _joint_rows(payload, path)}
+    elif version != FORMAT_VERSION:
+        raise ParseError(path, f"unsupported game version {version!r}")
     return _from_payload(MarkovGame, payload, path, "game")
+
+
+def _is_entry(entry) -> bool:
+    """``[s, a1, a2, t, p]`` with integer indices and a numeric ``p``."""
+    return (
+        type(entry) is list
+        and len(entry) == 5
+        and type(entry[0]) is int
+        and type(entry[1]) is int
+        and type(entry[2]) is int
+        and type(entry[3]) is int
+        and type(entry[4]) in (int, float)
+    )
+
+
+def _joint_rows(payload: dict, path: str) -> KernelRows:
+    """The ``entries`` of a version-2 game payload as rows.
+
+    Malformed entries are a :class:`ParseError`: not a list of
+    ``[s, a1, a2, t, p]``, a non-integer index, a non-numeric ``p``, an index
+    out of range, or two entries at one (s, a1, a2, t).  Probabilities are
+    checked, as for a dense table, when the game is validated.
+    """
+    with _malformed(path, "game"):
+        dims = tuple(
+            int(_field(payload, path, name))
+            for name in ("num_states", "num_actions_1", "num_actions_2")
+        )
+        reward = np.asarray(_field(payload, path, "reward_1"), dtype=float)
+    # the dense reward has one value per row: checking it first bounds the
+    # number of rows by the size of the file, whatever sizes the file declares
+    if reward.shape != dims:
+        raise DimensionMismatch(f"reward shape {reward.shape}, expected {dims}")
+    shape = (*dims, dims[0])
+    entries = _field(payload, path, "entries")
+    if not isinstance(entries, list):
+        raise ParseError(path, "field 'entries' must be a list")
+    bad = next((entry for entry in entries if not _is_entry(entry)), None)
+    if bad is not None:
+        raise ParseError(path, f"malformed game entry {bad!r}: expected [s, a1, a2, t, p]")
+    # exact for every index in range: the reward check bounds them far below 2**53
+    with _malformed(path, "game entries"):
+        table = np.array(entries, dtype=float).reshape(-1, 5)
+    index, probs = table[:, :4], table[:, 4]
+    outside = np.flatnonzero(((index < 0) | (index >= shape)).any(axis=1))
+    if outside.size:
+        raise ParseError(path, f"game entry {entries[outside[0]]!r} out of range for shape {shape}")
+    keys = np.ravel_multi_index(index.astype(np.int64).T, shape)
+    order = np.argsort(keys, kind="stable")
+    keys, probs = keys[order], probs[order]
+    repeated = np.flatnonzero(keys[1:] == keys[:-1])
+    if repeated.size:
+        raise ParseError(path, f"duplicate game entry at {entries[order[repeated[0]]][:4]!r}")
+    kept = probs != 0
+    return KernelRows.from_keys(shape, keys[kept], probs[kept])
 
 
 def keydoor_config_to_payload(cfg: KeyDoorConfig) -> dict:
@@ -289,12 +386,6 @@ def symbol_to_json(symbol) -> Any:
     if isinstance(symbol, tuple):
         return [int(symbol[0]), int(symbol[1])]
     return symbol
-
-
-def symbol_from_json(value) -> Any:
-    if isinstance(value, list):
-        return (int(value[0]), int(value[1]))
-    return value
 
 
 def _members_to_payload(members) -> list:

@@ -22,6 +22,7 @@ read-only) and safe to share between threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -46,16 +47,142 @@ def _freeze(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_rows(table: np.ndarray, what: str) -> None:
-    """Check that the trailing axis of ``table`` is a distribution everywhere."""
-    if np.any(table < -ROW_TOL):
-        raise RowSumError(what, "(negative entry)", float(table.min()), ROW_TOL)
-    sums = table.sum(axis=-1)
+def _check_distribution(entries: np.ndarray, sums: np.ndarray, what: str) -> None:
+    """Raise unless no entry is below ``-ROW_TOL`` and every row sum is 1 within ``ROW_TOL``."""
+    if np.any(entries < -ROW_TOL):
+        raise RowSumError(what, "(negative entry)", float(entries.min()), ROW_TOL)
     # a NaN or infinite entry makes its row sum non-finite, which fails `<=`
     bad = np.argwhere(~(np.abs(sums - 1.0) <= ROW_TOL))
     if bad.size:
         row = tuple(int(i) for i in bad[0])
         raise RowSumError(what, row, float(sums[tuple(bad[0])]), ROW_TOL)
+
+
+def _check_rows(table: np.ndarray, what: str) -> None:
+    """Check that the trailing axis of a dense ``table`` is a distribution everywhere."""
+    _check_distribution(table, table.sum(axis=-1), what)
+
+
+def _check_kernel(rows: "KernelRows", what: str) -> None:
+    """:func:`_check_rows` for a kernel held as rows; a row with no entries sums to 0."""
+    _check_distribution(rows.probs, rows.row_sums().reshape(rows.shape[:-1]), what)
+
+
+@dataclass(frozen=True, eq=False)
+class KernelRows:
+    """The non-zero entries of a kernel, row by row (compressed sparse rows).
+
+    A kernel's last axis is a distribution over next states; its leading axes,
+    flattened row-major, number the rows: (s, a) for :class:`TabularMDP`,
+    (s, a1, a2) for :class:`MarkovGame`.  Row ``r`` holds the next states
+    ``targets[offsets[r]:offsets[r + 1]]`` in ascending order and their
+    entries at the same positions of ``probs``.  Zero entries are not
+    stored; every other entry is, including the small negative ones that
+    validation tolerates and the non-finite ones it rejects.
+    """
+
+    shape: tuple[int, ...]
+    offsets: np.ndarray  # (rows + 1,)
+    targets: np.ndarray  # (entries,)
+    probs: np.ndarray  # (entries,)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        object.__setattr__(self, "offsets", _freeze(self.offsets, np.int64))
+        object.__setattr__(self, "targets", _freeze(self.targets, np.int64))
+        object.__setattr__(self, "probs", _freeze(self.probs))
+        rows = math.prod(self.shape[:-1])
+        if not (
+            len(self.offsets) == rows + 1
+            and self.offsets[0] == 0
+            and self.offsets[-1] == len(self.targets) == len(self.probs)
+        ):
+            raise DimensionMismatch(
+                f"rows of a {self.shape} kernel need {rows + 1} offsets, "
+                f"from 0 to the number of entries"
+            )
+
+    @classmethod
+    def from_dense(cls, table: np.ndarray) -> "KernelRows":
+        """Rows of a dense table of at least one axis."""
+        flat = table.reshape(math.prod(table.shape[:-1]), table.shape[-1])
+        present = flat != 0
+        offsets = np.zeros(len(flat) + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(present, axis=1), out=offsets[1:])
+        # nonzero runs row-major, so targets come grouped by row, ascending
+        return cls(table.shape, offsets, np.nonzero(present)[1], flat[present])
+
+    @classmethod
+    def from_keys(cls, shape: tuple[int, ...], keys: np.ndarray, probs: np.ndarray) -> "KernelRows":
+        """Rows from ascending, distinct flat indices ``row * shape[-1] + target``."""
+        width = shape[-1]
+        counts = np.bincount(keys // width, minlength=math.prod(shape[:-1]))
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return cls(shape, offsets, keys % width, probs)
+
+    @property
+    def num_rows(self) -> int:
+        return len(self.offsets) - 1
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.num_rows), np.diff(self.offsets))
+
+    def row_sums(self) -> np.ndarray:
+        """Sum of each row's entries, added left to right (0.0 for an empty row)."""
+        return np.bincount(self.entry_rows(), weights=self.probs, minlength=self.num_rows)
+
+    def value(self, row: int, target: int) -> float:
+        """The entry at (``row``, ``target``); 0.0 when none is stored."""
+        start, end = int(self.offsets[row]), int(self.offsets[row + 1])
+        at = start + int(np.searchsorted(self.targets[start:end], target))
+        return float(self.probs[at]) if at < end and self.targets[at] == target else 0.0
+
+    def block(self, rows: np.ndarray) -> np.ndarray:
+        """The listed rows as a dense (len(rows), shape[-1]) array."""
+        rows = np.asarray(rows, dtype=np.int64)
+        counts = self.offsets[rows + 1] - self.offsets[rows]
+        starts = np.repeat(self.offsets[rows] - np.cumsum(counts) + counts, counts)
+        at = starts + np.arange(counts.sum())
+        out = np.zeros((len(rows), self.shape[-1]))
+        out[np.repeat(np.arange(len(rows)), counts), self.targets[at]] = self.probs[at]
+        return out
+
+    def dense(self) -> np.ndarray:
+        """The whole kernel as a new, read-only dense array of ``shape``."""
+        table = self.block(np.arange(self.num_rows)).reshape(self.shape)
+        table.setflags(write=False)
+        return table
+
+
+class _DenseView:
+    """A kernel field of a frozen dataclass, held once as :class:`KernelRows`.
+
+    Assigning a dense table or rows stores the value as the instance's
+    ``rows`` (``__post_init__`` checks a table's shape and converts it).
+    Reading the field builds a new dense array from the rows on every access,
+    so no dense copy is kept beside them.  ``dataclasses.replace`` passes the
+    dense view back in, which converts it again.
+    """
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError("a kernel field has no default")
+        return obj.rows.dense()
+
+    def __set__(self, obj, value):
+        # converted to rows by __post_init__, which runs right after __init__
+        obj.__dict__["rows"] = value
+
+
+def _as_rows(value, shape: tuple[int, ...], what: str) -> KernelRows:
+    """A dense table or rows of the expected ``shape``, as rows."""
+    if not isinstance(value, KernelRows):
+        value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise DimensionMismatch(f"{what} shape {value.shape}, expected {shape}")
+    return value if isinstance(value, KernelRows) else KernelRows.from_dense(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,11 +194,18 @@ class TabularMDP:
     success has at most ``horizon - 1`` action steps.  ``goal_absorbing``
     declares that every goal state self-loops under all actions; it is
     enforced by :func:`validate_mdp` when set.
+
+    The kernel is held once, as :class:`KernelRows` over (s, a) in ``rows``;
+    every operation of the package reads those.  ``kernel`` accepts a dense
+    table or rows and reads as a dense array built anew on each access.  An
+    ``mdp`` file keeps the dense kernel (format version 1): ``trajcore
+    induce`` emits that payload as its results, whose digests must not
+    change.
     """
 
     num_states: int
     num_actions: int
-    kernel: np.ndarray
+    kernel: np.ndarray = _DenseView()
     reward: np.ndarray
     horizon: int
     goals: frozenset[int]
@@ -79,15 +213,11 @@ class TabularMDP:
     goal_absorbing: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "kernel", _freeze(self.kernel))
         object.__setattr__(self, "reward", _freeze(self.reward))
         object.__setattr__(self, "initial", _freeze(self.initial))
         object.__setattr__(self, "goals", frozenset(int(g) for g in self.goals))
         s, a = self.num_states, self.num_actions
-        if self.kernel.shape != (s, a, s):
-            raise DimensionMismatch(
-                f"kernel shape {self.kernel.shape}, expected {(s, a, s)}"
-            )
+        object.__setattr__(self, "rows", _as_rows(self.rows, (s, a, s), "kernel"))
         if self.reward.shape != (s, a):
             raise DimensionMismatch(
                 f"reward shape {self.reward.shape}, expected {(s, a)}"
@@ -101,7 +231,10 @@ class TabularMDP:
 
     def support(self, state: int, action: int) -> tuple[int, ...]:
         """States reachable from (state, action) with probability ``> 0``."""
-        return tuple(int(t) for t in np.flatnonzero(self.kernel[state, action] > 0))
+        row = state * self.num_actions + action
+        start, end = self.rows.offsets[row], self.rows.offsets[row + 1]
+        targets = self.rows.targets[start:end]
+        return tuple(int(t) for t in targets[self.rows.probs[start:end] > 0])
 
     def initial_support(self) -> tuple[int, ...]:
         return tuple(int(t) for t in np.flatnonzero(self.initial > 0))
@@ -109,27 +242,33 @@ class TabularMDP:
 
 @dataclass(frozen=True, eq=False)
 class MarkovGame:
-    """Two-player decentralized game; rewards are the focal agent's."""
+    """Two-player decentralized game; rewards are the focal agent's.
+
+    ``joint_kernel`` has shape (S, A1, A2, S) and is held once, as
+    :class:`KernelRows` over (s, a1, a2) in ``rows``, like
+    :attr:`TabularMDP.kernel`.  A game file (format version 2) stores the
+    same non-zero entries, as ``[s, a1, a2, t, p]``; the reader also accepts
+    the dense version 1.  Peer policies stay dense, in memory and in files:
+    they hold one row of peer actions per state, not one per state pair.
+    """
 
     num_states: int
     num_actions_1: int
     num_actions_2: int
-    joint_kernel: np.ndarray  # (S, A1, A2, S)
+    joint_kernel: np.ndarray = _DenseView()  # (S, A1, A2, S)
     reward_1: np.ndarray  # (S, A1, A2)
     horizon: int
     goals: frozenset[int]
     initial: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "joint_kernel", _freeze(self.joint_kernel))
         object.__setattr__(self, "reward_1", _freeze(self.reward_1))
         object.__setattr__(self, "initial", _freeze(self.initial))
         object.__setattr__(self, "goals", frozenset(int(g) for g in self.goals))
         s, a1, a2 = self.num_states, self.num_actions_1, self.num_actions_2
-        if self.joint_kernel.shape != (s, a1, a2, s):
-            raise DimensionMismatch(
-                f"joint kernel shape {self.joint_kernel.shape}, expected {(s, a1, a2, s)}"
-            )
+        object.__setattr__(
+            self, "rows", _as_rows(self.rows, (s, a1, a2, s), "joint kernel")
+        )
         if self.reward_1.shape != (s, a1, a2):
             raise DimensionMismatch(
                 f"reward shape {self.reward_1.shape}, expected {(s, a1, a2)}"
@@ -138,6 +277,8 @@ class MarkovGame:
             raise DimensionMismatch(
                 f"initial shape {self.initial.shape}, expected {(s,)}"
             )
+        if any(g < 0 or g >= s for g in self.goals):
+            raise DimensionMismatch(f"goal state out of range: {sorted(self.goals)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,15 +375,14 @@ def validate_mdp(mdp: TabularMDP) -> None:
         raise HorizonError(f"horizon must be >= 1, got {mdp.horizon}")
     if not mdp.goals:
         raise EmptyGoalError("goal set is empty")
-    _check_rows(mdp.kernel, "kernel")
+    _check_kernel(mdp.rows, "kernel")
     _check_rows(mdp.initial[None, :], "initial distribution")
-    if mdp.goal_absorbing:
+    if mdp.goal_absorbing and not _goals_absorbing(mdp.rows, mdp.goals):
         for g in sorted(mdp.goals):
             for a in range(mdp.num_actions):
-                if abs(mdp.kernel[g, a, g] - 1.0) > ROW_TOL:
-                    raise RowSumError(
-                        "absorbing goal kernel", (g, a), float(mdp.kernel[g, a, g]), ROW_TOL
-                    )
+                loop = mdp.rows.value(g * mdp.num_actions + a, g)
+                if abs(loop - 1.0) > ROW_TOL:
+                    raise RowSumError("absorbing goal kernel", (g, a), loop, ROW_TOL)
 
 
 def validate_game(game: MarkovGame) -> None:
@@ -251,7 +391,7 @@ def validate_game(game: MarkovGame) -> None:
         raise HorizonError(f"horizon must be >= 1, got {game.horizon}")
     if not game.goals:
         raise EmptyGoalError("goal set is empty")
-    _check_rows(game.joint_kernel, "joint kernel")
+    _check_kernel(game.rows, "joint kernel")
     _check_rows(game.initial[None, :], "initial distribution")
 
 
@@ -260,6 +400,15 @@ def validate_peer(peer: PeerPolicy) -> None:
         raise RowSumError(f"peer policy {peer.label!r}", "(negative entry)",
                           float(peer.probs.min()), ROW_TOL)
     _check_rows(peer.probs, f"peer policy {peer.label!r}")
+
+
+def _goals_absorbing(rows: KernelRows, goals: frozenset[int]) -> bool:
+    """True iff every row of every goal ``g`` has entry 1 at ``g``, within ``ROW_TOL``."""
+    per_state = math.prod(rows.shape[1:-1])
+    sources = rows.entry_rows() // max(per_state, 1)  # no rows, and no entries, if 0
+    loops = (rows.targets == sources) & (np.abs(rows.probs - 1.0) <= ROW_TOL)
+    # a row stores each target at most once, so each goal row counts at most once
+    return int(np.count_nonzero(loops & np.isin(sources, list(goals)))) == len(goals) * per_state
 
 
 def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
@@ -286,19 +435,37 @@ def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
             f"peer table shape {peer.probs.shape}, expected "
             f"{(game.num_states, game.num_actions_2)}"
         )
-    kernel = np.einsum("sabt,sb->sat", game.joint_kernel, peer.probs)
-    reward = np.einsum("sab,sb->sa", game.reward_1, peer.probs)
-    goals = sorted(game.goals)
-    absorbing = bool(np.all(np.abs(game.joint_kernel[goals, :, :, goals] - 1.0) <= ROW_TOL))
     return TabularMDP(
         num_states=game.num_states,
         num_actions=game.num_actions_1,
-        kernel=kernel,
-        reward=reward,
+        kernel=_fold_rows(game.rows, peer.probs),
+        reward=np.einsum("sab,sb->sa", game.reward_1, peer.probs),
         horizon=game.horizon,
         goals=game.goals,
         initial=game.initial,
-        goal_absorbing=absorbing,
+        goal_absorbing=_goals_absorbing(game.rows, game.goals),
+    )
+
+
+def _fold_rows(joint: KernelRows, probs: np.ndarray) -> KernelRows:
+    """Rows over (s, a1) of ``sum_a2 joint(s, a1, a2, t) * probs(s, a2)``.
+
+    Each sum starts at 0.0 and adds its products in ascending ``a2``, the
+    order in which the dense ``einsum("sabt,sb->sat")`` accumulates, so the
+    folded entries equal the dense fold's bit for bit.  Sums that come to 0
+    are not stored.
+    """
+    num_states, num_actions_1, num_actions_2, width = joint.shape
+    rows = joint.entry_rows()
+    state = rows // (num_actions_1 * num_actions_2)
+    products = joint.probs * probs[state, rows % num_actions_2]
+    # joint rows run over (s, a1, a2), so each key meets its products in
+    # ascending a2 and bincount adds them in that order
+    keys, slot = np.unique((rows // num_actions_2) * width + joint.targets, return_inverse=True)
+    sums = np.bincount(slot, weights=products, minlength=len(keys))
+    kept = sums != 0
+    return KernelRows.from_keys(
+        (num_states, num_actions_1, width), keys[kept], sums[kept]
     )
 
 
@@ -308,7 +475,12 @@ def game_from_mdp(mdp: TabularMDP) -> MarkovGame:
         num_states=mdp.num_states,
         num_actions_1=mdp.num_actions,
         num_actions_2=1,
-        joint_kernel=mdp.kernel[:, :, None, :],
+        joint_kernel=KernelRows(
+            (mdp.num_states, mdp.num_actions, 1, mdp.num_states),
+            mdp.rows.offsets,
+            mdp.rows.targets,
+            mdp.rows.probs,
+        ),
         reward_1=mdp.reward[:, :, None],
         horizon=mdp.horizon,
         goals=mdp.goals,
@@ -364,11 +536,11 @@ def enumerate_successes(
 
 
 def _support_lists(mdp: TabularMDP) -> list[list[tuple[int, ...]]]:
-    """``supports[s][a] == mdp.support(s, a)`` for every pair, in one kernel pass."""
-    positive = mdp.kernel > 0
-    # flat indices are row-major, so the targets come grouped by (s, a)
-    targets = (np.flatnonzero(positive) % mdp.num_states).tolist()
-    ends = np.cumsum(np.count_nonzero(positive, axis=2)).tolist()
+    """``supports[s][a] == mdp.support(s, a)`` for every pair, in one pass over the rows."""
+    kernel = mdp.rows
+    positive = kernel.probs > 0
+    targets = kernel.targets[positive].tolist()
+    ends = np.cumsum(np.bincount(kernel.entry_rows()[positive], minlength=kernel.num_rows)).tolist()
     rows = [tuple(targets[start:end]) for start, end in zip([0] + ends, ends)]
     width = mdp.num_actions
     return [rows[s * width : (s + 1) * width] for s in range(mdp.num_states)]
@@ -377,18 +549,23 @@ def _support_lists(mdp: TabularMDP) -> list[list[tuple[int, ...]]]:
 def _goal_distances(mdp: TabularMDP) -> np.ndarray:
     """Fewest support steps from each state to a goal, through non-goal states.
 
-    One backward breadth-first pass over the kernel support.  Goals are at
-    distance 0; a state with no goal within ``horizon - 1`` steps gets
-    ``horizon``, which no state reached at index ``t >= 1`` can afford.
+    One backward breadth-first pass over the support edges of the kernel
+    rows.  Goals are at distance 0; a state with no goal within
+    ``horizon - 1`` steps gets ``horizon``, which no state reached at index
+    ``t >= 1`` can afford.
     """
     dist = np.full(mdp.num_states, mdp.horizon, dtype=np.int64)
-    adjacent = (mdp.kernel > 0).any(axis=1)
+    positive = mdp.rows.probs > 0
+    sources = mdp.rows.entry_rows()[positive] // mdp.num_actions
+    targets = mdp.rows.targets[positive]
     frontier = np.zeros(mdp.num_states, dtype=bool)
     frontier[list(mdp.goals)] = True
     seen = frontier.copy()
     dist[frontier] = 0
     for steps in range(1, mdp.horizon):
-        frontier = adjacent[:, frontier].any(axis=1) & ~seen
+        reached = np.zeros(mdp.num_states, dtype=bool)
+        reached[sources[frontier[targets]]] = True
+        frontier = reached & ~seen
         if not frontier.any():
             break
         seen |= frontier
@@ -450,7 +627,7 @@ def is_successful(traj: Trajectory, mdp: TabularMDP) -> bool:
     if any(s in mdp.goals for s, _ in traj.steps):
         return False
     for (s, a), nxt in zip(traj.steps, states[1:]):
-        if mdp.kernel[s, a, nxt] <= 0.0:
+        if mdp.rows.value(s * mdp.num_actions + a, nxt) <= 0.0:
             return False
     return True
 

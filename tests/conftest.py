@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from trajcore import MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory
+from trajcore import MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory, formats
 
 
 @pytest.fixture
@@ -81,6 +81,45 @@ def random_game(
         goals=frozenset({goal}),
         initial=initial,
     )
+
+
+def scattered_game(
+    rng: np.random.Generator, num_states: int, num_actions_1: int, num_actions_2: int
+) -> MarkovGame:
+    """Random game whose rows hold 3-8 non-zeros at scattered targets (needs 8+ states)."""
+    joint = np.zeros((num_states, num_actions_1, num_actions_2, num_states))
+    for row in joint.reshape(-1, num_states):
+        targets = rng.choice(num_states, size=int(rng.integers(3, 9)), replace=False)
+        weights = rng.random(len(targets)) + 1e-3
+        row[targets] = weights / weights.sum()
+    initial = np.zeros(num_states)
+    initial[0] = 1.0
+    return MarkovGame(
+        num_states=num_states,
+        num_actions_1=num_actions_1,
+        num_actions_2=num_actions_2,
+        joint_kernel=joint,
+        reward_1=rng.random((num_states, num_actions_1, num_actions_2)),
+        horizon=3,
+        goals=frozenset({num_states - 1}),
+        initial=initial,
+    )
+
+
+def dense_fold(game: MarkovGame, peer: PeerPolicy) -> np.ndarray:
+    """Reference for the rows fold: the induced kernel as the dense einsum computes it."""
+    return np.einsum("sabt,sb->sat", game.joint_kernel, peer.probs)
+
+
+def dense_distance(kernel: np.ndarray, previous: np.ndarray) -> float:
+    """Reference for the rows budget: the largest L1 row distance over whole dense kernels."""
+    return float(np.abs(kernel - previous).sum(axis=-1).max())
+
+
+def game_payload_v1(game: MarkovGame) -> dict:
+    """A game's dense version-1 payload, as the version-1 writer emitted it."""
+    payload = {k: v for k, v in formats.game_to_payload(game).items() if k != "entries"}
+    return {**payload, "version": 1, "joint_kernel": game.joint_kernel.tolist()}
 
 
 def random_peer(rng: np.random.Generator, game: MarkovGame, label: str = "peer") -> PeerPolicy:

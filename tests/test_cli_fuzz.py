@@ -1,12 +1,14 @@
 """Every CLI verb maps malformed input files to a documented exit code.
 
 Runs ``cli.main`` in process on valid input files with one file replaced by
-arbitrary JSON, a truncated copy, arbitrary bytes, or the valid payload with
-one field replaced by an arbitrary JSON value.  Each run must exit 0, 3, 4
-or 5 without raising, and print no traceback.
+arbitrary JSON, a truncated copy, arbitrary bytes, the valid payload with
+one field replaced by an arbitrary JSON value, or, for a payload with
+``entries`` (a version-2 game, an abstraction), one entry altered.  Each
+run must exit 0, 3, 4 or 5 without raising, and print no traceback.
 """
 import contextlib
 import io
+import json
 import os
 import tempfile
 
@@ -19,7 +21,7 @@ from trajcore import TERMINAL, Abstraction, enumerate_successes, formats
 from trajcore.cli import main
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor
 
-from conftest import random_game, random_peer
+from conftest import game_payload_v1, random_game, random_peer
 
 DOCUMENTED_EXITS = {0, 3, 4, 5}
 
@@ -39,6 +41,7 @@ def _valid_payloads() -> dict:
         "successes": formats.successes_to_payload(enumerate_successes(mdp)),
         "kd_phi": formats.abstraction_to_payload(kd_phi),
         "game": formats.game_to_payload(game),
+        "game_v1": game_payload_v1(game),
         "peer": formats.peer_to_payload(random_peer(rng, game)),
         "schedule": formats.schedule_to_payload([random_peer(rng, game) for _ in range(2)]),
         "game_phi": formats.abstraction_to_payload(game_phi),
@@ -56,6 +59,7 @@ CASES = [
     (["mine", "{successes}", "--collapse-runs", "--out", "{out}"], ["successes"]),
     (["induce", "{game}", "{peer}", "--out", "{out}"], ["game", "peer"]),
     (["budget", "{game}", "{schedule}"], ["game", "schedule"]),
+    (["budget", "{game_v1}", "{schedule}"], ["game_v1", "schedule"]),
     (["drift", "{game}", "{schedule}", "--phi", "{game_phi}", "--budget", "100000"],
      ["game", "schedule", "game_phi"]),
     (["gen", "keydoor", "{kd_cfg}", "--out-dir", "{dir}"], ["kd_cfg"]),
@@ -76,9 +80,31 @@ json_values = st.recursive(
 
 
 @st.composite
+def altered_entries(draw, entries: list) -> list:
+    """``entries`` with one entry replaced, one value changed, one entry copied or removed."""
+    entries = [list(entry) for entry in entries]
+    at = draw(st.integers(0, len(entries) - 1))
+    kind = draw(st.sampled_from(["value", "coordinate", "copy", "remove"]))
+    if kind == "value":
+        entries[at] = draw(json_values)
+    elif kind == "coordinate":
+        position = draw(st.integers(0, len(entries[at]) - 1))
+        entries[at][position] = draw(st.integers(-2, 5) | st.floats() | st.text(max_size=2))
+    elif kind == "copy":
+        entries.append(list(entries[at]))
+    else:
+        del entries[at]
+    return entries
+
+
+@st.composite
 def corrupted_file(draw, payload: dict) -> bytes:
     valid = formats.canonical_json(payload).encode("utf-8")
-    kind = draw(st.sampled_from(["arbitrary", "truncated", "bytes", "field"]))
+    kinds = ["arbitrary", "truncated", "bytes", "field"] + ["entry"] * ("entries" in payload)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "entry":
+        entries = draw(altered_entries(payload["entries"]))
+        return formats.canonical_json({**payload, "entries": entries}).encode("utf-8")
     if kind == "arbitrary":
         return formats.canonical_json(draw(json_values)).encode("utf-8")
     if kind == "truncated":
@@ -156,3 +182,58 @@ def test_known_malformed_files_are_parse_errors(argv, role, data):
     code, err = _run(argv, {role: data})
     assert code == 3
     assert "parse error" in err and "Traceback" not in err
+
+
+def _game_with(change) -> bytes:
+    payload = json.loads(formats.canonical_json(VALID["game"]))
+    change(payload)
+    return formats.canonical_json(payload).encode("utf-8")
+
+
+def _set(index: int, value):
+    def change(payload):
+        payload["entries"][0][index] = value
+    return change
+
+
+def _remove_first_row(payload):
+    payload["entries"] = [e for e in payload["entries"] if e[:3] != [0, 0, 0]]
+
+
+def _scale_first_row(payload):
+    for entry in payload["entries"]:
+        if entry[:3] == [0, 0, 0]:
+            entry[4] *= 0.5
+
+
+VERSION_2_GAME_FAULTS = {
+    "index-out-of-range": (3, _set(3, 4)),
+    "index-negative": (3, _set(0, -1)),
+    "index-float": (3, _set(1, 0.0)),
+    "index-bool": (3, _set(2, False)),
+    "p-string": (3, _set(4, "0.5")),
+    "p-null": (3, _set(4, None)),
+    "duplicate": (3, lambda p: p["entries"].append(list(p["entries"][0]))),
+    "arity-4": (3, lambda p: p["entries"][0].pop()),
+    "arity-6": (3, lambda p: p["entries"][0].append(0)),
+    "entry-not-a-list": (3, lambda p: p["entries"].__setitem__(0, {"s": 0})),
+    "entries-not-a-list": (3, lambda p: p.__setitem__("entries", 5)),
+    "unknown-version": (3, lambda p: p.__setitem__("version", 3)),
+    "p-negative": (4, _set(4, -0.5)),
+    "p-nan": (4, _set(4, float("nan"))),
+    "p-inf": (4, _set(4, float("inf"))),
+    "row-sum": (4, _scale_first_row),
+    "row-without-entries": (4, _remove_first_row),
+    "goal-out-of-range": (4, lambda p: p.__setitem__("goals", [5])),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(VERSION_2_GAME_FAULTS))
+def test_malformed_version_2_game_entries_map_to_documented_exits(fault):
+    expected, change = VERSION_2_GAME_FAULTS[fault]
+    files = _valid_files(["schedule"])
+    files["game"] = _game_with(change)
+    code, err = _run(["budget", "{game}", "{schedule}"], files)
+    assert code == expected, err
+    assert "Traceback" not in err
+    assert ("parse error" if expected == 3 else "invalid input") in err

@@ -2,7 +2,9 @@
 
 Each verb runs in process on files generated from the default key-door and
 cooperative configs.  A change that keeps these digests and the rest of the
-suite keeps the results of every verb byte-identical.
+suite keeps the results of every verb byte-identical.  The generated game
+file is version 2 (non-zero entries); every case also runs on the same game
+written as a dense version-1 file, and must give the same digest.
 """
 import json
 
@@ -11,6 +13,8 @@ import pytest
 from trajcore import formats
 from trajcore.cli import main
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
+
+from conftest import game_payload_v1
 
 # verb and flags -> (argv after the verb, with {placeholders}, results digest)
 CONTRACT = {
@@ -96,3 +100,20 @@ def test_results_digest_is_pinned(case, files, capsys):
     args, expected = CONTRACT[case]
     assert main([case.split()[0]] + [a.format(**files) for a in args]) == 0
     assert json.loads(capsys.readouterr().out)["results_digest"] == expected
+
+
+@pytest.fixture(scope="module")
+def files_v1(files, tmp_path_factory):
+    """``files`` with the game rewritten as a dense version-1 file."""
+    payload = formats.read_json(files["game"])
+    assert payload["version"] == 2
+    game = formats.game_from_payload(payload, files["game"])
+    path = str(tmp_path_factory.mktemp("contract_v1") / "coop_keydoor.game.json")
+    formats.write_json(path, game_payload_v1(game))
+    assert formats.read_json(path)["version"] == 1
+    return {**files, "game": path}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_results_digest_is_pinned_on_a_version_1_game_file(case, files_v1, capsys):
+    test_results_digest_is_pinned(case, files_v1, capsys)

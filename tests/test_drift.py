@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from trajcore import (
     CoreSet,
     DimensionMismatch,
     EpisodeSequence,
+    KernelRows,
     MarkovGame,
     PeerPolicy,
     SuccessSet,
@@ -29,11 +31,19 @@ from trajcore import (
     uniform_peer,
     variation_budget,
 )
+from trajcore import drift as drift_module
 from trajcore import formats
 from trajcore.drift import _certified_changes
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
-from conftest import count_calls, random_game, random_peer
+from conftest import (
+    count_calls,
+    dense_distance,
+    dense_fold,
+    random_game,
+    random_peer,
+    scattered_game,
+)
 
 
 def _gate_game() -> MarkovGame:
@@ -346,3 +356,65 @@ def test_horizon_9_coop_layout_drifts_under_the_default_budget():
     report = drift_report(EpisodeSequence.from_schedule(game, schedule), phi=phi,
                           strip_terminal=True)
     assert formats.digest(formats.drift_to_payload(report)) == L5_K0_D2_G3_S1_P0_H9_DIGEST
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.sampled_from([8, 40, 129, 200, 300]),
+    num_actions_1=st.integers(1, 3),
+    num_actions_2=st.integers(1, 4),
+    episodes=st.integers(3, 5),
+)
+def test_rows_fold_and_budget_equal_the_dense_oracles_bit_for_bit(
+    seed, num_states, num_actions_1, num_actions_2, episodes
+):
+    # rows of 3-8 scattered non-zeros, and peers that give some actions
+    # probability 0; past 128 states NumPy sums each dense row pairwise
+    rng = np.random.default_rng(seed)
+    game = scattered_game(rng, num_states, num_actions_1, num_actions_2)
+    schedule = []
+    for _ in range(episodes):
+        probs = rng.random((num_states, num_actions_2))
+        probs[rng.random(probs.shape) < 0.4] = 0.0
+        probs[probs.sum(axis=1) == 0, 0] = 1.0
+        schedule.append(PeerPolicy(probs=probs / probs.sum(axis=1, keepdims=True)))
+    # a step that changes no row, then one that keeps every row's targets
+    # and changes only probabilities
+    schedule[1] = schedule[0]
+    probs = np.where(schedule[1].probs > 0, rng.random(schedule[1].probs.shape) + 0.1, 0.0)
+    schedule[2] = PeerPolicy(probs=probs / probs.sum(axis=1, keepdims=True))
+    seq = EpisodeSequence.from_schedule(game, schedule)
+    dense = [dense_fold(game, peer) for peer in schedule]
+    for mdp, kernel in zip(seq.induced, dense):
+        assert np.array_equal(mdp.kernel, kernel)
+    expected = [dense_distance(b, a) for a, b in zip(dense, dense[1:])]
+    assert all(
+        got == want for got, want in zip(variation_budget(seq).kernel_deltas, expected, strict=True)
+    )
+    # the same when the changed rows are made dense a few at a time
+    with mock.patch.object(drift_module, "_BLOCK_ENTRIES", 5 * num_states):
+        assert variation_budget(seq).kernel_deltas == tuple(expected)
+
+
+def test_drift_and_budget_on_a_version_2_game_build_no_dense_kernel(tmp_path, monkeypatch, capsys):
+    from trajcore.cli import main
+
+    game, schedule, phi = build_coop_keydoor(DEFAULT_COOP)
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("game", "schedule", "phi")}
+    formats.write_json(paths["game"], formats.game_to_payload(game))
+    formats.write_json(paths["schedule"], formats.schedule_to_payload(schedule))
+    formats.write_json(paths["phi"], formats.abstraction_to_payload(phi))
+    assert formats.read_json(paths["game"])["version"] == 2
+
+    def refuse(rows):
+        raise AssertionError("a dense kernel was built")
+
+    monkeypatch.setattr(KernelRows, "dense", refuse)
+    with pytest.raises(AssertionError):
+        game.joint_kernel
+    drift_argv = ["drift", paths["game"], paths["schedule"], "--phi", paths["phi"],
+                  "--strip-terminal", "--out", str(tmp_path / "out.json")]
+    assert main(drift_argv) == 0
+    assert main(["budget", paths["game"], paths["schedule"]]) == 0
+    assert "internal error" not in capsys.readouterr().err

@@ -18,7 +18,7 @@ from trajcore.envs import (
     random_mdp,
 )
 
-from conftest import random_game, random_peer
+from conftest import game_payload_v1, random_game, random_peer
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +108,8 @@ def test_config_round_trips(tmp_path):
 # sha256 prefixes of canonical_json(payload); a change here changes every file digest
 PAYLOAD_DIGESTS = {
     "keydoor_mdp": "5edde29bf8fd9f73",
-    "coop_game": "586989132b788c43",
+    "coop_game": "586989132b788c43",  # version 1, dense
+    "coop_game_v2": "cf38b8462ad0657d",
     "coop_schedule": "b724bc1714437a4c",
     "coop_phi": "2c379c66d4b4e7c2",
     "keydoor_config": "c588aad0156539ee",
@@ -122,7 +123,8 @@ def test_payload_bytes_are_pinned_and_round_trip(keydoor, coop):
     game, schedule, phi = coop
     cases = {
         "keydoor_mdp": (mdp, formats.mdp_to_payload, formats.mdp_from_payload),
-        "coop_game": (game, formats.game_to_payload, formats.game_from_payload),
+        "coop_game": (game, game_payload_v1, formats.game_from_payload),
+        "coop_game_v2": (game, formats.game_to_payload, formats.game_from_payload),
         "coop_schedule": (schedule, formats.schedule_to_payload, formats.schedule_from_payload),
         "coop_phi": (phi, formats.abstraction_to_payload, formats.abstraction_from_payload),
         "keydoor_config": (
@@ -137,6 +139,12 @@ def test_payload_bytes_are_pinned_and_round_trip(keydoor, coop):
         assert formats.digest(payload)[:16] == PAYLOAD_DIGESTS[name], name
         again = to_payload(from_payload(json.loads(formats.canonical_json(payload))))
         assert formats.canonical_json(again) == formats.canonical_json(payload), name
+
+    # both versions of the coop game parse to the same rows
+    loaded = [formats.game_from_payload(p) for p in (game_payload_v1(game), formats.game_to_payload(game))]
+    for part in ("offsets", "targets", "probs"):
+        assert np.array_equal(getattr(loaded[0].rows, part), getattr(game.rows, part))
+        assert np.array_equal(getattr(loaded[1].rows, part), getattr(game.rows, part))
 
     hasher = hashlib.sha256()
     for seed in range(30):
@@ -471,3 +479,24 @@ def test_float_round_trip_precision(tmp_path):
     formats.write_json(path, {"v": values.tolist()})
     loaded = np.array(formats.read_json(path)["v"])
     assert np.array_equal(loaded, values)
+
+
+def test_cli_reads_each_input_once_and_digests_the_bytes_it_read(tmp_path, coop, monkeypatch, capsys):
+    game, schedule, phi = coop
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("game", "schedule", "phi")}
+    formats.write_json(paths["game"], formats.game_to_payload(game))
+    formats.write_json(paths["schedule"], formats.schedule_to_payload(schedule))
+    formats.write_json(paths["phi"], formats.abstraction_to_payload(phi))
+    opened = []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(formats, "open", counting_open, raising=False)
+    assert main(["drift", paths["game"], paths["schedule"], "--phi", paths["phi"]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert sorted(opened) == sorted(paths.values())
+    for path in paths.values():
+        with open(path, "rb") as handle:
+            assert report["inputs"][path] == hashlib.sha256(handle.read()).hexdigest()

@@ -11,6 +11,7 @@ from trajcore import (
     EmptyGoalError,
     ExplosionGuard,
     HorizonError,
+    KernelRows,
     MarkovGame,
     PeerPolicy,
     RowSumError,
@@ -507,3 +508,33 @@ def test_support_lists_equal_the_support_of_every_pair(support_size):
             [mdp.support(s, a) for a in range(mdp.num_actions)]
             for s in range(mdp.num_states)
         ]
+
+
+def test_kernels_are_held_as_non_zero_rows_behind_a_dense_view(chain_mdp):
+    table = np.array(chain_mdp.kernel)
+    table[0, 0] = [0.5 + 5e-10, 0.5, -5e-10]  # a tolerated negative entry is stored
+    mdp = replace(chain_mdp, kernel=table)
+    rows = mdp.rows
+    assert rows.shape == (3, 2, 3)
+    assert rows.offsets.tolist() == [0, 3, 4, 5, 6, 7, 8]
+    assert rows.targets.tolist() == [0, 1, 2, 1, 0, 2, 2, 2]
+    assert np.array_equal(rows.probs, table[table != 0])
+    assert "kernel" not in vars(mdp)  # no dense copy beside the rows
+    view = mdp.kernel
+    assert np.array_equal(view, table) and not view.flags.writeable
+    assert mdp.kernel is not view  # rebuilt on every access
+    assert rows.value(0, 2) == -5e-10 and rows.value(1, 0) == 0.0
+    assert np.array_equal(rows.block(np.array([2, 0])), table.reshape(6, 3)[[2, 0]])
+    assert rows.block(np.array([], dtype=int)).shape == (0, 3)
+    assert mdp.support(0, 0) == (0, 1)
+
+    same = TabularMDP(3, 2, rows, mdp.reward, mdp.horizon, mdp.goals, mdp.initial)
+    assert same.rows is rows
+    with pytest.raises(DimensionMismatch, match=r"kernel shape \(3, 2, 3\), expected \(2, 2, 2\)"):
+        TabularMDP(2, 2, rows, np.zeros((2, 2)), 3, frozenset({1}), np.array([1.0, 0.0]))
+    for shape in [(0, 2, 0), (2, 0, 2)]:
+        empty = KernelRows.from_dense(np.zeros(shape))
+        assert empty.num_rows == shape[0] * shape[1] and empty.dense().shape == shape
+    for offsets, targets in [([0, 1], [0]), ([0, 1, 2], [0]), ([1, 1, 1], [])]:
+        with pytest.raises(DimensionMismatch, match="offsets"):
+            KernelRows((2, 1, 2), np.array(offsets), np.array(targets), np.ones(len(targets)))
