@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -33,7 +34,8 @@ from .errors import (
     UnmappedSymbol,
     ValidationError,
 )
-from .mdp import DEFAULT_NODE_BUDGET, enumerate_successes, induce_mdp
+from .graph import Symbols, build_graph
+from .mdp import DEFAULT_NODE_BUDGET, enumerate_successes, induce_mdp, validate_mdp
 from .mining import (
     DEFAULT_SEQ_BUDGET,
     IDENTITY,
@@ -108,22 +110,24 @@ def cmd_mine(args, inputs):
     kind = formats.sniff_format(source, args.input_file)
     if kind == "mdp":
         mdp = formats.mdp_from_payload(source, args.input_file)
-        successes = enumerate_successes(mdp, node_budget=node_budget)
+        validate_mdp(mdp)
+        phi = _load_phi(args, inputs)
+        graph = build_graph(mdp, Symbols(phi, args.strip_terminal), node_budget)
+        count, mine = graph.num_successes(), graph.core
     elif kind == "successes":
         successes = formats.successes_from_payload(source, args.input_file)
+        phi = _load_phi(args, inputs)
+        count, mine = len(successes), partial(core, successes, phi, args.strip_terminal)
     else:
         raise ParseError(args.input_file, f"cannot mine from format {kind!r}")
-    if not len(successes):
+    if not count:
         raise EmptySuccessSet("input contains no successful trajectory")
-    phi = _load_phi(args, inputs)
-    mined = core(
-        successes, phi=phi, strip_terminal=args.strip_terminal, budget=seq_budget
-    )
+    mined = mine(seq_budget)
     payload = {
         "format": "core",
         "version": formats.FORMAT_VERSION,
         "source_format": kind,
-        "num_successes": len(successes),
+        "num_successes": count,
         "collapse_runs": phi.collapse_runs,
         **formats.core_to_payload(mined),
     }

@@ -13,6 +13,13 @@ for comparison.  The individual task core is defined as the core of the MDP
 induced by the full-support uniform peer policy, i.e. the structure that
 survives every peer behavior the joint dynamics support; this definition is
 echoed in every report.
+
+Nothing here lists successes.  Each episode is mined on its support graph
+(:mod:`trajcore.graph`), built and mined once per distinct support signature
+within one call; a step mines the union of its two graphs, and a witness is
+found by a walk over the other episode's graph.  ``node_budget`` bounds the
+(state, t) nodes of each support graph, so it is never above S·H, and
+``seq_budget`` the nodes of each maximal-subsequence search.
 """
 from __future__ import annotations
 
@@ -21,18 +28,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimensionMismatch, EmptySuccessSet
+from .graph import SuccessGraph, Symbols, build_graph, support_signature
 from .mdp import (
     DEFAULT_NODE_BUDGET,
     KernelRows,
     MarkovGame,
     PeerPolicy,
-    SuccessSet,
     TabularMDP,
     Trajectory,
     _fold_peer,
-    enumerate_successes,
     induce_mdp,
     validate_game,
+    validate_mdp,
 )
 from .mining import (
     DEFAULT_SEQ_BUDGET,
@@ -40,8 +47,6 @@ from .mining import (
     Abstraction,
     CoreSet,
     SymbolSeq,
-    _mine_prepared,
-    _prepare_sequences,
     apply_abstraction,
     canonical_member_order,
     is_subsequence,
@@ -188,19 +193,47 @@ def uniform_peer(game: MarkovGame) -> PeerPolicy:
     return PeerPolicy(probs=probs, label="uniform-full-support")
 
 
-def _mine_episode(
-    mdp: TabularMDP,
-    phi: Abstraction,
-    strip_terminal: bool,
-    node_budget: int,
-    seq_budget: int,
-) -> tuple[SuccessSet, list[SymbolSeq], CoreSet | None]:
-    """Successes, prepared sequences and core of one MDP; no core when none succeed."""
-    successes = enumerate_successes(mdp, node_budget=node_budget)
-    if not len(successes):
-        return successes, [], None
-    seqs = _prepare_sequences(successes, phi, strip_terminal)
-    return successes, seqs, _mine_prepared(seqs, phi, strip_terminal, seq_budget)
+class _Mined:
+    """The graphs, cores and certified changes of one analysis.
+
+    Each distinct support signature is built and mined once, each distinct
+    union pair once, and each ordered pair's changes once.  Held by one call,
+    so nothing outlives it.
+    """
+
+    def __init__(self, phi: Abstraction, strip_terminal: bool, node_budget: int, seq_budget: int):
+        self.symbols = Symbols(phi, strip_terminal)
+        self.node_budget = node_budget
+        self.seq_budget = seq_budget
+        self.graphs: dict = {}  # signature -> SuccessGraph
+        self.cores: dict = {}  # signature -> CoreSet, or None without successes
+        self.unions: dict = {}  # frozenset of two signatures -> CoreSet of the union
+        self.changes: dict = {}  # (signature lost from, signature kept in) -> changes
+
+    def episode(self, mdp: TabularMDP) -> tuple:
+        """Validate ``mdp``, mine it unless its signature is known, and return the signature."""
+        validate_mdp(mdp)
+        key = support_signature(mdp)
+        if key not in self.graphs:
+            graph = self.graphs[key] = build_graph(mdp, self.symbols, self.node_budget)
+            self.cores[key] = graph.core(self.seq_budget) if graph.roots else None
+        return key
+
+    def common(self, key_a: tuple, key_b: tuple) -> CoreSet:
+        """The core over the union of both success sets."""
+        pair = frozenset((key_a, key_b))
+        if pair not in self.unions:
+            union = self.graphs[key_a].union(self.graphs[key_b])
+            self.unions[pair] = union.core(self.seq_budget)
+        return self.unions[pair]
+
+    def lost(self, key_from: tuple, key_in: tuple) -> tuple[PrototypeChange, ...]:
+        """Members of the first core with no superseding member in the second, certified."""
+        if (key_from, key_in) not in self.changes:
+            self.changes[key_from, key_in] = _certified_changes(
+                self.cores[key_from], self.cores[key_in], self.graphs[key_in]
+            )
+        return self.changes[key_from, key_in]
 
 
 def individual_core(
@@ -217,7 +250,8 @@ def individual_core(
     peer policy.
     """
     full = induce_mdp(game, uniform_peer(game))
-    _, _, found = _mine_episode(full, phi, strip_terminal, node_budget, seq_budget)
+    mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
+    found = mined.cores[mined.episode(full)]
     if found is None:
         raise EmptySuccessSet("no trajectory succeeds under any peer behavior")
     return found
@@ -231,37 +265,31 @@ def episode_cores(
     seq_budget: int = DEFAULT_SEQ_BUDGET,
 ) -> list[CoreSet | None]:
     """Per-episode cores; None marks an episode whose success set is empty."""
-    return [
-        _mine_episode(mdp, phi, strip_terminal, node_budget, seq_budget)[2]
-        for mdp in seq.induced
-    ]
+    mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
+    return [mined.cores[mined.episode(mdp)] for mdp in seq.induced]
 
 
 def _certified_changes(
-    lost_from: CoreSet,
-    kept_in: CoreSet,
-    other_successes: SuccessSet,
-    phi: Abstraction,
+    lost_from: CoreSet, kept_in: CoreSet, other: SuccessGraph
 ) -> tuple[PrototypeChange, ...]:
     """Members of ``lost_from`` with no superseding member in ``kept_in``.
 
-    Each is certified by a trajectory of the other episode it fails to embed
-    into; such a trajectory must exist whenever no superseding member does.
+    Each is certified by the first success of the other episode, in
+    :class:`SuccessSet` order, that it fails to embed into; such a success
+    must exist whenever no superseding member does.
     """
     changes = []
     for member in lost_from.members:
-        if any(is_subsequence(member, other) for other in kept_in.members):
+        if any(is_subsequence(member, kept) for kept in kept_in.members):
             continue
-        for traj in other_successes:
-            image = apply_abstraction(traj, phi)
-            if not is_subsequence(member, image):
-                changes.append(PrototypeChange(member=member, witness=traj, witness_image=image))
-                break
-        else:
+        witness = other.witness(member)
+        if witness is None:
             raise ConsistencyError(
                 f"prototype {member!r} embeds in every success yet has no "
                 f"superseding core member; core computation is inconsistent"
             )
+        image = apply_abstraction(witness, other.symbols.phi)
+        changes.append(PrototypeChange(member=member, witness=witness, witness_image=image))
     return tuple(changes)
 
 
@@ -278,12 +306,12 @@ def drift_report(
     union of consecutive success sets, plus the literal core intersection),
     vanished and gained prototypes with certifying witnesses, the individual
     task core, the variation budget, and a per-step check that the shared
-    structure is embedded in the individual core.
+    structure is embedded in the individual core.  Episodes with equal
+    support signatures share one graph and one core; a step between them
+    has their core as its common core and no vanished or gained prototype.
     """
-    episodes = [
-        _mine_episode(mdp, phi, strip_terminal, node_budget, seq_budget)
-        for mdp in seq.induced
-    ]
+    mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
+    keys = [mined.episode(mdp) for mdp in seq.induced]
 
     try:
         individual = individual_core(
@@ -297,9 +325,8 @@ def drift_report(
         individual = None
 
     steps = []
-    for index, (before, after) in enumerate(zip(episodes, episodes[1:]), start=1):
-        successes_a, seqs_a, core_a = before
-        successes_b, seqs_b, core_b = after
+    for index, (key_a, key_b) in enumerate(zip(keys, keys[1:]), start=1):
+        core_a, core_b = mined.cores[key_a], mined.cores[key_b]
         if core_a is None or core_b is None:
             steps.append(
                 DriftStep(
@@ -312,12 +339,10 @@ def drift_report(
                 )
             )
             continue
-        common = _mine_prepared(sorted({*seqs_a, *seqs_b}), phi, strip_terminal, seq_budget)
+        common = core_a if key_a == key_b else mined.common(key_a, key_b)
         literal = canonical_member_order(
             set(core_a.members) & set(core_b.members)
         )
-        vanished = _certified_changes(core_a, core_b, successes_b, phi)
-        gained = _certified_changes(core_b, core_a, successes_a, phi)
         if individual is None:
             contained = None
         else:
@@ -330,14 +355,14 @@ def drift_report(
                 index=index,
                 common_core=common,
                 literal_intersection=literal,
-                vanished=vanished,
-                gained=gained,
+                vanished=mined.lost(key_a, key_b),
+                gained=mined.lost(key_b, key_a),
                 common_within_individual=contained,
             )
         )
 
     return DriftReport(
-        episode_cores=tuple(found for _, _, found in episodes),
+        episode_cores=tuple(mined.cores[key] for key in keys),
         steps=tuple(steps),
         individual=individual,
         budget=variation_budget(seq),

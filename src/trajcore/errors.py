@@ -55,14 +55,14 @@ class GuardError(TrajcoreError):
 
 
 class ExplosionGuard(GuardError):
-    """Trajectory enumeration visited more nodes than the budget allows."""
+    """Success enumeration, or a support graph, has more nodes than the budget allows."""
 
     def __init__(self, budget, visited, needed):
         self.budget = budget
         self.visited = visited
         self.needed = needed
         super().__init__(
-            f"enumeration frontier exceeded node budget {budget} "
+            f"search exceeded node budget {budget} "
             f"(visited {visited} nodes; the full search needs {needed}); "
             f"raise the budget explicitly to proceed"
         )

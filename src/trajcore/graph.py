@@ -1,0 +1,434 @@
+"""The layered support graph of a tabular MDP, and the core mined on it.
+
+Every success of a :class:`~trajcore.mdp.TabularMDP` is a path through its
+support graph: a node per (state, t) that the pruned search of
+:func:`~trajcore.mdp.enumerate_successes` can visit, an edge per (action,
+next state) of the kernel support, and an edge from each goal node to one
+accept node for the terminal pseudo-pair.  The graph has at most S·H such
+nodes however many successes it holds, and it is all that the core, the
+drift witnesses and the success count depend on.
+
+Edges carry small int symbol ids from a :class:`Symbols` table, which puts
+each distinct pair through the abstraction once.  Under ``collapse_runs`` a
+node also carries the symbol of the edge that entered it, and an edge that
+repeats that symbol is an ε-edge (no symbol); so is an edge whose symbol
+``strip_terminal`` removes.  Runs collapse before terminal symbols are
+stripped, as in :func:`~trajcore.mining.core`.  The symbols along a
+root-to-accept path are then exactly the sequence that ``core`` mines for
+that success, so :meth:`SuccessGraph.core` equals
+``core(enumerate_successes(mdp), phi, strip_terminal)``.
+
+The core is mined by the search of
+:func:`~trajcore.mining.maximal_common_subsequences`, run on the graph
+instead of on listed sequences: the subsequence automaton of Baeza-Yates
+("Searching subsequences", TCS 1991), generalised from one text to a DAG of
+texts.
+
+* A search node is a common subsequence ``u`` together with its frontier:
+  the graph nodes at which the leftmost embedding of ``u`` ends, over all
+  successes.  Two successes that reach the same graph node share all their
+  futures, so the frontier stands for every suffix left after ``u``.
+* ``must[n]`` is the set of symbols on every path from ``n`` to accept, one
+  backward pass for all nodes.  ``u + (c,)`` is common iff ``c`` is in
+  ``must`` of every frontier node; its frontier is the set of targets of the
+  first ``c``-edges reachable from the frontier over other edges.
+* The dominance rule of the list search carries over: the child for ``d``
+  is skipped when some other extension ``c`` comes first on every path from
+  the frontier (``before[c]``, one backward pass per symbol).
+* A node without extension is kept iff no common symbol fits any of its
+  inner gaps, decided by one backward pass per gap.
+
+The search visits the same tree of common subsequences as the list search,
+so its ``budget`` trips at the same count.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .errors import BudgetExceeded, EmptySuccessSet, ExplosionGuard
+from .mdp import (
+    DEFAULT_NODE_BUDGET,
+    TERMINAL,
+    TabularMDP,
+    Trajectory,
+    _goal_distances,
+    _support_lists,
+)
+from .mining import (
+    DEFAULT_SEQ_BUDGET,
+    Abstraction,
+    CoreSet,
+    Symbol,
+    SymbolSeq,
+    canonical_member_order,
+)
+
+EPS = -1  # the label of an ε-edge
+ACCEPT = 0  # the accept node; every other node has a larger id than its parents
+_ABSENT = -2  # the id of a symbol that no edge carries
+
+
+class Symbols:
+    """Symbol ids shared by the graphs of one analysis.
+
+    Each distinct pair goes through ``phi`` once, so an unmapped pair raises
+    :class:`~trajcore.errors.UnmappedSymbol` when the first graph that holds
+    it is built.  ``stripped[i]`` tells whether ``strip_terminal`` removes
+    symbol ``i``.
+    """
+
+    def __init__(self, phi: Abstraction, strip_terminal: bool):
+        self.phi = phi
+        self.strip_terminal = strip_terminal
+        self.names: list[Symbol] = []
+        self.stripped: list[bool] = []
+        self._ids: dict[Symbol, int] = {}
+        self._pairs: dict[tuple[int, int], int] = {}
+
+    def of_pair(self, state: int, action: int) -> int:
+        pair = (state, action)
+        sid = self._pairs.get(pair)
+        if sid is None:
+            name = self.phi.image(pair)
+            sid = self._ids.get(name)
+            if sid is None:
+                sid = self._ids[name] = len(self.names)
+                self.names.append(name)
+                self.stripped.append(self.strip_terminal and self.phi.is_terminal_symbol(name))
+            self._pairs[pair] = sid
+        return sid
+
+    def label(self, sid: int, last: int | None) -> int:
+        """The label of an edge with symbol ``sid`` leaving a node entered by ``last``."""
+        return EPS if self.stripped[sid] or sid == last else sid
+
+    def encode(self, seq: SymbolSeq) -> list[int]:
+        return [self._ids.get(name, _ABSENT) for name in seq]
+
+    def decode(self, ids) -> SymbolSeq:
+        return tuple(self.names[i] for i in ids)
+
+
+def support_signature(mdp: TabularMDP) -> tuple:
+    """What the success set of ``mdp`` depends on, as a hashable key.
+
+    The positive-entry pattern of the kernel rows, the initial support, the
+    goals and the horizon: two MDPs with equal signatures have the same
+    successes, so the same graph, core and witnesses.
+    """
+    rows = mdp.rows
+    positive = rows.probs > 0
+    return (
+        rows.shape,
+        rows.entry_rows()[positive].tobytes(),
+        rows.targets[positive].tobytes(),
+        mdp.initial_support(),
+        tuple(sorted(mdp.goals)),
+        mdp.horizon,
+    )
+
+
+def _pruned_steps(mdp: TabularMDP, node_budget: int):
+    """Root states and the (action, next state) steps of every non-goal (state, t) node.
+
+    The nodes are those of the pruned search of
+    :func:`~trajcore.mdp.enumerate_successes`: reachable from the initial
+    support, with a goal still reachable within the horizon.  Raises
+    :class:`ExplosionGuard` when they number more than ``node_budget``; it
+    gives the nodes counted up to the layer that crossed the budget and the
+    count of the whole graph.
+    """
+    supports = _support_lists(mdp)
+    dist = _goal_distances(mdp).tolist()
+    horizon, goals = mdp.horizon, mdp.goals
+    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
+    steps: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    layer, t = seeds, 1
+    total, visited = len(seeds), None
+    while layer:
+        if visited is None and total > node_budget:
+            visited = total
+        slack = horizon - t - 1
+        following: set[int] = set()
+        for s in layer:
+            if s in goals:
+                continue
+            out = [(a, m) for a, succ in enumerate(supports[s]) for m in succ if dist[m] <= slack]
+            steps[(s, t)] = out
+            following.update(m for _, m in out)
+        layer, t = sorted(following), t + 1
+        total += len(layer)
+    if visited is not None:
+        raise ExplosionGuard(node_budget, visited, total)
+    return seeds, steps
+
+
+def build_graph(
+    mdp: TabularMDP, symbols: Symbols, node_budget: int = DEFAULT_NODE_BUDGET
+) -> "SuccessGraph":
+    """The support graph of a validated ``mdp``, labelled from ``symbols``.
+
+    ``node_budget`` bounds its (state, t) nodes (see :func:`_pruned_steps`).
+    """
+    seeds, steps = _pruned_steps(mdp, node_budget)
+    collapse = symbols.phi.collapse_runs
+    keys: list = [None]  # (state, t, symbol that entered the node under collapse_runs)
+    index: dict = {}
+
+    def node(key) -> int:
+        n = index.get(key)
+        if n is None:
+            n = index[key] = len(keys)
+            keys.append(key)
+        return n
+
+    roots = tuple(node((s, 1, None)) for s in seeds)
+    edges: list[tuple[tuple[int, int, int], ...]] = [()]
+    n = 1
+    while n < len(keys):  # ids grow with t, so this runs layer by layer
+        s, t, last = keys[n]
+        out = steps.get((s, t))
+        if out is None:  # a goal
+            sid = symbols.of_pair(s, TERMINAL)
+            edges.append(((TERMINAL, ACCEPT, symbols.label(sid, last)),))
+        else:
+            row = []
+            for a, m in out:
+                sid = symbols.of_pair(s, a)
+                target = node((m, t + 1, sid if collapse else None))
+                row.append((a, target, symbols.label(sid, last)))
+            edges.append(tuple(row))
+        n += 1
+    return SuccessGraph(symbols, [-1] + [key[0] for key in keys[1:]], edges, roots)
+
+
+@dataclass(frozen=True, eq=False)
+class SuccessGraph:
+    """The successes of one MDP (or, after :meth:`union`, of two) as a labelled DAG.
+
+    Node 0 is the accept node.  ``edges[n]`` lists the (action, target,
+    label) edges of node ``n`` in ascending (action, next state) order; a
+    goal node has the single edge ``(TERMINAL, ACCEPT, label)``.  Every edge
+    lies on some success.
+    """
+
+    symbols: Symbols
+    state: list[int]
+    edges: list[tuple[tuple[int, int, int], ...]]
+    roots: tuple[int, ...]
+    # the distinct (label, target) pairs of each node's edges, all the passes read
+    moves: list[tuple[tuple[int, int], ...]] = field(init=False)
+
+    def __post_init__(self):
+        moves = [tuple(sorted({(lab, m) for _, m, lab in row})) for row in self.edges]
+        object.__setattr__(self, "moves", moves)
+
+    def num_successes(self) -> int:
+        """The exact number of successes, by a forward count in Python ints."""
+        paths = [0] * len(self.edges)
+        for root in self.roots:
+            paths[root] += 1
+        for n in range(1, len(self.edges)):
+            if paths[n]:
+                for _, m, _ in self.edges[n]:
+                    paths[m] += paths[n]
+        return paths[ACCEPT]
+
+    def union(self, other: "SuccessGraph") -> "SuccessGraph":
+        """One graph holding the successes of both, with one accept node.
+
+        Both graphs must be labelled from the same :class:`Symbols`.
+        """
+        shift = len(self.edges) - 1
+        moved = [
+            tuple((a, m + shift if m else ACCEPT, lab) for a, m, lab in row)
+            for row in other.edges[1:]
+        ]
+        return SuccessGraph(
+            self.symbols,
+            self.state + other.state[1:],
+            self.edges + moved,
+            self.roots + tuple(r + shift for r in other.roots),
+        )
+
+    def core(self, budget: int = DEFAULT_SEQ_BUDGET) -> CoreSet:
+        """The core of the successes; ``budget`` bounds the search nodes.
+
+        Raises :class:`EmptySuccessSet` when there are no successes, and
+        :class:`BudgetExceeded` past the budget, as
+        :func:`~trajcore.mining.core` does.
+        """
+        if not self.roots:
+            raise EmptySuccessSet("core is undefined over zero successes")
+        found = _maximal_words(self.moves, self.roots, budget)
+        return CoreSet(
+            members=canonical_member_order(self.symbols.decode(w) for w in found if w),
+            alphabet_tag=self.symbols.phi.label,
+            strip_terminal_applied=self.symbols.strip_terminal,
+        )
+
+    def witness(self, member: SymbolSeq) -> Trajectory | None:
+        """The first success, in :class:`SuccessSet` order, that ``member`` does not embed in.
+
+        None when it embeds in every success.  A walk over the product of
+        the graph and the greedy embedding automaton of ``member``, which
+        tries (action, next state) in ascending order and enters only
+        product nodes from which accept is reachable with the automaton
+        short of its end, so it never backtracks.
+        """
+        word = self.symbols.encode(member)
+        masks: dict[int, int] = {}
+        for j, sid in enumerate(word):
+            masks[sid] = masks.get(sid, 0) | 1 << j
+        # short[n]: automaton states at n from which some path ends short of len(word)
+        short = [0] * len(self.moves)
+        short[ACCEPT] = (1 << len(word)) - 1
+        for n in range(len(self.moves) - 1, 0, -1):
+            acc = 0
+            for lab, m in self.moves[n]:
+                mask = masks.get(lab, 0)
+                acc |= (short[m] & ~mask) | (short[m] >> 1 & mask)
+            short[n] = acc
+        n = next((root for root in self.roots if short[root] & 1), None)
+        if n is None:
+            return None
+        j, steps = 0, []
+        while n != ACCEPT:
+            for action, m, lab in self.edges[n]:
+                k = j + 1 if j < len(word) and word[j] == lab else j
+                if short[m] >> k & 1:
+                    break
+            if action == TERMINAL:
+                goal = self.state[n]
+            else:
+                steps.append((self.state[n], action))
+            n, j = m, k
+        return Trajectory(steps=tuple(steps), terminal_state=goal)
+
+
+def _bits(x: int) -> list[int]:
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _must(moves) -> list[int]:
+    """``must[n]``: the symbols on every path from ``n`` to accept, as a bitset."""
+    must = [0] * len(moves)
+    for n in range(len(moves) - 1, 0, -1):
+        acc = -1
+        for lab, m in moves[n]:
+            acc &= must[m] | (1 << lab if lab >= 0 else 0)
+        must[n] = acc
+    return must
+
+
+def _before(moves, c: int) -> list[int]:
+    """``table[n]``: symbols ``d != c`` that no path from ``n`` holds before its first ``c``.
+
+    Empty where some path from ``n`` holds no ``c``.
+    """
+    bit = 1 << c
+    table = [0] * len(moves)
+    for n in range(len(moves) - 1, 0, -1):
+        acc = -1
+        for lab, m in moves[n]:
+            if lab == c:
+                acc &= ~bit
+            elif lab < 0:
+                acc &= table[m]
+            else:
+                acc &= table[m] & ~(1 << lab)
+        table[n] = acc
+    return table
+
+
+def _advance(moves, frontier: tuple[int, ...], c: int) -> tuple[int, ...]:
+    """Targets of the first ``c``-edges on the paths from ``frontier``."""
+    found: set[int] = set()
+    seen = set(frontier)
+    todo = list(frontier)
+    while todo:
+        for lab, m in moves[todo.pop()]:
+            if lab == c:
+                found.add(m)
+            elif m not in seen:
+                seen.add(m)
+                todo.append(m)
+    return tuple(sorted(found))
+
+
+def _maximal_words(moves, roots: tuple[int, ...], budget: int) -> set[tuple[int, ...]]:
+    """Maximal common subsequences of the label sequences of all root-to-accept paths.
+
+    The graph's form of :func:`~trajcore.mining.maximal_common_subsequences`
+    (see the module docstring); raises :class:`BudgetExceeded` once the
+    search visits more than ``budget`` nodes.
+    """
+    must = _must(moves)
+    common = -1
+    for root in roots:
+        common &= must[root]
+    before = {c: _before(moves, c) for c in _bits(common)}
+    found: set[tuple[int, ...]] = set()
+    visited = 0
+    # (word, frontier after each prefix of the word)
+    stack: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = [((), (roots,))]
+    while stack:
+        word, frontiers = stack.pop()
+        visited += 1
+        if visited > budget:
+            raise BudgetExceeded(budget, visited)
+        frontier = frontiers[-1]
+        extensions = common
+        for n in frontier:
+            extensions &= must[n]
+        if not extensions:
+            if _no_gap_fits(moves, must, common, word, frontiers):
+                found.add(word)
+            continue
+        candidates = _bits(extensions)
+        dominated = 0
+        for c in candidates:
+            table, first = before[c], -1
+            for n in frontier:
+                first &= table[n]
+            dominated |= first
+        for c in candidates:
+            if not dominated >> c & 1:
+                stack.append((word + (c,), frontiers + (_advance(moves, frontier, c),)))
+    return found
+
+
+def _no_gap_fits(moves, must, common: int, word, frontiers) -> bool:
+    """True iff no symbol of ``common`` can be inserted before any ``word[i]``.
+
+    ``holds[n]`` is the set of symbols ``x`` such that every path from ``n``
+    holds ``(x,) + word[i:]``; for ``i = len(word)`` that is ``must``.  The
+    insertion before ``word[i]`` is common iff ``x`` is in ``holds`` of every
+    node of the frontier after ``word[:i]``.
+    """
+    holds = must
+    for i in range(len(word) - 1, -1, -1):
+        c = word[i]
+        # a path from m holds word[i:] iff c is in the previous holds[m]
+        nxt = [0] * len(moves)
+        for n in range(len(moves) - 1, 0, -1):
+            acc = -1
+            for lab, m in moves[n]:
+                if lab < 0:
+                    acc &= nxt[m]
+                else:
+                    bit = 1 << lab
+                    acc &= (nxt[m] & ~bit) | (bit if holds[m] >> c & 1 else 0)
+            nxt[n] = acc
+        fits = common
+        for n in frontiers[i]:
+            fits &= nxt[n]
+        if fits:
+            return False
+        holds = nxt
+    return True

@@ -370,10 +370,7 @@ def _no_gap_fits(u: SymbolSeq, index: Mapping, num_seqs: int) -> bool:
 def _prepare_sequences(
     successes: SuccessSet | Iterable, phi: Abstraction, strip_terminal: bool
 ) -> list[SymbolSeq]:
-    """Abstract, deduplicate and optionally strip terminals, in sorted order.
-
-    Elementwise, so preparing a union gives the union of the prepared sets.
-    """
+    """Abstract, deduplicate and optionally strip terminals, in sorted order."""
     if isinstance(successes, SuccessSet):
         items: Iterable = successes.trajectories
     else:
@@ -403,25 +400,12 @@ def core(
     the dominance-pruned search of :func:`maximal_common_subsequences`;
     ``budget`` bounds the nodes it visits (see :class:`BudgetExceeded`).
     """
-    return _mine_prepared(
-        _prepare_sequences(successes, phi, strip_terminal), phi, strip_terminal, budget
+    members = maximal_common_subsequences(
+        _prepare_sequences(successes, phi, strip_terminal), budget=budget
     )
-
-
-def _mine_prepared(
-    seqs: Sequence[SymbolSeq], phi: Abstraction, strip_terminal: bool, budget: int
-) -> CoreSet:
-    """Core of a sequence set already prepared by :func:`_prepare_sequences`.
-
-    ``phi`` and ``strip_terminal`` only label the result; they must be the
-    values the set was prepared with.  The members come straight from
-    :func:`maximal_common_subsequences`, which skips dominated children and
-    keeps a leaf only if no common symbol fits any of its gaps; the empty
-    sequence is dropped.
-    """
-    members = [m for m in maximal_common_subsequences(seqs, budget=budget) if m]
     return CoreSet(
-        members=canonical_member_order(members),
+        # the empty sequence is common to every family; it is never a member
+        members=canonical_member_order(m for m in members if m),
         alphabet_tag=phi.label,
         strip_terminal_applied=strip_terminal,
     )

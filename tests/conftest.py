@@ -4,7 +4,25 @@ from itertools import product
 import numpy as np
 import pytest
 
-from trajcore import MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory, formats
+from trajcore import (
+    IDENTITY,
+    DriftReport,
+    DriftStep,
+    MarkovGame,
+    PeerPolicy,
+    PrototypeChange,
+    SuccessSet,
+    TabularMDP,
+    Trajectory,
+    apply_abstraction,
+    core,
+    enumerate_successes,
+    formats,
+    induce_mdp,
+    is_subsequence,
+    uniform_peer,
+    variation_budget,
+)
 
 
 @pytest.fixture
@@ -56,6 +74,59 @@ def oracle_enumerate(mdp: TabularMDP) -> SuccessSet:
     return SuccessSet.from_iterable(successes)
 
 
+def oracle_witness(member, successes: SuccessSet, phi=IDENTITY):
+    """The list scan for a drift witness, independent of the graph walk.
+
+    The first success, in ``SuccessSet`` order, whose image ``member`` does
+    not embed in, as ``(trajectory, image)``; None if it embeds in all.
+    """
+    for traj in successes:
+        image = apply_abstraction(traj, phi)
+        if not is_subsequence(member, image):
+            return traj, image
+    return None
+
+
+def oracle_drift_report(seq, phi=IDENTITY, strip_terminal: bool = False) -> DriftReport:
+    """``drift_report`` composed from listed successes: enumerate, list ``core`` and ``oracle_witness``."""
+    successes = [enumerate_successes(mdp) for mdp in seq.induced]
+    cores = [core(s, phi, strip_terminal) if len(s) else None for s in successes]
+    full = enumerate_successes(induce_mdp(seq.game, uniform_peer(seq.game)))
+    individual = core(full, phi, strip_terminal) if len(full) else None
+
+    def changes(lost, kept, other):
+        found = []
+        for member in lost.members:
+            if not any(is_subsequence(member, big) for big in kept.members):
+                witness, image = oracle_witness(member, other, phi)
+                found.append(PrototypeChange(member=member, witness=witness, witness_image=image))
+        return tuple(found)
+
+    steps = []
+    for index in range(1, len(successes)):
+        core_a, core_b = cores[index - 1], cores[index]
+        if core_a is None or core_b is None:
+            steps.append(DriftStep(index, None, None, (), (), None))
+            continue
+        common = core(successes[index - 1].trajectories + successes[index].trajectories,
+                      phi, strip_terminal)
+        contained = None if individual is None else all(
+            any(is_subsequence(member, big) for big in individual.members)
+            for member in common.members
+        )
+        literal = tuple(sorted(set(core_a.members) & set(core_b.members), key=lambda m: (-len(m), m)))
+        steps.append(DriftStep(
+            index=index,
+            common_core=common,
+            literal_intersection=literal,
+            vanished=changes(core_a, core_b, successes[index]),
+            gained=changes(core_b, core_a, successes[index - 1]),
+            common_within_individual=contained,
+        ))
+    return DriftReport(episode_cores=tuple(cores), steps=tuple(steps), individual=individual,
+                       budget=variation_budget(seq))
+
+
 def random_game(
     rng: np.random.Generator,
     num_states: int = 4,
@@ -81,6 +152,44 @@ def random_game(
         goals=frozenset({goal}),
         initial=initial,
     )
+
+
+def sparse_game(
+    rng: np.random.Generator, num_states: int = 5, num_actions_2: int = 2, horizon: int = 5
+) -> MarkovGame:
+    """Random 2-action game whose rows hold 1-2 targets, with an absorbing goal in the last state.
+
+    The support of an induced MDP then depends on which peer actions the
+    peer plays at all (see ``sparse_peer``).
+    """
+    goal = num_states - 1
+    joint = np.zeros((num_states, 2, num_actions_2, num_states))
+    for row in joint.reshape(-1, num_states):
+        targets = rng.choice(num_states, size=int(rng.integers(1, 3)), replace=False)
+        row[targets] = rng.random(len(targets)) + 1e-3
+        row /= row.sum()
+    joint[goal] = 0.0
+    joint[goal, :, :, goal] = 1.0
+    initial = np.zeros(num_states)
+    initial[0] = 1.0
+    return MarkovGame(
+        num_states=num_states,
+        num_actions_1=2,
+        num_actions_2=num_actions_2,
+        joint_kernel=joint,
+        reward_1=rng.random((num_states, 2, num_actions_2)),
+        horizon=horizon,
+        goals=frozenset({goal}),
+        initial=initial,
+    )
+
+
+def sparse_peer(rng: np.random.Generator, game: MarkovGame, label: str = "peer") -> PeerPolicy:
+    """Random peer that gives each action probability 0 with chance 1/2 (one action always stays)."""
+    probs = rng.random((game.num_states, game.num_actions_2)) + 1e-3
+    probs[rng.random(probs.shape) < 0.5] = 0.0
+    probs[probs.sum(axis=1) == 0, 0] = 1.0
+    return PeerPolicy(probs=probs / probs.sum(axis=1, keepdims=True), label=label)
 
 
 def scattered_game(
@@ -152,10 +261,10 @@ def reweight_support(rng: np.random.Generator, mdp: TabularMDP) -> TabularMDP:
 
 def count_calls(monkeypatch, name: str) -> list:
     """Count calls of a package function under every module name that holds it."""
-    from trajcore import drift, envs, mdp, mining
+    from trajcore import drift, envs, graph, mdp, mining
 
     calls = []
-    for module in (mdp, mining, drift, envs):
+    for module in (mdp, mining, graph, drift, envs):
         if not hasattr(module, name):
             continue
 

@@ -15,8 +15,6 @@ from trajcore import (
     KernelRows,
     MarkovGame,
     PeerPolicy,
-    SuccessSet,
-    Trajectory,
     build_coop_keydoor,
     build_keydoor,
     core,
@@ -34,15 +32,18 @@ from trajcore import (
 from trajcore import drift as drift_module
 from trajcore import formats
 from trajcore.drift import _certified_changes
+from trajcore.graph import Symbols, build_graph, support_signature
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
 from conftest import (
     count_calls,
     dense_distance,
     dense_fold,
+    oracle_drift_report,
     random_game,
     random_peer,
     scattered_game,
+    sparse_game,
 )
 
 
@@ -312,17 +313,22 @@ def test_from_schedule_validates_the_game_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_drift_report_enumerates_and_prepares_each_success_set_once(monkeypatch):
+def test_drift_report_builds_one_graph_per_signature_and_enumerates_nothing(monkeypatch):
     rng = np.random.default_rng(11)
-    game = random_game(rng)
-    seq = EpisodeSequence.from_schedule(game, [random_peer(rng, game) for _ in range(4)])
+    game = sparse_game(rng)
+    gate = PeerPolicy(probs=np.tile([1.0, 0.0], (game.num_states, 1)), label="gate")
+    peers = [random_peer(rng, game) for _ in range(3)]
+    # two signatures (a full-support peer, or one that never plays action 1), repeated
+    seq = EpisodeSequence.from_schedule(game, [peers[0], gate, peers[1], gate, peers[2]])
     expected = drift_report(seq)
     enumerated = count_calls(monkeypatch, "enumerate_successes")
-    prepared = count_calls(monkeypatch, "_prepare_sequences")
+    built = count_calls(monkeypatch, "build_graph")
     report = drift_report(seq)
-    # one per episode plus one for the individual core
-    assert len(enumerated) == len(prepared) == seq.num_episodes + 1
-    assert report == expected
+    signatures = {support_signature(mdp) for mdp in seq.induced}
+    assert len(signatures) == 2
+    # one per distinct signature plus one for the individual core
+    assert enumerated == [] and len(built) == len(signatures) + 1
+    assert report == expected == oracle_drift_report(seq)
 
 
 def test_drift_path_validates_each_induced_mdp_once(monkeypatch):
@@ -332,15 +338,17 @@ def test_drift_path_validates_each_induced_mdp_once(monkeypatch):
     calls = count_calls(monkeypatch, "validate_mdp")
     seq = EpisodeSequence.from_schedule(game, schedule)
     drift_report(seq)
-    # one per episode (in enumeration) plus two for the individual core's induce_mdp
+    # one per episode plus two for the individual core (in induce_mdp, then before its graph)
     assert len(calls) == seq.num_episodes + 2
 
 
-def test_certified_change_without_witness_is_a_consistency_error():
-    traj = Trajectory(steps=((0, 0),), terminal_state=1)
-    lost = CoreSet(members=(((0, 0),),))
+def test_certified_change_without_witness_is_a_consistency_error(chain_mdp):
+    # every success of the chain embeds ((0, 1),), so the graph walk finds no witness
+    graph = build_graph(chain_mdp, Symbols(IDENTITY, False))
+    lost = CoreSet(members=(((0, 1),),))
+    assert graph.witness(lost.members[0]) is None
     with pytest.raises(ConsistencyError):
-        _certified_changes(lost, CoreSet(members=()), SuccessSet((traj,)), IDENTITY)
+        _certified_changes(lost, CoreSet(members=()), graph)
 
 
 # Results digest of drift_report(..., phi, strip_terminal=True) on this layout,

@@ -1,0 +1,191 @@
+"""The support graph against the list path: cores, counts, budgets, witnesses and drift."""
+import json
+import time
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trajcore import (
+    IDENTITY,
+    TERMINAL,
+    Abstraction,
+    BudgetExceeded,
+    EpisodeSequence,
+    ExplosionGuard,
+    UnmappedSymbol,
+    apply_abstraction,
+    build_coop_keydoor,
+    core,
+    drift_report,
+    enumerate_successes,
+    formats,
+    induce_mdp,
+    is_subsequence,
+    is_successful,
+    random_mdp,
+    uniform_peer,
+)
+from trajcore.cli import main
+from trajcore.envs import DEFAULT_COOP
+from trajcore.graph import Symbols, build_graph
+from trajcore.mdp import DEFAULT_NODE_BUDGET
+
+from conftest import count_calls, oracle_drift_report, oracle_witness, sparse_game, sparse_peer
+
+
+def _abstractions(mdp, rng) -> list[Abstraction]:
+    """The identity, a random 3-letter map, and the same map with collapse_runs."""
+    mapping = {
+        (s, a): str(rng.choice(list("xyz")))
+        for s in range(mdp.num_states)
+        for a in range(mdp.num_actions)
+    }
+    mapping.update({(g, TERMINAL): str(rng.choice(list("xyzT"))) for g in mdp.goals})
+    return [IDENTITY, Abstraction(mapping=mapping), Abstraction(mapping=mapping, collapse_runs=True)]
+
+
+def _search_size(mine) -> int:
+    """The smallest budget under which ``mine(budget)`` does not trip."""
+    low, high = 1, 1
+    while True:
+        try:
+            mine(high)
+            break
+        except BudgetExceeded:
+            low, high = high + 1, 2 * high
+    while low < high:
+        middle = (low + high) // 2
+        try:
+            mine(middle)
+            high = middle
+        except BudgetExceeded:
+            low = middle + 1
+    return low
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), support_size=st.integers(1, 3))
+def test_graph_core_count_and_budget_equal_the_list_path(seed, support_size):
+    mdp = random_mdp(6, 2, 7, seed=seed, support_size=support_size)
+    successes = enumerate_successes(mdp)
+    rng = np.random.default_rng(seed)
+    for phi in _abstractions(mdp, rng):
+        for strip in (False, True):
+            graph = build_graph(mdp, Symbols(phi, strip))
+            assert graph.num_successes() == len(successes)
+            assert graph.core() == core(successes, phi, strip)
+            # both searches visit the same tree, so they trip at the same count
+            size = _search_size(graph.core)
+            with pytest.raises(BudgetExceeded) as tripped:
+                core(successes, phi, strip, budget=size - 1)
+            assert (tripped.value.budget, tripped.value.visited) == (size - 1, size)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_graph_witness_is_the_first_non_embedding_success(seed):
+    mdp = random_mdp(6, 2, 7, seed=seed, support_size=2)
+    successes = enumerate_successes(mdp)
+    rng = np.random.default_rng(seed)
+    for phi in _abstractions(mdp, rng):
+        graph = build_graph(mdp, Symbols(phi, False))
+        names = graph.symbols.names
+        words = [tuple(names[i] for i in rng.integers(0, len(names), size=k)) for k in (1, 2, 3)]
+        for word in words + list(core(successes, phi).members) + [("absent",)]:
+            found = oracle_witness(word, successes, phi)
+            assert graph.witness(word) == (None if found is None else found[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["identity", "map", "map-collapse"]),
+    strip=st.booleans(),
+    episodes=st.integers(2, 5),
+)
+def test_drift_report_equals_the_list_oracle(seed, kind, strip, episodes):
+    rng = np.random.default_rng(seed)
+    game = sparse_game(rng, num_states=int(rng.integers(3, 6)), horizon=int(rng.integers(3, 6)))
+    schedule = [sparse_peer(rng, game) for _ in range(episodes)]
+    if rng.random() < 0.5:
+        schedule[1] = schedule[0]  # a step between equal signatures
+    mapping = None
+    if kind != "identity":
+        mapping = {(s, a): str(rng.choice(list("xyz"))) for s in range(game.num_states) for a in range(2)}
+        mapping.update({(g, TERMINAL): "T" for g in game.goals})
+    phi = Abstraction(mapping=mapping, collapse_runs=kind == "map-collapse")
+    seq = EpisodeSequence.from_schedule(game, schedule)
+    assert drift_report(seq, phi, strip) == oracle_drift_report(seq, phi, strip)
+
+
+def test_unmapped_pair_raises_exactly_when_it_lies_on_a_success():
+    mdp = random_mdp(6, 2, 6, seed=5, support_size=2)
+    on_success = {pair for traj in enumerate_successes(mdp) for pair in traj.pairs()}
+    every = {(s, a) for s in range(6) for a in range(2)} | {(g, TERMINAL) for g in mdp.goals}
+    assert on_success < every
+    for missing in sorted(every):
+        phi = Abstraction(mapping={pair: "x" for pair in every - {missing}})
+        raised = []
+        for mine in (
+            lambda: build_graph(mdp, Symbols(phi, False)),
+            lambda: core(enumerate_successes(mdp), phi),
+        ):
+            try:
+                mine()
+                raised.append(False)
+            except UnmappedSymbol:
+                raised.append(True)
+        assert raised == [missing in on_success] * 2
+
+
+def test_node_budget_bounds_the_state_time_nodes_of_the_graph():
+    mdp = random_mdp(6, 2, 7, seed=3, support_size=2)
+    # the (state, t) nodes that successes pass through, the accept node aside
+    nodes = {
+        (state, t)
+        for traj in enumerate_successes(mdp)
+        for t, state in enumerate([s for s, _ in traj.steps] + [traj.terminal_state], start=1)
+    }
+    with pytest.raises(ExplosionGuard) as tripped:
+        build_graph(mdp, Symbols(IDENTITY, False), node_budget=len(nodes) - 1)
+    assert tripped.value.needed == len(nodes)
+    assert len(nodes) - 1 < tripped.value.visited <= len(nodes)
+    assert f"the full search needs {len(nodes)}" in str(tripped.value)
+    build_graph(mdp, Symbols(IDENTITY, False), node_budget=len(nodes))
+
+
+def test_cli_mine_counts_successes_on_the_graph(tmp_path, capsys, monkeypatch):
+    mdp = random_mdp(6, 2, 7, seed=9, support_size=3)
+    path = str(tmp_path / "mdp.json")
+    formats.write_json(path, formats.mdp_to_payload(mdp))
+    expected = len(enumerate_successes(mdp))
+    calls = count_calls(monkeypatch, "enumerate_successes")
+    assert main(["mine", path]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["num_successes"] == expected
+    assert calls == []
+
+
+def test_horizon_12_coop_layout_drifts_past_the_enumeration_wall(monkeypatch):
+    cfg = replace(DEFAULT_COOP, corridor_length=5, key_pos=0, door_pos=2, goal_pos=3,
+                  start_pos=0, peer_start=1, horizon=12)
+    game, schedule, phi = build_coop_keydoor(cfg)
+    seq = EpisodeSequence.from_schedule(game, schedule)
+    full = induce_mdp(game, uniform_peer(game))
+    # every success is a node of the enumeration, so it would trip the default guard
+    assert build_graph(full, Symbols(phi, True)).num_successes() > DEFAULT_NODE_BUDGET
+    calls = count_calls(monkeypatch, "enumerate_successes")
+    start = time.perf_counter()
+    report = drift_report(seq, phi=phi, strip_terminal=True)
+    assert time.perf_counter() - start < 5.0
+    assert calls == []
+    assert report.individual is not None
+    step = report.steps[0]
+    for changes, other in ((step.vanished, seq.induced[1]), (step.gained, seq.induced[0])):
+        assert changes
+        for change in changes:
+            assert is_successful(change.witness, other)
+            assert change.witness_image == apply_abstraction(change.witness, phi)
+            assert not is_subsequence(change.member, change.witness_image)
