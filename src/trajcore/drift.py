@@ -37,7 +37,6 @@ from .mdp import (
     TabularMDP,
     Trajectory,
     _fold_peer,
-    induce_mdp,
     validate_game,
     validate_mdp,
 )
@@ -249,7 +248,8 @@ def individual_core(
     kernel support is the union of the supports induced by every possible
     peer policy.
     """
-    full = induce_mdp(game, uniform_peer(game))
+    validate_game(game)
+    full = _fold_peer(game, uniform_peer(game))
     mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
     found = mined.cores[mined.episode(full)]
     if found is None:

@@ -1,4 +1,4 @@
-"""The layered support graph of a tabular MDP, and the core mined on it.
+"""The labelled DAGs that hold a success set, and the core mined on them.
 
 Every success of a :class:`~trajcore.mdp.TabularMDP` is a path through its
 support graph: a node per (state, t) that the pruned search of
@@ -6,44 +6,49 @@ support graph: a node per (state, t) that the pruned search of
 next state) of the kernel support, and an edge from each goal node to one
 accept node for the terminal pseudo-pair.  The graph has at most S·H such
 nodes however many successes it holds, and it is all that the core, the
-drift witnesses and the success count depend on.
+drift witnesses and the success count depend on.  A listed family of
+sequences is held by its sequence graph (:func:`sequence_graph`): the
+minimal DAG whose root-to-accept paths spell its distinct words.
 
 Edges carry small int symbol ids from a :class:`Symbols` table, which puts
 each distinct pair through the abstraction once.  Under ``collapse_runs`` a
 node also carries the symbol of the edge that entered it, and an edge that
 repeats that symbol is an ε-edge (no symbol); so is an edge whose symbol
 ``strip_terminal`` removes.  Runs collapse before terminal symbols are
-stripped, as in :func:`~trajcore.mining.core`.  The symbols along a
-root-to-accept path are then exactly the sequence that ``core`` mines for
-that success, so :meth:`SuccessGraph.core` equals
-``core(enumerate_successes(mdp), phi, strip_terminal)``.
+stripped, as :meth:`Symbols.word` does for a listed sequence.  The symbols
+along a root-to-accept path are then exactly the word of that success, so
+:meth:`SuccessGraph.core` equals ``core(enumerate_successes(mdp), phi,
+strip_terminal)``.
 
-The core is mined by the search of
-:func:`~trajcore.mining.maximal_common_subsequences`, run on the graph
-instead of on listed sequences: the subsequence automaton of Baeza-Yates
-("Searching subsequences", TCS 1991), generalised from one text to a DAG of
-texts.
+The core is mined by one search, :func:`_maximal_words`, on either kind of
+graph: the subsequence automaton of Baeza-Yates ("Searching subsequences",
+TCS 1991), generalised from one text to a DAG of texts.
 
 * A search node is a common subsequence ``u`` together with its frontier:
   the graph nodes at which the leftmost embedding of ``u`` ends, over all
-  successes.  Two successes that reach the same graph node share all their
+  words.  Two words that reach the same graph node share all their
   futures, so the frontier stands for every suffix left after ``u``.
 * ``must[n]`` is the set of symbols on every path from ``n`` to accept, one
   backward pass for all nodes.  ``u + (c,)`` is common iff ``c`` is in
   ``must`` of every frontier node; its frontier is the set of targets of the
   first ``c``-edges reachable from the frontier over other edges.
-* The dominance rule of the list search carries over: the child for ``d``
-  is skipped when some other extension ``c`` comes first on every path from
-  the frontier (``before[c]``, one backward pass per symbol).
+* Dominance: the child for ``d`` is skipped when some other extension ``c``
+  comes first on every path from the frontier (``before[c]``, one backward
+  pass per symbol); ``c`` then fits in front of ``d`` in any continuation,
+  so no node below that child is maximal.
 * A node without extension is kept iff no common symbol fits any of its
-  inner gaps, decided by one backward pass per gap.
+  inner gaps, decided by one backward pass per gap over the nodes deep
+  enough to hold that gap's frontier.
 
-The search visits the same tree of common subsequences as the list search,
-so its ``budget`` trips at the same count.
+Each search node is a distinct common subsequence, and the pruning reads
+only the word set, so the search visits the same tree, and its ``budget``
+trips at the same count, on any graph of the same words.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import BudgetExceeded, EmptySuccessSet, ExplosionGuard
 from .mdp import (
@@ -54,27 +59,57 @@ from .mdp import (
     _goal_distances,
     _support_lists,
 )
-from .mining import (
-    DEFAULT_SEQ_BUDGET,
-    Abstraction,
-    CoreSet,
-    Symbol,
-    SymbolSeq,
-    canonical_member_order,
-)
+
+if TYPE_CHECKING:
+    from .mining import Abstraction
+
+Symbol = Union[tuple[int, int], str]
+SymbolSeq = tuple[Symbol, ...]
+
+DEFAULT_SEQ_BUDGET = 1_000_000
 
 EPS = -1  # the label of an ε-edge
 ACCEPT = 0  # the accept node; every other node has a larger id than its parents
 _ABSENT = -2  # the id of a symbol that no edge carries
 
 
+@dataclass(frozen=True)
+class CoreSet:
+    """Maximal common subsequences of a family of sequences.
+
+    Members are nonempty, canonically ordered (length-descending, then
+    lexicographic).  An empty ``members`` tuple means the inputs share no
+    nonempty common structure.
+    """
+
+    members: tuple[SymbolSeq, ...]
+    alphabet_tag: str = "identity"
+    strip_terminal_applied: bool = False
+
+    def __iter__(self) -> Iterator[SymbolSeq]:
+        return iter(self.members)
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __contains__(self, seq) -> bool:
+        return tuple(seq) in set(self.members)
+
+    def max_length(self) -> int:
+        return max((len(m) for m in self.members), default=0)
+
+
+def canonical_member_order(members) -> tuple[SymbolSeq, ...]:
+    return tuple(sorted(set(members), key=lambda m: (-len(m), m)))
+
+
 class Symbols:
     """Symbol ids shared by the graphs of one analysis.
 
     Each distinct pair goes through ``phi`` once, so an unmapped pair raises
-    :class:`~trajcore.errors.UnmappedSymbol` when the first graph that holds
-    it is built.  ``stripped[i]`` tells whether ``strip_terminal`` removes
-    symbol ``i``.
+    :class:`~trajcore.errors.UnmappedSymbol` when the first graph or word
+    that holds it is built.  ``stripped[i]`` tells whether ``strip_terminal``
+    removes symbol ``i``.
     """
 
     def __init__(self, phi: Abstraction, strip_terminal: bool):
@@ -83,24 +118,39 @@ class Symbols:
         self.names: list[Symbol] = []
         self.stripped: list[bool] = []
         self._ids: dict[Symbol, int] = {}
-        self._pairs: dict[tuple[int, int], int] = {}
+        self._items: dict = {}
 
-    def of_pair(self, state: int, action: int) -> int:
-        pair = (state, action)
-        sid = self._pairs.get(pair)
+    def of(self, item) -> int:
+        """The id of a (state, action) pair, or of any other symbol under the identity."""
+        if isinstance(item, list):
+            item = tuple(item)
+        sid = self._items.get(item)
         if sid is None:
-            name = self.phi.image(pair)
+            phi = self.phi
+            name = item if phi.is_identity and not isinstance(item, tuple) else phi.image(item)
             sid = self._ids.get(name)
             if sid is None:
                 sid = self._ids[name] = len(self.names)
                 self.names.append(name)
-                self.stripped.append(self.strip_terminal and self.phi.is_terminal_symbol(name))
-            self._pairs[pair] = sid
+                self.stripped.append(self.strip_terminal and phi.is_terminal_symbol(name))
+            self._items[item] = sid
         return sid
 
     def label(self, sid: int, last: int | None) -> int:
         """The label of an edge with symbol ``sid`` leaving a node entered by ``last``."""
         return EPS if self.stripped[sid] or sid == last else sid
+
+    def word(self, seq) -> tuple[int, ...]:
+        """The symbol ids of a listed sequence, with the ids that :meth:`label` makes ε dropped."""
+        collapse = self.phi.collapse_runs
+        out, last = [], None
+        for item in seq:
+            sid = self.of(item)
+            if self.label(sid, last) != EPS:
+                out.append(sid)
+            if collapse:
+                last = sid
+        return tuple(out)
 
     def encode(self, seq: SymbolSeq) -> list[int]:
         return [self._ids.get(name, _ABSENT) for name in seq]
@@ -189,17 +239,71 @@ def build_graph(
         s, t, last = keys[n]
         out = steps.get((s, t))
         if out is None:  # a goal
-            sid = symbols.of_pair(s, TERMINAL)
+            sid = symbols.of((s, TERMINAL))
             edges.append(((TERMINAL, ACCEPT, symbols.label(sid, last)),))
         else:
             row = []
             for a, m in out:
-                sid = symbols.of_pair(s, a)
+                sid = symbols.of((s, a))
                 target = node((m, t + 1, sid if collapse else None))
                 row.append((a, target, symbols.label(sid, last)))
             edges.append(tuple(row))
         n += 1
     return SuccessGraph(symbols, [-1] + [key[0] for key in keys[1:]], edges, roots)
+
+
+def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGraph":
+    """The minimal DAG whose root-to-accept paths spell ``words``, sorted and distinct.
+
+    One pass over the words (Daciuk et al., Computational Linguistics
+    2000): the nodes on the path of the previous word stay open on a stack,
+    and a node that no later word extends is closed and merged with an
+    equal closed node, if any.  A word that ends at a node with children
+    leaves it by an ε-edge to accept.  Node ids then follow the longest
+    path from the root, as :func:`_no_gap_fits` needs.  An edge's action is
+    its label, and no node has a state.
+    """
+    if not words:
+        return SuccessGraph(symbols, [-1], [()], ())
+    closed = {((EPS, ACCEPT),): ACCEPT}  # the (label, child) rows of closed nodes
+    rows: list[tuple[tuple[int, int], ...]] = [()]
+    path: list[list[tuple[int, int]]] = [[]]  # rows of the open nodes
+    last: tuple[int, ...] = ()
+
+    def close(keep: int) -> int:
+        n = ACCEPT
+        while len(path) > keep:
+            row = tuple(path.pop())
+            n = closed.get(row)
+            if n is None:
+                n = closed[row] = len(rows)
+                rows.append(row)
+            if path:
+                path[-1].append((last[len(path) - 1], n))
+        return n
+
+    for word in words:
+        shared = 0
+        for a, b in zip(last, word):
+            if a != b:
+                break
+            shared += 1
+        close(shared + 1)
+        path.extend([] for _ in word[shared:])
+        path[-1].append((EPS, ACCEPT))
+        last = word
+    root = close(0)
+    # a node is closed after its children; number them by longest depth instead
+    depth = [0] * len(rows)
+    for n in range(len(rows) - 1, 0, -1):
+        for _, m in rows[n]:
+            depth[m] = max(depth[m], depth[n] + 1)
+    order = sorted(range(1, len(rows)), key=depth.__getitem__)
+    ids = [ACCEPT] * len(rows)
+    for new, n in enumerate(order, start=1):
+        ids[n] = new
+    edges = [()] + [tuple((lab, ids[m], lab) for lab, m in rows[n]) for n in order]
+    return SuccessGraph(symbols, [-1] * len(edges), edges, (ids[root],))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +313,7 @@ class SuccessGraph:
     Node 0 is the accept node.  ``edges[n]`` lists the (action, target,
     label) edges of node ``n`` in ascending (action, next state) order; a
     goal node has the single edge ``(TERMINAL, ACCEPT, label)``.  Every edge
-    lies on some success.
+    lies on some success.  A :func:`sequence_graph` has the same form.
     """
 
     symbols: Symbols
@@ -361,18 +465,42 @@ def _advance(moves, frontier: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
+def _gap_bounds(moves) -> tuple[list[int], list[int]]:
+    """The id ranges that the gap passes of :func:`_no_gap_fits` need.
+
+    ``first[i]`` is the least id of a node whose longest path from a root
+    has ``i`` or more edges; ``last[k]`` is the greatest id of a node each
+    of whose paths to accept carries ``k`` or more symbols (0 if none).
+    """
+    size = len(moves)
+    depth, fewest = [0] * size, [0] * size
+    for n in range(1, size):
+        for _, m in moves[n]:
+            if depth[m] <= depth[n]:
+                depth[m] = depth[n] + 1
+    for n in range(size - 1, 0, -1):
+        fewest[n] = min(fewest[m] + (lab >= 0) for lab, m in moves[n])
+    first = [size] * (max(depth[1:], default=0) + 1)
+    # read up to len(word) + 1, and no common word is longer than fewest[root]
+    last = [0] * (max(fewest) + 2)
+    for n in range(1, size):
+        first[depth[n]] = min(first[depth[n]], n)
+        last[fewest[n]] = n
+    return list(accumulate(first[::-1], min))[::-1], list(accumulate(last[::-1], max))[::-1]
+
+
 def _maximal_words(moves, roots: tuple[int, ...], budget: int) -> set[tuple[int, ...]]:
     """Maximal common subsequences of the label sequences of all root-to-accept paths.
 
-    The graph's form of :func:`~trajcore.mining.maximal_common_subsequences`
-    (see the module docstring); raises :class:`BudgetExceeded` once the
-    search visits more than ``budget`` nodes.
+    The search of the module docstring; raises :class:`BudgetExceeded` once
+    it visits more than ``budget`` nodes.
     """
     must = _must(moves)
     common = -1
     for root in roots:
         common &= must[root]
     before = {c: _before(moves, c) for c in _bits(common)}
+    bounds = _gap_bounds(moves)
     found: set[tuple[int, ...]] = set()
     visited = 0
     # (word, frontier after each prefix of the word)
@@ -387,7 +515,7 @@ def _maximal_words(moves, roots: tuple[int, ...], budget: int) -> set[tuple[int,
         for n in frontier:
             extensions &= must[n]
         if not extensions:
-            if _no_gap_fits(moves, must, common, word, frontiers):
+            if _no_gap_fits(moves, must, common, word, frontiers, bounds):
                 found.add(word)
             continue
         candidates = _bits(extensions)
@@ -403,20 +531,27 @@ def _maximal_words(moves, roots: tuple[int, ...], budget: int) -> set[tuple[int,
     return found
 
 
-def _no_gap_fits(moves, must, common: int, word, frontiers) -> bool:
+def _no_gap_fits(moves, must, common: int, word, frontiers, bounds) -> bool:
     """True iff no symbol of ``common`` can be inserted before any ``word[i]``.
 
     ``holds[n]`` is the set of symbols ``x`` such that every path from ``n``
     holds ``(x,) + word[i:]``; for ``i = len(word)`` that is ``must``.  The
     insertion before ``word[i]`` is common iff ``x`` is in ``holds`` of every
     node of the frontier after ``word[:i]``.
+
+    That frontier lies ``i`` or more edges from a root, and ``holds`` is
+    empty at a node with a path to accept of fewer than ``len(word) - i + 1``
+    symbols.  So the pass for gap ``i`` covers only the ids from ``first[i]``
+    to ``last[len(word) - i + 1]`` (see :func:`_gap_bounds`); the nodes it
+    reads outside that range are empty in both passes.
     """
+    first, last = bounds
     holds = must
     for i in range(len(word) - 1, -1, -1):
         c = word[i]
         # a path from m holds word[i:] iff c is in the previous holds[m]
         nxt = [0] * len(moves)
-        for n in range(len(moves) - 1, 0, -1):
+        for n in range(last[len(word) - i + 1], first[i] - 1, -1):
             acc = -1
             for lab, m in moves[n]:
                 if lab < 0:

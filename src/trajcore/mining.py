@@ -1,18 +1,15 @@
-"""Subsequence order, abstractions, and maximal common-subsequence mining.
+"""Subsequence order, abstractions, and the core of listed sequences.
 
 Symbols are plain hashable values: concrete ``(state, action)`` pairs
 (including terminal pseudo-pairs) or abstract names (strings).  A sequence is
 a tuple of symbols.  Mixing the two alphabets inside one computation is never
 meaningful and is not supported.
 
-:func:`core` mines the maximal common subsequences directly
-(:func:`maximal_common_subsequences`): a depth-first search over the
-k-pointer automaton of leftmost-occurrence jumps, so each node is a distinct
-common subsequence, pruned by a dominance rule and closed by a leaf check.
-A child for symbol ``c'`` is skipped when another symbol ``c`` occurs next
-strictly before ``c'`` in every sequence, since ``c`` then fits in front of
-``c'`` in any continuation.  A node with no extension is kept iff no common
-symbol fits any of its inner gaps.  :func:`common_subsequences` (every common
+:func:`core` interns the symbols of the listed sequences once through a
+:class:`~trajcore.graph.Symbols` table, builds the minimal DAG of their
+distinct words (:func:`~trajcore.graph.sequence_graph`) and mines it with
+the same maximal-subsequence search as the support graph of an MDP (see
+:mod:`trajcore.graph`).  :func:`common_subsequences` (every common
 subsequence) and :func:`maximal_elements` are the exhaustive reference, and
 :func:`brute_force_core` is a deliberately independent oracle built on raw
 power-set enumeration; both cross-check the fast path.
@@ -23,8 +20,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
-from math import inf
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -33,12 +29,16 @@ from .errors import (
     OracleScaleError,
     UnmappedSymbol,
 )
+from .graph import (
+    DEFAULT_SEQ_BUDGET,
+    CoreSet,
+    Symbol,
+    Symbols,
+    SymbolSeq,
+    canonical_member_order,
+    sequence_graph,
+)
 from .mdp import TERMINAL, SuccessSet, Trajectory
-
-Symbol = Union[tuple[int, int], str]
-SymbolSeq = tuple[Symbol, ...]
-
-DEFAULT_SEQ_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -99,36 +99,6 @@ class Abstraction:
 
 
 IDENTITY = Abstraction()
-
-
-@dataclass(frozen=True)
-class CoreSet:
-    """Maximal common subsequences of a family of sequences.
-
-    Members are nonempty, canonically ordered (length-descending, then
-    lexicographic).  An empty ``members`` tuple means the inputs share no
-    nonempty common structure.
-    """
-
-    members: tuple[SymbolSeq, ...]
-    alphabet_tag: str = "identity"
-    strip_terminal_applied: bool = False
-
-    def __iter__(self) -> Iterator[SymbolSeq]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, seq) -> bool:
-        return tuple(seq) in set(self.members)
-
-    def max_length(self) -> int:
-        return max((len(m) for m in self.members), default=0)
-
-
-def canonical_member_order(members: Iterable[SymbolSeq]) -> tuple[SymbolSeq, ...]:
-    return tuple(sorted(set(members), key=lambda m: (-len(m), m)))
 
 
 def is_subsequence(u: Sequence, v: Sequence) -> bool:
@@ -270,122 +240,6 @@ def maximal_elements(commons: Iterable[SymbolSeq]) -> set[SymbolSeq]:
     return maximal
 
 
-def maximal_common_subsequences(
-    seqs: Sequence[Sequence], budget: int = DEFAULT_SEQ_BUDGET
-) -> set[SymbolSeq]:
-    """Exact set of maximal common subsequences of all ``seqs``.
-
-    Equals ``maximal_elements(common_subsequences(seqs))`` (so ``{()}`` when
-    the sequences share no symbol), found without listing every common
-    subsequence.  The search walks the same leftmost-occurrence tree as
-    :func:`common_subsequences`, over the symbols common to every sequence.
-    At each node, the child for ``c'`` is skipped when some ``c`` occurs
-    next strictly before ``c'`` in every sequence: ``c`` then fits in front
-    of ``c'`` in any continuation, so no node below that child is maximal.
-    A node with no extension is kept iff no common symbol fits any inner gap
-    (:func:`_no_gap_fits`); a node with one is never maximal.  Raises
-    :class:`BudgetExceeded` once the search visits more than ``budget``
-    nodes.  Each visited node is a distinct common subsequence, so this
-    trips only where :func:`common_subsequences` would trip too.
-    """
-    if not seqs:
-        raise ValueError("need at least one sequence")
-    seqs = [tuple(s) for s in seqs]
-    alphabet = set(seqs[0])
-    for seq in seqs[1:]:
-        alphabet.intersection_update(seq)
-    # index[c][j]: the positions of symbol c in sequence j
-    index = {
-        c: [[pos for pos, sym in enumerate(seq) if sym == c] for seq in seqs]
-        for c in alphabet
-    }
-
-    found: set[SymbolSeq] = set()
-    visited = 0
-    stack: list[tuple[tuple[int, ...], SymbolSeq]] = [((0,) * len(seqs), ())]
-    while stack:
-        pointers, prefix = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceeded(budget, visited)
-        # (symbol, its next position in each sequence) for every extension
-        nexts = []
-        for c, occurrences in index.items():
-            at = []
-            for positions, ptr in zip(occurrences, pointers):
-                k = bisect_left(positions, ptr)
-                if k == len(positions):
-                    break
-                at.append(positions[k])
-            else:
-                nexts.append((c, at))
-        if not nexts:
-            if _no_gap_fits(prefix, index, len(seqs)):
-                found.add(prefix)
-            continue
-        for c, at in nexts:
-            if not any(all(p < q for p, q in zip(other, at)) for _, other in nexts):
-                stack.append((tuple(p + 1 for p in at), prefix + (c,)))
-    return found
-
-
-def _no_gap_fits(u: SymbolSeq, index: Mapping, num_seqs: int) -> bool:
-    """True iff no symbol of ``index`` can be inserted before any ``u[i]``.
-
-    In sequence ``j``, a symbol fits before ``u[i]`` iff it occurs at or
-    after the end of the leftmost embedding of ``u[:i]`` and before the
-    start of the rightmost embedding of ``u[i:]``.  The candidates of each
-    gap narrow sequence by sequence, so the check stops as soon as every
-    gap has none left.
-    """
-    gaps = {i: set(index) for i in range(len(u))}
-    for j in range(num_seqs):
-        if not gaps:
-            break
-        starts, ptr = [], 0
-        for c in u:
-            starts.append(ptr)
-            positions = index[c][j]
-            ptr = positions[bisect_left(positions, ptr)] + 1
-        ends, ptr = [], inf
-        for c in reversed(u):
-            positions = index[c][j]
-            ptr = positions[bisect_left(positions, ptr) - 1]
-            ends.append(ptr)
-        ends.reverse()
-        for i in list(gaps):
-            fits = set()
-            for c in gaps[i]:
-                positions = index[c][j]
-                k = bisect_left(positions, starts[i])
-                if k < len(positions) and positions[k] < ends[i]:
-                    fits.add(c)
-            if fits:
-                gaps[i] = fits
-            else:
-                del gaps[i]
-    return not gaps
-
-
-def _prepare_sequences(
-    successes: SuccessSet | Iterable, phi: Abstraction, strip_terminal: bool
-) -> list[SymbolSeq]:
-    """Abstract, deduplicate and optionally strip terminals, in sorted order."""
-    if isinstance(successes, SuccessSet):
-        items: Iterable = successes.trajectories
-    else:
-        items = list(successes)
-    seqs = {apply_abstraction(item, phi) for item in items}
-    if not seqs:
-        raise EmptySuccessSet("core is undefined over zero successes")
-    if strip_terminal:
-        seqs = {
-            tuple(sym for sym in seq if not phi.is_terminal_symbol(sym)) for seq in seqs
-        }
-    # the core is a set-level function: duplicates cannot change it
-    return sorted(seqs)
-
-
 def core(
     successes: SuccessSet | Iterable,
     phi: Abstraction = IDENTITY,
@@ -397,18 +251,16 @@ def core(
     Accepts a :class:`SuccessSet` or any iterable of trajectories / raw symbol
     sequences.  With ``strip_terminal``, terminal symbols are removed before
     mining, matching the "ignore the trivial goal symbol" reading.  Mining is
-    the dominance-pruned search of :func:`maximal_common_subsequences`;
-    ``budget`` bounds the nodes it visits (see :class:`BudgetExceeded`).
+    the search of :func:`trajcore.graph._maximal_words` on the sequence graph
+    of the distinct words; ``budget`` bounds the nodes it visits (see
+    :class:`BudgetExceeded`).
     """
-    members = maximal_common_subsequences(
-        _prepare_sequences(successes, phi, strip_terminal), budget=budget
-    )
-    return CoreSet(
-        # the empty sequence is common to every family; it is never a member
-        members=canonical_member_order(m for m in members if m),
-        alphabet_tag=phi.label,
-        strip_terminal_applied=strip_terminal,
-    )
+    symbols = Symbols(phi, strip_terminal)
+    # the core is a set-level function: duplicates cannot change it
+    words = {
+        symbols.word(item.pairs() if isinstance(item, Trajectory) else item) for item in successes
+    }
+    return sequence_graph(sorted(words), symbols).core(budget)
 
 
 def core_nonempty_witness(
@@ -462,7 +314,11 @@ def brute_force_core(
     keeps those embedding in every other sequence, then keeps the maximal
     ones by pairwise checks.  Only valid at small scale.
     """
-    seqs = _prepare_sequences(successes, phi, strip_terminal)
+    seqs = {apply_abstraction(item, phi) for item in successes}
+    if not seqs:
+        raise EmptySuccessSet("core is undefined over zero successes")
+    if strip_terminal:
+        seqs = {tuple(sym for sym in seq if not phi.is_terminal_symbol(sym)) for seq in seqs}
     if len(seqs) > 6:
         raise OracleScaleError(f"oracle supports at most 6 sequences, got {len(seqs)}")
     longest = max(len(s) for s in seqs)

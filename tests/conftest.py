@@ -6,6 +6,7 @@ import pytest
 
 from trajcore import (
     IDENTITY,
+    CoreSet,
     DriftReport,
     DriftStep,
     MarkovGame,
@@ -15,7 +16,7 @@ from trajcore import (
     TabularMDP,
     Trajectory,
     apply_abstraction,
-    core,
+    common_subsequences,
     enumerate_successes,
     formats,
     induce_mdp,
@@ -23,6 +24,7 @@ from trajcore import (
     uniform_peer,
     variation_budget,
 )
+from trajcore.mining import canonical_member_order, maximal_elements
 
 
 @pytest.fixture
@@ -74,6 +76,20 @@ def oracle_enumerate(mdp: TabularMDP) -> SuccessSet:
     return SuccessSet.from_iterable(successes)
 
 
+def oracle_core(successes, phi=IDENTITY, strip_terminal: bool = False) -> CoreSet:
+    """``core`` by exhaustive listing, independent of the graph search.
+
+    The maximal elements of every common subsequence of the
+    ``apply_abstraction`` images, with terminal symbols stripped after
+    runs collapse.
+    """
+    images = {apply_abstraction(traj, phi) for traj in successes}
+    if strip_terminal:
+        images = {tuple(x for x in image if not phi.is_terminal_symbol(x)) for image in images}
+    maximal = maximal_elements(common_subsequences(sorted(images)))
+    return CoreSet(canonical_member_order(maximal - {()}), phi.label, strip_terminal)
+
+
 def oracle_witness(member, successes: SuccessSet, phi=IDENTITY):
     """The list scan for a drift witness, independent of the graph walk.
 
@@ -88,11 +104,11 @@ def oracle_witness(member, successes: SuccessSet, phi=IDENTITY):
 
 
 def oracle_drift_report(seq, phi=IDENTITY, strip_terminal: bool = False) -> DriftReport:
-    """``drift_report`` composed from listed successes: enumerate, list ``core`` and ``oracle_witness``."""
+    """``drift_report`` composed from listed successes: enumerate, ``oracle_core`` and ``oracle_witness``."""
     successes = [enumerate_successes(mdp) for mdp in seq.induced]
-    cores = [core(s, phi, strip_terminal) if len(s) else None for s in successes]
+    cores = [oracle_core(s, phi, strip_terminal) if len(s) else None for s in successes]
     full = enumerate_successes(induce_mdp(seq.game, uniform_peer(seq.game)))
-    individual = core(full, phi, strip_terminal) if len(full) else None
+    individual = oracle_core(full, phi, strip_terminal) if len(full) else None
 
     def changes(lost, kept, other):
         found = []
@@ -108,8 +124,8 @@ def oracle_drift_report(seq, phi=IDENTITY, strip_terminal: bool = False) -> Drif
         if core_a is None or core_b is None:
             steps.append(DriftStep(index, None, None, (), (), None))
             continue
-        common = core(successes[index - 1].trajectories + successes[index].trajectories,
-                      phi, strip_terminal)
+        common = oracle_core(successes[index - 1].trajectories + successes[index].trajectories,
+                             phi, strip_terminal)
         contained = None if individual is None else all(
             any(is_subsequence(member, big) for big in individual.members)
             for member in common.members

@@ -338,8 +338,8 @@ def test_drift_path_validates_each_induced_mdp_once(monkeypatch):
     calls = count_calls(monkeypatch, "validate_mdp")
     seq = EpisodeSequence.from_schedule(game, schedule)
     drift_report(seq)
-    # one per episode plus two for the individual core (in induce_mdp, then before its graph)
-    assert len(calls) == seq.num_episodes + 2
+    # one per episode plus one for the individual core, before its graph is built
+    assert len(calls) == seq.num_episodes + 1
 
 
 def test_certified_change_without_witness_is_a_consistency_error(chain_mdp):

@@ -1,4 +1,4 @@
-"""The support graph against the list path: cores, counts, budgets, witnesses and drift."""
+"""The support graph against the list path and the oracles: cores, counts, budgets, witnesses, drift."""
 import json
 import time
 from dataclasses import replace
@@ -33,7 +33,14 @@ from trajcore.envs import DEFAULT_COOP
 from trajcore.graph import Symbols, build_graph
 from trajcore.mdp import DEFAULT_NODE_BUDGET
 
-from conftest import count_calls, oracle_drift_report, oracle_witness, sparse_game, sparse_peer
+from conftest import (
+    count_calls,
+    oracle_core,
+    oracle_drift_report,
+    oracle_witness,
+    sparse_game,
+    sparse_peer,
+)
 
 
 def _abstractions(mdp, rng) -> list[Abstraction]:
@@ -76,8 +83,10 @@ def test_graph_core_count_and_budget_equal_the_list_path(seed, support_size):
         for strip in (False, True):
             graph = build_graph(mdp, Symbols(phi, strip))
             assert graph.num_successes() == len(successes)
-            assert graph.core() == core(successes, phi, strip)
-            # both searches visit the same tree, so they trip at the same count
+            expected = oracle_core(successes, phi, strip)
+            assert graph.core() == core(successes, phi, strip) == expected
+            # the support graph and the sequence graph of the listed successes
+            # are two graphs of one word set: the search visits the same tree
             size = _search_size(graph.core)
             with pytest.raises(BudgetExceeded) as tripped:
                 core(successes, phi, strip, budget=size - 1)

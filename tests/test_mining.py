@@ -22,11 +22,7 @@ from trajcore import (
     is_subsequence,
     lcs_pair,
 )
-from trajcore.mining import (
-    canonical_member_order,
-    maximal_common_subsequences,
-    maximal_elements,
-)
+from trajcore.mining import canonical_member_order, maximal_elements
 
 symbols = st.sampled_from("abcd")
 seqs = st.lists(symbols, min_size=0, max_size=8).map(tuple)
@@ -283,7 +279,6 @@ wide_families = st.integers(2, 4).flatmap(
 @given(wide_families)
 def test_pruned_search_equals_exhaustive_maximal_elements(family):
     exhaustive = maximal_elements(common_subsequences(family))
-    assert maximal_common_subsequences(family) == exhaustive
     assert core(family).members == canonical_member_order(exhaustive - {()})
 
 
@@ -334,9 +329,27 @@ def test_core_budget_counts_visited_search_nodes():
 
 
 def test_pruned_search_of_disjoint_or_empty_sequences_is_the_empty_sequence():
-    assert maximal_common_subsequences([tuple("ab"), tuple("cd")]) == {()}
-    assert maximal_common_subsequences([tuple("ab"), ()]) == {()}
     assert core([tuple("ab"), tuple("cd")]).members == ()
+    assert core([tuple("ab"), ()]).members == ()
+    assert core([(), ()]).members == ()
+
+
+def test_core_maps_each_distinct_pair_once(chain_mdp, monkeypatch):
+    successes = enumerate_successes(chain_mdp)
+    pairs = {pair for traj in successes for pair in traj.pairs()}
+    phi = Abstraction(mapping={pair: "T" if pair[1] == TERMINAL else "x" for pair in pairs})
+    image, seen = Abstraction.image, []
+    monkeypatch.setattr(Abstraction, "image", lambda self, pair: seen.append(pair) or image(self, pair))
+    assert core(successes, phi, strip_terminal=True).members == (("x", "x"),)
+    assert sorted(seen) == sorted(pairs)
+
+
+def test_core_of_a_long_family_is_built_without_recursion():
+    # the sequence graph is built with an explicit stack: a 1,200-symbol word
+    # is far past Python's default recursion limit of 1,000 frames
+    rng = random.Random(3)
+    seq = tuple(rng.choice("abcd") for _ in range(1200))
+    assert core([seq, seq]).members == (seq,)
 
 
 def test_leaf_check_rejects_a_leaf_with_an_open_inner_gap():
@@ -344,7 +357,7 @@ def test_leaf_check_rejects_a_leaf_with_an_open_inner_gap():
     # dominates (it occurs later than "b" in the second sequence), yet "a"
     # fits before it in both; only the gap check drops it
     family = [tuple("aab"), tuple("bab")]
-    assert maximal_common_subsequences(family) == {tuple("ab")}
+    assert core(family).members == (tuple("ab"),)
 
 
 def test_shared_symbol_appears_in_some_member():
