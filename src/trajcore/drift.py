@@ -14,12 +14,13 @@ induced by the full-support uniform peer policy, i.e. the structure that
 survives every peer behavior the joint dynamics support; this definition is
 echoed in every report.
 
-Nothing here lists successes.  Each episode is mined on its support graph
-(:mod:`trajcore.graph`), built and mined once per distinct support signature
-within one call; a step mines the union of its two graphs, and a witness is
-found by a walk over the other episode's graph.  ``node_budget`` bounds the
-(state, t) nodes of each support graph, so it is never above S·H, and
-``seq_budget`` the nodes of each maximal-subsequence search.
+Nothing here lists successes.  Each episode, and the uniform peer's MDP, is
+mined on its support graph (:mod:`trajcore.graph`), built and mined once per
+distinct support signature within one call; a step mines the union of its
+two graphs, and a witness is found by a walk over the other episode's
+graph.  ``node_budget`` bounds the (state, t) nodes of each support graph,
+so it is never above S·H, and ``seq_budget`` the nodes of each
+maximal-subsequence search.
 """
 from __future__ import annotations
 
@@ -248,10 +249,13 @@ def individual_core(
     kernel support is the union of the supports induced by every possible
     peer policy.
     """
+    return _individual(game, _Mined(phi, strip_terminal, node_budget, seq_budget))
+
+
+def _individual(game: MarkovGame, mined: _Mined) -> CoreSet:
+    """:func:`individual_core` in ``mined``, which reuses the graph of an equal signature."""
     validate_game(game)
-    full = _fold_peer(game, uniform_peer(game))
-    mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
-    found = mined.cores[mined.episode(full)]
+    found = mined.cores[mined.episode(_fold_peer(game, uniform_peer(game)))]
     if found is None:
         raise EmptySuccessSet("no trajectory succeeds under any peer behavior")
     return found
@@ -314,13 +318,7 @@ def drift_report(
     keys = [mined.episode(mdp) for mdp in seq.induced]
 
     try:
-        individual = individual_core(
-            seq.game,
-            phi=phi,
-            strip_terminal=strip_terminal,
-            node_budget=node_budget,
-            seq_budget=seq_budget,
-        )
+        individual = _individual(seq.game, mined)
     except EmptySuccessSet:
         individual = None
 

@@ -8,14 +8,15 @@ accept node for the terminal pseudo-pair.  The graph has at most S·H such
 nodes however many successes it holds, and it is all that the core, the
 drift witnesses and the success count depend on.  A listed family of
 sequences is held by its sequence graph (:func:`sequence_graph`): the
-minimal DAG whose root-to-accept paths spell its distinct words.
+minimal DAG whose root-to-accept paths spell its distinct words, which
+:meth:`Symbols.words` prepares with one dict pass per sequence.
 
 Edges carry small int symbol ids from a :class:`Symbols` table, which puts
 each distinct pair through the abstraction once.  Under ``collapse_runs`` a
 node also carries the symbol of the edge that entered it, and an edge that
 repeats that symbol is an ε-edge (no symbol); so is an edge whose symbol
 ``strip_terminal`` removes.  Runs collapse before terminal symbols are
-stripped, as :meth:`Symbols.word` does for a listed sequence.  The symbols
+stripped, as :meth:`Symbols.words` does for listed sequences.  The symbols
 along a root-to-accept path are then exactly the word of that success, so
 :meth:`SuccessGraph.core` equals ``core(enumerate_successes(mdp), phi,
 strip_terminal)``.
@@ -57,7 +58,7 @@ from .mdp import (
     TabularMDP,
     Trajectory,
     _goal_distances,
-    _support_lists,
+    _positive_rows,
 )
 
 if TYPE_CHECKING:
@@ -107,9 +108,9 @@ class Symbols:
     """Symbol ids shared by the graphs of one analysis.
 
     Each distinct pair goes through ``phi`` once, so an unmapped pair raises
-    :class:`~trajcore.errors.UnmappedSymbol` when the first graph or word
-    that holds it is built.  ``stripped[i]`` tells whether ``strip_terminal``
-    removes symbol ``i``.
+    :class:`~trajcore.errors.UnmappedSymbol` when the first graph that holds
+    it is built, or, for listed sequences, when :meth:`words` reaches it.
+    ``stripped[i]`` tells whether ``strip_terminal`` removes symbol ``i``.
     """
 
     def __init__(self, phi: Abstraction, strip_terminal: bool):
@@ -140,12 +141,32 @@ class Symbols:
         """The label of an edge with symbol ``sid`` leaving a node entered by ``last``."""
         return EPS if self.stripped[sid] or sid == last else sid
 
-    def word(self, seq) -> tuple[int, ...]:
-        """The symbol ids of a listed sequence, with the ids that :meth:`label` makes ε dropped."""
+    def words(self, items) -> list[tuple[int, ...]]:
+        """The sorted distinct words of listed sequences or trajectories.
+
+        A word is the symbol ids of a sequence with the ids that :meth:`label`
+        makes ε dropped.  A sequence whose items are all known is mapped by
+        one dict pass; any other goes through :meth:`of` item by item, so
+        each distinct item meets ``phi`` once, in iteration order.
+        """
+        known = self._items.__getitem__
+        raw = set()
+        for item in items:
+            seq = item.pairs() if isinstance(item, Trajectory) else item
+            if not isinstance(seq, tuple):
+                seq = tuple(seq)  # a failed pass must not have consumed it
+            try:
+                raw.add(tuple(map(known, seq)))
+            except (KeyError, TypeError):  # an item not seen yet, or a list
+                raw.add(tuple(map(self.of, seq)))
+        if self.phi.collapse_runs or any(self.stripped):
+            raw = {self._drop_eps(ids) for ids in raw}
+        return sorted(raw)
+
+    def _drop_eps(self, ids: tuple[int, ...]) -> tuple[int, ...]:
         collapse = self.phi.collapse_runs
         out, last = [], None
-        for item in seq:
-            sid = self.of(item)
+        for sid in ids:
             if self.label(sid, last) != EPS:
                 out.append(sid)
             if collapse:
@@ -188,7 +209,8 @@ def _pruned_steps(mdp: TabularMDP, node_budget: int):
     gives the nodes counted up to the layer that crossed the budget and the
     count of the whole graph.
     """
-    supports = _support_lists(mdp)
+    targets, offsets = _positive_rows(mdp)
+    width = mdp.num_actions
     dist = _goal_distances(mdp).tolist()
     horizon, goals = mdp.horizon, mdp.goals
     seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
@@ -203,7 +225,13 @@ def _pruned_steps(mdp: TabularMDP, node_budget: int):
         for s in layer:
             if s in goals:
                 continue
-            out = [(a, m) for a, succ in enumerate(supports[s]) for m in succ if dist[m] <= slack]
+            row = s * width
+            out = [
+                (a, m)
+                for a in range(width)
+                for m in targets[offsets[row + a] : offsets[row + a + 1]]
+                if dist[m] <= slack
+            ]
             steps[(s, t)] = out
             following.update(m for _, m in out)
         layer, t = sorted(following), t + 1

@@ -535,13 +535,22 @@ def enumerate_successes(
     return SuccessSet.from_iterable(found)
 
 
-def _support_lists(mdp: TabularMDP) -> list[list[tuple[int, ...]]]:
-    """``supports[s][a] == mdp.support(s, a)`` for every pair, in one pass over the rows."""
+def _positive_rows(mdp: TabularMDP) -> tuple[list[int], list[int]]:
+    """The targets of the positive kernel entries, and where each row's run of them starts.
+
+    Row ``r = s * num_actions + a`` holds ``mdp.support(s, a)`` as
+    ``targets[offsets[r]:offsets[r + 1]]``.
+    """
     kernel = mdp.rows
     positive = kernel.probs > 0
-    targets = kernel.targets[positive].tolist()
-    ends = np.cumsum(np.bincount(kernel.entry_rows()[positive], minlength=kernel.num_rows)).tolist()
-    rows = [tuple(targets[start:end]) for start, end in zip([0] + ends, ends)]
+    counts = np.bincount(kernel.entry_rows()[positive], minlength=kernel.num_rows)
+    return kernel.targets[positive].tolist(), [0] + np.cumsum(counts).tolist()
+
+
+def _support_lists(mdp: TabularMDP) -> list[list[tuple[int, ...]]]:
+    """``supports[s][a] == mdp.support(s, a)`` for every pair, in one pass over the rows."""
+    targets, offsets = _positive_rows(mdp)
+    rows = [tuple(targets[start:end]) for start, end in zip(offsets, offsets[1:])]
     width = mdp.num_actions
     return [rows[s * width : (s + 1) * width] for s in range(mdp.num_states)]
 

@@ -5,8 +5,9 @@ Symbols are plain hashable values: concrete ``(state, action)`` pairs
 a tuple of symbols.  Mixing the two alphabets inside one computation is never
 meaningful and is not supported.
 
-:func:`core` interns the symbols of the listed sequences once through a
-:class:`~trajcore.graph.Symbols` table, builds the minimal DAG of their
+:func:`core` interns the listed sequences through a
+:class:`~trajcore.graph.Symbols` table, one dict pass per sequence
+(:meth:`~trajcore.graph.Symbols.words`), builds the minimal DAG of their
 distinct words (:func:`~trajcore.graph.sequence_graph`) and mines it with
 the same maximal-subsequence search as the support graph of an MDP (see
 :mod:`trajcore.graph`).  :func:`common_subsequences` (every common
@@ -256,11 +257,7 @@ def core(
     :class:`BudgetExceeded`).
     """
     symbols = Symbols(phi, strip_terminal)
-    # the core is a set-level function: duplicates cannot change it
-    words = {
-        symbols.word(item.pairs() if isinstance(item, Trajectory) else item) for item in successes
-    }
-    return sequence_graph(sorted(words), symbols).core(budget)
+    return sequence_graph(symbols.words(successes), symbols).core(budget)
 
 
 def core_nonempty_witness(

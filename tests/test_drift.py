@@ -23,6 +23,7 @@ from trajcore import (
     episode_cores,
     game_from_mdp,
     individual_core,
+    induce_mdp,
     is_subsequence,
     kernel_distance,
     reward_distance,
@@ -326,9 +327,24 @@ def test_drift_report_builds_one_graph_per_signature_and_enumerates_nothing(monk
     report = drift_report(seq)
     signatures = {support_signature(mdp) for mdp in seq.induced}
     assert len(signatures) == 2
-    # one per distinct signature plus one for the individual core
-    assert enumerated == [] and len(built) == len(signatures) + 1
+    # one per distinct signature: the full-support peers induce the uniform
+    # peer's support, so the individual core reuses their graph
+    assert support_signature(seq.induced[0]) == support_signature(
+        induce_mdp(game, uniform_peer(game))
+    )
+    assert enumerated == [] and len(built) == len(signatures)
     assert report == expected == oracle_drift_report(seq)
+
+
+def test_drift_report_mines_the_uniform_peer_with_the_episodes(monkeypatch):
+    rng = np.random.default_rng(11)
+    game = sparse_game(rng)
+    seq = EpisodeSequence.from_schedule(game, [uniform_peer(game)] * 3)
+    built = count_calls(monkeypatch, "build_graph")
+    report = drift_report(seq)
+    assert len(built) == 1
+    assert report.individual is not None
+    assert report == oracle_drift_report(seq)
 
 
 def test_drift_path_validates_each_induced_mdp_once(monkeypatch):

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,8 @@ from trajcore import (
     lcs_pair,
 )
 from trajcore.mining import canonical_member_order, maximal_elements
+
+from conftest import oracle_core
 
 symbols = st.sampled_from("abcd")
 seqs = st.lists(symbols, min_size=0, max_size=8).map(tuple)
@@ -342,6 +345,71 @@ def test_core_maps_each_distinct_pair_once(chain_mdp, monkeypatch):
     monkeypatch.setattr(Abstraction, "image", lambda self, pair: seen.append(pair) or image(self, pair))
     assert core(successes, phi, strip_terminal=True).members == (("x", "x"),)
     assert sorted(seen) == sorted(pairs)
+
+
+# Every way a listed family may hold a sequence of pairs; each call makes
+# fresh objects, so a generator can be read once by core and once by the oracle.
+PAIR_FORMS = {
+    "tuple": lambda seq: tuple(seq),
+    "list": lambda seq: [list(pair) for pair in seq],
+    "generator": lambda seq: (pair for pair in seq),
+    "numpy": lambda seq: tuple((np.int64(s), np.int64(a)) for s, a in seq),
+    "trajectory": lambda seq: Trajectory.from_pairs(seq),
+}
+STRING_FORMS = {
+    "str": lambda seq: "".join(seq),
+    "tuple": lambda seq: tuple(seq),
+    "list": lambda seq: list(seq),
+    "generator": lambda seq: (x for x in seq),
+}
+_PAIRS = [(s, a) for s in range(3) for a in (0, 1)] + [(s, TERMINAL) for s in range(3)]
+# few names, so runs of equal names are common under collapse_runs
+_NAMES = {pair: "T" if pair[1] == TERMINAL else "xy"[sum(pair) % 2] for pair in _PAIRS}
+PHIS = [
+    Abstraction(),
+    Abstraction(mapping=_NAMES),
+    Abstraction(mapping=_NAMES, collapse_runs=True, label="collapsed"),
+]
+
+
+def _family(specs, forms):
+    return [forms[form](seq) for form, seq in specs]
+
+
+pair_specs = st.lists(
+    st.tuples(st.sampled_from(sorted(PAIR_FORMS)), st.lists(st.sampled_from(_PAIRS), max_size=7)),
+    min_size=1,
+    max_size=6,
+)
+string_specs = st.lists(
+    st.tuples(st.sampled_from(sorted(STRING_FORMS)), st.lists(st.sampled_from("abc"), max_size=7)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair_specs, st.sampled_from(PHIS), st.booleans())
+def test_core_of_a_mixed_family_equals_the_oracle(specs, phi, strip):
+    mined = core(_family(specs, PAIR_FORMS), phi, strip_terminal=strip)
+    assert mined == oracle_core(_family(specs, PAIR_FORMS), phi, strip)
+
+
+@settings(max_examples=60, deadline=None)
+@given(string_specs, st.booleans())
+def test_core_of_a_mixed_family_of_raw_strings_equals_the_oracle(specs, strip):
+    mined = core(_family(specs, STRING_FORMS), strip_terminal=strip)
+    assert mined == oracle_core(_family(specs, STRING_FORMS), strip_terminal=strip)
+
+
+@pytest.mark.parametrize("form", sorted(PAIR_FORMS))
+def test_core_raises_at_the_first_unmapped_pair_of_a_later_sequence(form):
+    phi = Abstraction(mapping={(0, 0): "a", (0, 1): "b", (1, 0): "c"})
+    known = ((0, 0), (0, 1), (1, 0))
+    family = [known, known[::-1], ((0, 1), (1, 0), (2, 1), (0, 0), (3, 0))]
+    with pytest.raises(UnmappedSymbol) as info:
+        core([PAIR_FORMS[form](seq) for seq in family], phi)
+    assert info.value.pair == (2, 1)
 
 
 def test_core_of_a_long_family_is_built_without_recursion():
