@@ -270,10 +270,25 @@ def cmd_oracle_check(args, inputs):
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse ``type`` that accepts an integer ``>= low``, so anything else is a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_budget(parser):
     parser.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(1),
         default=None,
         help=f"search budget guard override (default from ${BUDGET_ENV} or built-in)",
     )
@@ -346,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("oracle-check", help="compare fast core mining against the oracle")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_budget(p)
     _add_out(p)

@@ -1,15 +1,17 @@
 """The labelled DAGs that hold a success set, and the core mined on them.
 
 Every success of a :class:`~trajcore.mdp.TabularMDP` is a path through its
-support graph: a node per (state, t) that the pruned search of
-:func:`~trajcore.mdp.enumerate_successes` can visit, an edge per (action,
-next state) of the kernel support, and an edge from each goal node to one
-accept node for the terminal pseudo-pair.  The graph has at most S·H such
-nodes however many successes it holds, and it is all that the core, the
-drift witnesses and the success count depend on.  A listed family of
-sequences is held by its sequence graph (:func:`sequence_graph`): the
-minimal DAG whose root-to-accept paths spell its distinct words, which
-:meth:`Symbols.words` prepares with one dict pass per sequence.
+support graph.  Its nodes are the (state, t) of the pruned layered walk
+:func:`~trajcore.mdp._pruned_steps`, from which
+:func:`~trajcore.mdp.enumerate_successes` lists successes too.  Its edges
+are the (action, next state) steps of that walk, plus an edge from each
+goal node to one accept node for the terminal pseudo-pair.  The graph has
+at most S·H (state, t) nodes however many successes it holds, and it is all
+that the core, the drift witnesses and the success count depend on.  A
+listed family of sequences is held by its sequence graph
+(:func:`sequence_graph`): the minimal DAG whose root-to-accept paths spell
+its distinct words, which :meth:`Symbols.words` prepares with one dict pass
+per sequence.
 
 Edges carry small int symbol ids from a :class:`Symbols` table, which puts
 each distinct pair through the abstraction once.  Under ``collapse_runs`` a
@@ -57,8 +59,7 @@ from .mdp import (
     TERMINAL,
     TabularMDP,
     Trajectory,
-    _goal_distances,
-    _positive_rows,
+    _pruned_steps,
 )
 
 if TYPE_CHECKING:
@@ -199,56 +200,21 @@ def support_signature(mdp: TabularMDP) -> tuple:
     )
 
 
-def _pruned_steps(mdp: TabularMDP, node_budget: int):
-    """Root states and the (action, next state) steps of every non-goal (state, t) node.
-
-    The nodes are those of the pruned search of
-    :func:`~trajcore.mdp.enumerate_successes`: reachable from the initial
-    support, with a goal still reachable within the horizon.  Raises
-    :class:`ExplosionGuard` when they number more than ``node_budget``; it
-    gives the nodes counted up to the layer that crossed the budget and the
-    count of the whole graph.
-    """
-    targets, offsets = _positive_rows(mdp)
-    width = mdp.num_actions
-    dist = _goal_distances(mdp).tolist()
-    horizon, goals = mdp.horizon, mdp.goals
-    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
-    steps: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    layer, t = seeds, 1
-    total, visited = len(seeds), None
-    while layer:
-        if visited is None and total > node_budget:
-            visited = total
-        slack = horizon - t - 1
-        following: set[int] = set()
-        for s in layer:
-            if s in goals:
-                continue
-            row = s * width
-            out = [
-                (a, m)
-                for a in range(width)
-                for m in targets[offsets[row + a] : offsets[row + a + 1]]
-                if dist[m] <= slack
-            ]
-            steps[(s, t)] = out
-            following.update(m for _, m in out)
-        layer, t = sorted(following), t + 1
-        total += len(layer)
-    if visited is not None:
-        raise ExplosionGuard(node_budget, visited, total)
-    return seeds, steps
-
-
 def build_graph(
     mdp: TabularMDP, symbols: Symbols, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> "SuccessGraph":
     """The support graph of a validated ``mdp``, labelled from ``symbols``.
 
-    ``node_budget`` bounds its (state, t) nodes (see :func:`_pruned_steps`).
+    Its (state, t) nodes are those of :func:`~trajcore.mdp._pruned_steps`.
+    Raises :class:`ExplosionGuard` when they number more than
+    ``node_budget``, with ``visited`` the nodes of the layers up to the one
+    that crossed the budget and ``needed`` the node count of the graph.
     """
-    seeds, steps = _pruned_steps(mdp, node_budget)
+    seeds, steps, layers = _pruned_steps(mdp)
+    total = sum(layers)
+    if total > max(node_budget, 0):
+        visited = next(v for v in accumulate(layers) if v > node_budget)
+        raise ExplosionGuard(node_budget, visited, total)
     collapse = symbols.phi.collapse_runs
     keys: list = [None]  # (state, t, symbol that entered the node under collapse_runs)
     index: dict = {}
@@ -271,10 +237,10 @@ def build_graph(
             edges.append(((TERMINAL, ACCEPT, symbols.label(sid, last)),))
         else:
             row = []
-            for a, m in out:
-                sid = symbols.of((s, a))
+            for pair, m in out:
+                sid = symbols.of(pair)
                 target = node((m, t + 1, sid if collapse else None))
-                row.append((a, target, symbols.label(sid, last)))
+                row.append((pair[1], target, symbols.label(sid, last)))
             edges.append(tuple(row))
         n += 1
     return SuccessGraph(symbols, [-1] + [key[0] for key in keys[1:]], edges, roots)

@@ -13,6 +13,10 @@ Conventions used throughout the package:
   most ``horizon - 1`` real action steps).  The support of a distribution is
   its set of entries ``> 0``; the small negative entries that validation
   tolerates (down to ``-ROW_TOL``) are outside it.
+* The successes of an MDP are the root-to-goal paths of one layered graph
+  over (state, t), pruned to the nodes from which a goal is still reachable
+  within the horizon (:func:`_pruned_steps`).  :func:`enumerate_successes`
+  counts and lists its paths; :func:`trajcore.graph.build_graph` labels it.
 * Randomness comes from NumPy's PCG64 generator seeded explicitly, with
   categorical draws done by inverse-CDF on a single uniform, so rollouts are
   bit-reproducible for a fixed seed across platforms.
@@ -495,43 +499,36 @@ def enumerate_successes(
 
     The search is support-based: probability magnitudes are ignored beyond
     positive/non-positive, so the result depends only on the kernel support,
-    initial support, goals, and horizon.  The DFS expands only nodes that can
-    still reach a goal within the horizon (see :func:`_goal_distances`), so
-    every node it visits is a prefix of some success and ``node_budget``
-    counts prefixes of successes.  Raises :class:`ExplosionGuard` if the DFS
-    visits more than ``node_budget`` nodes; its ``needed`` field is the node
-    count of the full search.
+    initial support, goals, and horizon.  The successes are the root-to-goal
+    paths of the pruned layered graph of :func:`_pruned_steps`, so every
+    node of the search is a prefix of some success and ``node_budget``
+    counts prefixes of successes.  One forward pass counts them before any
+    is listed.  When they number more than ``max(node_budget, 0)``, it
+    raises :class:`ExplosionGuard` with ``visited`` one past that and
+    ``needed`` the node count of the full search, and lists nothing.
     """
     validate_mdp(mdp)
-    supports = _support_lists(mdp)
-    goals = mdp.goals
-    horizon = mdp.horizon
-    dist = _goal_distances(mdp).tolist()
-    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
+    seeds, steps, _ = _pruned_steps(mdp)
+    # root paths into each (state, t); steps holds its keys layer by layer,
+    # so a node's count is complete before its own steps are read
+    paths = dict.fromkeys([(s, 1) for s in seeds], 1)
+    for (s, t), out in steps.items():
+        count = paths[s, t]
+        for _, m in out:
+            paths[m, t + 1] = paths.get((m, t + 1), 0) + count
+    needed = sum(paths.values())
+    if needed > max(node_budget, 0):
+        raise ExplosionGuard(node_budget, max(node_budget, 0) + 1, needed)
     found: list[Trajectory] = []
-    visited = 0
-
-    # Iterative DFS; stack entries are (state, state_index, prefix of pairs).
-    # A node (state, t) is pushed only if t + dist[state] <= horizon, so a
-    # non-goal node always has t < horizon.
-    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [
-        (s, 1, ()) for s in reversed(seeds)
-    ]
+    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(s, 1, ()) for s in seeds]
     while stack:
-        state, t, prefix = stack.pop()
-        visited += 1
-        if visited > node_budget:
-            needed = _count_nodes(supports, goals, horizon, dist, seeds)
-            raise ExplosionGuard(node_budget, visited, needed)
-        if state in goals:
-            found.append(Trajectory(steps=prefix, terminal_state=state))
+        s, t, prefix = stack.pop()
+        out = steps.get((s, t))
+        if out is None:  # a goal
+            found.append(Trajectory(steps=prefix, terminal_state=s))
             continue
-        slack = horizon - t - 1
-        for a in range(mdp.num_actions - 1, -1, -1):
-            pair = (state, a)
-            for nxt in reversed(supports[state][a]):
-                if dist[nxt] <= slack:
-                    stack.append((nxt, t + 1, prefix + (pair,)))
+        for pair, m in out:
+            stack.append((m, t + 1, prefix + (pair,)))
     return SuccessSet.from_iterable(found)
 
 
@@ -545,14 +542,6 @@ def _positive_rows(mdp: TabularMDP) -> tuple[list[int], list[int]]:
     positive = kernel.probs > 0
     counts = np.bincount(kernel.entry_rows()[positive], minlength=kernel.num_rows)
     return kernel.targets[positive].tolist(), [0] + np.cumsum(counts).tolist()
-
-
-def _support_lists(mdp: TabularMDP) -> list[list[tuple[int, ...]]]:
-    """``supports[s][a] == mdp.support(s, a)`` for every pair, in one pass over the rows."""
-    targets, offsets = _positive_rows(mdp)
-    rows = [tuple(targets[start:end]) for start, end in zip(offsets, offsets[1:])]
-    width = mdp.num_actions
-    return [rows[s * width : (s + 1) * width] for s in range(mdp.num_states)]
 
 
 def _goal_distances(mdp: TabularMDP) -> np.ndarray:
@@ -582,26 +571,44 @@ def _goal_distances(mdp: TabularMDP) -> np.ndarray:
     return dist
 
 
-def _count_nodes(supports, goals, horizon: int, dist: list, seeds: list) -> int:
-    """Exact node count of the pruned DFS, by a forward count over (state, t).
+def _pruned_steps(mdp: TabularMDP):
+    """The layered support graph over (state, t) that holds every success.
 
-    Python ints, so the count cannot overflow however large it is.
+    Its nodes are the (state, t) that lie on some success: reachable from
+    the initial support, with a goal still reachable within the horizon
+    (see :func:`_goal_distances`).  Returns the root states at t = 1; the
+    ((state, action), next state) steps of every non-goal node, in ascending
+    (action, next state) order, keyed by (state, t) with the keys inserted
+    layer by layer; and the node count of each layer, goals included.  The
+    successes that share a step share its pair object.  Kernel supports are
+    read only for the nodes reached, from the rows of :func:`_positive_rows`.
     """
-    layer = {s: 1 for s in seeds}
-    total = len(seeds)
-    for t in range(1, horizon):
+    targets, offsets = _positive_rows(mdp)
+    width = mdp.num_actions
+    dist = _goal_distances(mdp).tolist()
+    horizon, goals = mdp.horizon, mdp.goals
+    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
+    steps: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    layers: list[int] = []
+    layer, t = seeds, 1
+    while layer:
+        layers.append(len(layer))
         slack = horizon - t - 1
-        following: dict[int, int] = {}
-        for state, paths in layer.items():
-            if state in goals:
+        following: set[int] = set()
+        for s in layer:
+            if s in goals:
                 continue
-            for successors in supports[state]:
-                for nxt in successors:
-                    if dist[nxt] <= slack:
-                        following[nxt] = following.get(nxt, 0) + paths
-        total += sum(following.values())
-        layer = following
-    return total
+            row = s * width
+            out = [
+                ((s, a), m)
+                for a in range(width)
+                for m in targets[offsets[row + a] : offsets[row + a + 1]]
+                if dist[m] <= slack
+            ]
+            steps[(s, t)] = out
+            following.update(m for _, m in out)
+        layer, t = sorted(following), t + 1
+    return seeds, steps, layers
 
 
 def goal_reachable(mdp: TabularMDP) -> bool:

@@ -50,7 +50,7 @@ def chain_mdp() -> TabularMDP:
 
 
 def oracle_enumerate(mdp: TabularMDP) -> SuccessSet:
-    """Generate-and-filter success enumeration, independent of the DFS path.
+    """Generate-and-filter success enumeration, independent of the pruned support graph.
 
     Enumerates every pair sequence of length <= horizon - 1 over the full
     S x A alphabet together with every candidate goal, then keeps the valid

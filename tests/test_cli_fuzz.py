@@ -154,9 +154,28 @@ def test_every_verb_maps_malformed_files_to_documented_exits(data):
 @settings(max_examples=20, deadline=None)
 @given(trials=st.integers(-2, 5), seed=st.integers(-(2**70), 2**70))
 def test_oracle_check_exits_are_documented(trials, seed):
-    code, err = _run(["oracle-check", "--trials", str(trials), "--seed", str(seed)], {})
-    assert code in DOCUMENTED_EXITS
+    argv = ["oracle-check", "--trials", str(trials), "--seed", str(seed)]
+    if trials < 0:  # a usage error, before any trial runs
+        with pytest.raises(SystemExit) as usage:
+            _run(argv, {})
+        assert usage.value.code == 2
+        return
+    code, err = _run(argv, {})
+    # the seed of a PCG64 generator must not be negative
+    assert code == (0 if seed >= 0 else 4)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+@pytest.mark.parametrize(
+    "verb", [["enumerate", "m.json"], ["mine", "m.json"], ["drift", "g.json", "s.json"], ["oracle-check"]],
+    ids=lambda verb: verb[0],
+)
+def test_a_budget_below_one_is_a_usage_error(verb, budget, capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(verb + ["--budget", budget])
+    assert usage.value.code == 2
+    assert f"argument --budget: must be at least 1, got {budget}" in capsys.readouterr().err
 
 
 def _with_literal(payload: dict, name: str, literal: str) -> bytes:

@@ -164,6 +164,15 @@ def test_node_budget_bounds_the_state_time_nodes_of_the_graph():
     assert len(nodes) - 1 < tripped.value.visited <= len(nodes)
     assert f"the full search needs {len(nodes)}" in str(tripped.value)
     build_graph(mdp, Symbols(IDENTITY, False), node_budget=len(nodes))
+    # a budget of 0 or less trips at the first layer, of one root state
+    for budget in [0, -1]:
+        with pytest.raises(ExplosionGuard) as tripped:
+            build_graph(mdp, Symbols(IDENTITY, False), node_budget=budget)
+        assert (tripped.value.budget, tripped.value.visited, tripped.value.needed) == (budget, 1, 20)
+    # with no success there is no node to count, whatever the budget
+    for budget in [0, -1]:
+        graph = build_graph(replace(mdp, horizon=1), Symbols(IDENTITY, False), node_budget=budget)
+        assert graph.num_successes() == 0
 
 
 def test_cli_mine_counts_successes_on_the_graph(tmp_path, capsys, monkeypatch):

@@ -17,17 +17,19 @@ from trajcore import (
     RowSumError,
     TabularMDP,
     Trajectory,
+    build_coop_keydoor,
     enumerate_successes,
     game_from_mdp,
     induce_mdp,
     is_successful,
     rollout,
+    uniform_peer,
     validate_game,
     validate_mdp,
     validate_peer,
 )
-from trajcore.envs import random_mdp
-from trajcore.mdp import _draw, _support_lists, goal_reachable
+from trajcore.envs import DEFAULT_COOP, random_mdp
+from trajcore.mdp import _draw, _positive_rows, goal_reachable
 
 from conftest import oracle_enumerate, random_game, random_peer, reweight_support
 
@@ -233,10 +235,34 @@ def test_enumerate_initial_inside_goal(chain_mdp):
     assert [t.pairs() for t in successes] == [((2, TERMINAL),)]
 
 
-def test_enumerate_explosion_guard():
+def test_enumerate_explosion_guard(chain_mdp):
     mdp = random_mdp(num_states=6, num_actions=3, horizon=6, seed=0, support_size=3)
-    with pytest.raises(ExplosionGuard):
-        enumerate_successes(mdp, node_budget=5)
+    # any budget below 1 trips at the first node
+    for budget, visited in [(5, 6), (0, 1), (-1, 1)]:
+        with pytest.raises(ExplosionGuard) as err:
+            enumerate_successes(mdp, node_budget=budget)
+        assert (err.value.budget, err.value.visited, err.value.needed) == (budget, visited, 8561)
+    # with no success there is no node to count, whatever the budget
+    for budget in [0, -1]:
+        assert len(enumerate_successes(replace(chain_mdp, horizon=2), node_budget=budget)) == 0
+
+
+def test_a_tripped_enumeration_guard_lists_nothing(monkeypatch):
+    cfg = replace(DEFAULT_COOP, corridor_length=5, key_pos=0, door_pos=2, goal_pos=3,
+                  start_pos=0, peer_start=1, horizon=12)
+    game, _, _ = build_coop_keydoor(cfg)
+    full = induce_mdp(game, uniform_peer(game))
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return Trajectory(*args, **kwargs)
+
+    monkeypatch.setattr("trajcore.mdp.Trajectory", counted)
+    with pytest.raises(ExplosionGuard) as err:
+        enumerate_successes(full, node_budget=10**6)
+    assert (err.value.budget, err.value.visited, err.value.needed) == (10**6, 10**6 + 1, 37_313_436)
+    assert made == []
 
 
 def _chain_with_dead_ends(chain_mdp, width: int) -> TabularMDP:
@@ -269,10 +295,14 @@ def test_node_budget_counts_only_prefixes_of_successes(chain_mdp):
     assert "the full search needs 6" in str(err.value)
     successes = enumerate_successes(mdp, node_budget=err.value.needed)
     assert {t.pairs() for t in successes} == CHAIN_SUCCESSES
+    for budget in [0, -1]:
+        with pytest.raises(ExplosionGuard) as err:
+            enumerate_successes(mdp, node_budget=budget)
+        assert (err.value.budget, err.value.visited, err.value.needed) == (budget, 1, 6)
 
 
 def _success_prefixes(successes) -> set:
-    """The DFS nodes of a search that visits only prefixes of successes."""
+    """The nodes of a search that visits only prefixes of successes."""
     return {
         (pairs[:i], pairs[i][0])
         for pairs in (t.pairs() for t in successes)
@@ -297,11 +327,44 @@ def test_guard_reports_the_exact_node_count_of_the_full_search():
     assert checked > 100
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_enumerate_matches_generate_and_filter_oracle(seed):
-    mdp = random_mdp(num_states=4, num_actions=2, horizon=4, seed=seed)
-    assert enumerate_successes(mdp).as_set() == oracle_enumerate(mdp).as_set()
+def _oracle_case(seed: int, horizon: int, support_size: int, goals: str) -> TabularMDP:
+    """A random 4-state MDP, with its goals changed as ``goals`` says."""
+    mdp = random_mdp(num_states=4, num_actions=2, horizon=4, seed=seed, support_size=support_size)
+    mdp = replace(mdp, horizon=horizon)
+    (goal,) = mdp.goals
+    start = mdp.initial_support()[0]
+    if goals == "two":  # a second goal, which need not be absorbing
+        other = int(np.random.default_rng(seed).integers(0, goal))
+        return replace(mdp, goals=frozenset({goal, other}), goal_absorbing=False)
+    if goals == "leaky":  # the goal moves on under action 0
+        kernel = np.array(mdp.kernel)
+        kernel[goal, 0] = 0.0
+        kernel[goal, 0, start] = 1.0
+        return replace(mdp, kernel=kernel, goal_absorbing=False)
+    if goals == "initial":  # the initial support holds the goal
+        initial = np.zeros(mdp.num_states)
+        initial[[start, goal]] = 0.5
+        return replace(mdp, initial=initial)
+    return mdp
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["one", "two", "leaky", "initial"]),
+)
+def test_enumerate_matches_generate_and_filter_oracle(seed, horizon, support_size, goals):
+    mdp = _oracle_case(seed, horizon, support_size, goals)
+    expected = oracle_enumerate(mdp)
+    # the node count of the search is the number of prefixes of the oracle's successes
+    needed = len(_success_prefixes(expected))
+    assert enumerate_successes(mdp, node_budget=max(needed, 1)).as_set() == expected.as_set()
+    if needed:
+        with pytest.raises(ExplosionGuard) as err:
+            enumerate_successes(mdp, node_budget=needed - 1)
+        assert err.value.needed == needed
 
 
 @settings(max_examples=25, deadline=None)
@@ -496,7 +559,7 @@ def test_entries_tolerated_below_zero_are_outside_the_support():
 
 
 @pytest.mark.parametrize("support_size", [1, 2, 4])
-def test_support_lists_equal_the_support_of_every_pair(support_size):
+def test_positive_rows_equal_the_support_of_every_pair(support_size):
     for seed in range(10):
         mdp = random_mdp(
             num_states=7, num_actions=3, horizon=5, seed=seed, support_size=support_size
@@ -504,10 +567,12 @@ def test_support_lists_equal_the_support_of_every_pair(support_size):
         kernel = mdp.kernel.copy()
         kernel[0, 0, -1] = -5e-10  # tolerated by validation, outside the support
         mdp = replace(mdp, kernel=kernel)
-        assert _support_lists(mdp) == [
-            [mdp.support(s, a) for a in range(mdp.num_actions)]
-            for s in range(mdp.num_states)
-        ]
+        targets, offsets = _positive_rows(mdp)
+        assert len(offsets) == mdp.num_states * mdp.num_actions + 1
+        for s in range(mdp.num_states):
+            for a in range(mdp.num_actions):
+                row = s * mdp.num_actions + a
+                assert tuple(targets[offsets[row] : offsets[row + 1]]) == mdp.support(s, a)
 
 
 def test_kernels_are_held_as_non_zero_rows_behind_a_dense_view(chain_mdp):
