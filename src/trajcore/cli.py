@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="compare fast core mining against the oracle")
     p.add_argument("--trials", type=_int_at_least(0), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_budget(p)
     _add_out(p)
     p.set_defaults(func=cmd_oracle_check)

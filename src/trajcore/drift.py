@@ -137,29 +137,43 @@ _BLOCK_ENTRIES = 1 << 20
 def _rows_distance(kernel: KernelRows, previous: KernelRows) -> float:
     """:func:`kernel_distance` of two kernels held as rows.
 
-    Rows whose entries are equal are 0 apart.  Only the rows that differ are
-    made dense, ``_BLOCK_ENTRIES`` entries at a time, and
-    :func:`kernel_distance` sums each of them as it sums a row of the whole
-    dense kernel, so the result is the same float.
+    The step is taken on the union of both kernels' stored (row, target)
+    keys; every other entry of ``|kernel - previous|`` is 0.  At a key
+    stored in both, the term is the float ``k - p`` of the dense
+    difference, and at a key stored in one it is ``k - 0`` or ``0 - p``.
+    A row with at most two non-zero terms sums to the float of the dense
+    row sum, whatever order NumPy adds its terms in, because adding 0
+    rounds nothing and ``a + b`` is the only other addition.  The order of
+    three or more terms can change their float sum, so those rows alone
+    are made dense, ``_BLOCK_ENTRIES`` entries at a time, and
+    :func:`kernel_distance` sums each of them as it sums a row of the
+    whole dense kernel.  The result is the same float.
     """
     if kernel.shape != previous.shape:
         raise DimensionMismatch(f"kernel shapes differ: {kernel.shape} vs {previous.shape}")
-    changed = np.diff(kernel.offsets) != np.diff(previous.offsets)
-    # in rows of equal length, compare the entries position by position
-    rows = kernel.entry_rows()
-    here = np.flatnonzero(~changed[rows])
-    there = here - kernel.offsets[rows[here]] + previous.offsets[rows[here]]
-    differ = (kernel.targets[here] != previous.targets[there]) | (
-        kernel.probs[here] != previous.probs[there]
-    )
-    changed[rows[here[differ]]] = True
-    which = np.flatnonzero(changed)
+    width = kernel.shape[-1]
+    here = kernel.entry_rows() * width + kernel.targets
+    there = previous.entry_rows() * width + previous.targets
+    # both key lists ascend without repeats, so a key is stored in the other at most once
+    at = np.searchsorted(here, there)
+    shared = at < len(here)
+    shared[shared] = here[at[shared]] == there[shared]
+    differences = kernel.probs.copy()
+    differences[at[shared]] -= previous.probs[shared]
+    keys = np.concatenate([here, there[~shared]])
+    terms = np.abs(np.concatenate([differences, previous.probs[~shared]]))
+    nonzero = terms != 0
+    rows, terms = keys[nonzero] // width, terms[nonzero]
+    counts = np.bincount(rows, minlength=kernel.num_rows)
+    few = counts[rows] <= 2
+    distance = float(np.bincount(rows[few], weights=terms[few]).max(initial=0.0))
+    many = np.flatnonzero(counts > 2)
     # a bounded number of dense rows at a time, whatever the number of states
-    step = max(1, _BLOCK_ENTRIES // max(kernel.shape[-1], 1))
-    return max(
-        kernel_distance(kernel.block(part), previous.block(part))
-        for part in np.split(which, range(step, len(which), step))
-    )
+    step = max(1, _BLOCK_ENTRIES // max(width, 1))
+    for start in range(0, len(many), step):
+        part = many[start : start + step]
+        distance = max(distance, kernel_distance(kernel.block(part), previous.block(part)))
+    return distance
 
 
 def reward_distance(reward: np.ndarray, previous: np.ndarray) -> float:

@@ -22,12 +22,16 @@ Conventions used throughout the package:
   bit-reproducible for a fixed seed across platforms.
 
 All container types are immutable after construction (arrays are marked
-read-only) and safe to share between threads.
+read-only) and safe to share between threads.  A game keeps the plan of its
+first peer fold (:func:`_plan_fold`).  The plan is read-only and built from
+the game's read-only fields alone, so no value the game reports changes, and
+threads that fold into one game at once build equal plans at worst.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -284,6 +288,11 @@ class MarkovGame:
         if any(g < 0 or g >= s for g in self.goals):
             raise DimensionMismatch(f"goal state out of range: {sorted(self.goals)}")
 
+    @cached_property
+    def _fold_plan(self) -> "_FoldPlan":
+        """What every fold of a peer into this game shares, built on the first fold."""
+        return _plan_fold(self)
+
 
 @dataclass(frozen=True, eq=False)
 class PeerPolicy:
@@ -427,8 +436,48 @@ def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
     return induced
 
 
+@dataclass(frozen=True, eq=False)
+class _FoldPlan:
+    """The parts of folding a peer into a game that depend only on the game.
+
+    For every joint entry, in the order of the game's rows, ``peer_at`` is
+    its flat (s, a2) index into a peer table and ``slot`` the position of
+    its induced (s, a1, t) key in ``keys``, the ascending distinct keys
+    ``(s * A1 + a1) * S + t``.  ``goal_absorbing`` is
+    :func:`_goals_absorbing` of the joint kernel.
+    """
+
+    peer_at: np.ndarray
+    keys: np.ndarray
+    slot: np.ndarray
+    goal_absorbing: bool
+
+
+def _plan_fold(game: MarkovGame) -> _FoldPlan:
+    """The fold plan of ``game``; :attr:`MarkovGame._fold_plan` keeps it."""
+    joint = game.rows
+    _, num_actions_1, num_actions_2, width = joint.shape
+    rows = joint.entry_rows()
+    state = rows // (num_actions_1 * num_actions_2)
+    keys, slot = np.unique((rows // num_actions_2) * width + joint.targets, return_inverse=True)
+    return _FoldPlan(
+        peer_at=_freeze(state * num_actions_2 + rows % num_actions_2, np.int64),
+        keys=_freeze(keys, np.int64),
+        slot=_freeze(slot, np.int64),
+        goal_absorbing=_goals_absorbing(joint, game.goals),
+    )
+
+
 def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
     """:func:`induce_mdp` for a game the caller has already validated.
+
+    The kernel is ``sum_a2 joint(s, a1, a2, t) * probs(s, a2)`` over the
+    game's fold plan.  Each sum starts at 0.0 and adds its products in
+    ascending ``a2``, the order in which the dense
+    ``einsum("sabt,sb->sat")`` accumulates: joint rows run over
+    (s, a1, a2), so each key meets its products in ascending ``a2`` and
+    ``bincount`` adds them in that order.  The folded entries therefore
+    equal the dense fold's bit for bit.  Sums that come to 0 are not stored.
 
     The result is not validated: a validated game and peer fold into a valid
     MDP up to rounding, and :func:`enumerate_successes` validates its input.
@@ -439,37 +488,21 @@ def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
             f"peer table shape {peer.probs.shape}, expected "
             f"{(game.num_states, game.num_actions_2)}"
         )
+    plan = game._fold_plan
+    products = game.rows.probs * peer.probs.ravel()[plan.peer_at]
+    sums = np.bincount(plan.slot, weights=products, minlength=len(plan.keys))
+    kept = sums != 0
     return TabularMDP(
         num_states=game.num_states,
         num_actions=game.num_actions_1,
-        kernel=_fold_rows(game.rows, peer.probs),
+        kernel=KernelRows.from_keys(
+            (game.num_states, game.num_actions_1, game.num_states), plan.keys[kept], sums[kept]
+        ),
         reward=np.einsum("sab,sb->sa", game.reward_1, peer.probs),
         horizon=game.horizon,
         goals=game.goals,
         initial=game.initial,
-        goal_absorbing=_goals_absorbing(game.rows, game.goals),
-    )
-
-
-def _fold_rows(joint: KernelRows, probs: np.ndarray) -> KernelRows:
-    """Rows over (s, a1) of ``sum_a2 joint(s, a1, a2, t) * probs(s, a2)``.
-
-    Each sum starts at 0.0 and adds its products in ascending ``a2``, the
-    order in which the dense ``einsum("sabt,sb->sat")`` accumulates, so the
-    folded entries equal the dense fold's bit for bit.  Sums that come to 0
-    are not stored.
-    """
-    num_states, num_actions_1, num_actions_2, width = joint.shape
-    rows = joint.entry_rows()
-    state = rows // (num_actions_1 * num_actions_2)
-    products = joint.probs * probs[state, rows % num_actions_2]
-    # joint rows run over (s, a1, a2), so each key meets its products in
-    # ascending a2 and bincount adds them in that order
-    keys, slot = np.unique((rows // num_actions_2) * width + joint.targets, return_inverse=True)
-    sums = np.bincount(slot, weights=products, minlength=len(keys))
-    kept = sums != 0
-    return KernelRows.from_keys(
-        (num_states, num_actions_1, width), keys[kept], sums[kept]
+        goal_absorbing=plan.goal_absorbing,
     )
 
 

@@ -155,15 +155,22 @@ def test_every_verb_maps_malformed_files_to_documented_exits(data):
 @given(trials=st.integers(-2, 5), seed=st.integers(-(2**70), 2**70))
 def test_oracle_check_exits_are_documented(trials, seed):
     argv = ["oracle-check", "--trials", str(trials), "--seed", str(seed)]
-    if trials < 0:  # a usage error, before any trial runs
+    if trials < 0 or seed < 0:  # a usage error, before any trial runs
         with pytest.raises(SystemExit) as usage:
             _run(argv, {})
         assert usage.value.code == 2
         return
     code, err = _run(argv, {})
-    # the seed of a PCG64 generator must not be negative
-    assert code == (0 if seed >= 0 else 4)
+    assert code == 0
     assert "Traceback" not in err
+
+
+def test_a_negative_seed_is_a_usage_error_that_names_the_flag(capsys):
+    # the seed of a PCG64 generator must not be negative
+    with pytest.raises(SystemExit) as usage:
+        main(["oracle-check", "--trials", "0", "--seed", "-5"])
+    assert usage.value.code == 2
+    assert "argument --seed: must be at least 0, got -5" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -32,7 +32,7 @@ from trajcore import (
 )
 from trajcore import drift as drift_module
 from trajcore import formats
-from trajcore.drift import _certified_changes
+from trajcore.drift import _certified_changes, _rows_distance
 from trajcore.graph import Symbols, build_graph, support_signature
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
@@ -45,6 +45,7 @@ from conftest import (
     random_peer,
     scattered_game,
     sparse_game,
+    sparse_peer,
 )
 
 
@@ -419,6 +420,62 @@ def test_rows_fold_and_budget_equal_the_dense_oracles_bit_for_bit(
     # the same when the changed rows are made dense a few at a time
     with mock.patch.object(drift_module, "_BLOCK_ENTRIES", 5 * num_states):
         assert variation_budget(seq).kernel_deltas == tuple(expected)
+
+
+def test_rows_with_three_differences_are_summed_as_the_dense_kernel_sums_them():
+    # row 0 differs at targets 0, 4 and 5 by 0.1, 0.2 and 0.3 (the key at 4
+    # is stored only in the previous kernel); NumPy's dense row sum adds
+    # 0.1 + (0.2 + 0.3), while adding left to right gives 0.6000000000000001
+    kernel, previous = np.zeros((2, 1, 8)), np.zeros((2, 1, 8))
+    kernel[0, 0, [0, 5]] = [0.1, 0.3]
+    previous[0, 0, 4] = 0.2
+    kernel[1, 0, 7] = previous[1, 0, 7] = 1.0
+    want = kernel_distance(kernel, previous)
+    assert want == 0.6 != 0.1 + 0.2 + 0.3
+    assert _rows_distance(KernelRows.from_dense(kernel), KernelRows.from_dense(previous)) == want
+
+
+def test_rows_with_at_most_two_differences_are_never_made_dense(monkeypatch):
+    kernel, previous = np.zeros((3, 1, 8)), np.zeros((3, 1, 8))
+    # mass moves from target 1 to 2; probabilities change at kept targets; no change
+    previous[0, 0, [0, 1]], kernel[0, 0, [0, 2]] = [0.5, 0.5], [0.5, 0.5]
+    previous[1, 0, [3, 6]], kernel[1, 0, [3, 6]] = [0.3, 0.7], [0.1, 0.9]
+    previous[2, 0, 7] = kernel[2, 0, 7] = 1.0
+    want = kernel_distance(kernel, previous)
+    rows = KernelRows.from_dense(kernel), KernelRows.from_dense(previous)
+
+    def refuse(self, rows):
+        raise AssertionError("a row with at most two differences was made dense")
+
+    monkeypatch.setattr(KernelRows, "block", refuse)
+    assert _rows_distance(*rows) == want
+
+
+def test_a_game_plans_its_fold_once_for_every_peer(monkeypatch):
+    rng = np.random.default_rng(17)
+    game = sparse_game(rng)
+    planned = count_calls(monkeypatch, "_plan_fold")
+    seq = EpisodeSequence.from_schedule(game, [sparse_peer(rng, game) for _ in range(24)])
+    drift_report(seq)
+    # the 24 episodes and the uniform peer of the individual core share one plan
+    assert len(planned) == 1
+    # a game built from equal entries plans its own fold, to equal rows
+    twin = MarkovGame(
+        num_states=game.num_states,
+        num_actions_1=game.num_actions_1,
+        num_actions_2=game.num_actions_2,
+        joint_kernel=KernelRows(game.rows.shape, game.rows.offsets.copy(),
+                                game.rows.targets.copy(), game.rows.probs.copy()),
+        reward_1=game.reward_1,
+        horizon=game.horizon,
+        goals=game.goals,
+        initial=game.initial,
+    )
+    folded, again = (induce_mdp(g, seq.schedule[0]).rows for g in (game, twin))
+    assert len(planned) == 2
+    assert folded.shape == again.shape
+    for field in ("offsets", "targets", "probs"):
+        assert np.array_equal(getattr(folded, field), getattr(again, field))
 
 
 def test_drift_and_budget_on_a_version_2_game_build_no_dense_kernel(tmp_path, monkeypatch, capsys):
