@@ -6,7 +6,7 @@ command prints a self-describing JSON report to stdout; ``--out`` (or
 
 Exit codes: 0 success, 2 usage, 3 file parse error, 4 validation or
 precondition failure, 5 search-budget guard tripped, 6 internal consistency
-check failed.
+check failed, 7 an output file could not be written.
 The ``TRAJCORE_BUDGET`` environment variable overrides the default search
 budget wherever ``--budget`` is not given explicitly.
 """
@@ -29,6 +29,7 @@ from .errors import (
     EmptySuccessSet,
     GuardError,
     OracleScaleError,
+    OutputError,
     ParseError,
     TrajcoreError,
     UnmappedSymbol,
@@ -52,6 +53,7 @@ EXIT_PARSE = 3
 EXIT_VALIDATION = 4
 EXIT_GUARD = 5
 EXIT_INTERNAL = 6
+EXIT_OUTPUT = 7
 
 
 def _budget_default() -> int | None:
@@ -181,36 +183,23 @@ def cmd_drift(args, inputs):
 
 
 def cmd_gen(args, inputs):
-    out_dir = args.out_dir or "."
-    written = []
+    config = _read(args.config_file, inputs)
     if args.env_kind == "keydoor":
-        cfg = formats.keydoor_config_from_payload(
-            _read(args.config_file, inputs), args.config_file
-        )
-        mdp, phi = build_keydoor(cfg)
-        prefix = args.prefix or "keydoor"
-        paths = {
-            "mdp": os.path.join(out_dir, f"{prefix}.mdp.json"),
-            "phi": os.path.join(out_dir, f"{prefix}.phi.json"),
-        }
-        formats.write_json(paths["mdp"], formats.mdp_to_payload(mdp))
-        formats.write_json(paths["phi"], formats.abstraction_to_payload(phi))
-        written = [paths["mdp"], paths["phi"]]
+        mdp, phi = build_keydoor(formats.keydoor_config_from_payload(config, args.config_file))
+        payloads = {"mdp": formats.mdp_to_payload(mdp)}
     else:  # coop-keydoor
-        cfg = formats.coop_config_from_payload(
-            _read(args.config_file, inputs), args.config_file
-        )
+        cfg = formats.coop_config_from_payload(config, args.config_file)
         game, schedule, phi = build_coop_keydoor(cfg)
-        prefix = args.prefix or "coop_keydoor"
-        paths = {
-            "game": os.path.join(out_dir, f"{prefix}.game.json"),
-            "schedule": os.path.join(out_dir, f"{prefix}.schedule.json"),
-            "phi": os.path.join(out_dir, f"{prefix}.phi.json"),
+        payloads = {
+            "game": formats.game_to_payload(game),
+            "schedule": formats.schedule_to_payload(schedule),
         }
-        formats.write_json(paths["game"], formats.game_to_payload(game))
-        formats.write_json(paths["schedule"], formats.schedule_to_payload(schedule))
-        formats.write_json(paths["phi"], formats.abstraction_to_payload(phi))
-        written = [paths["game"], paths["schedule"], paths["phi"]]
+    payloads["phi"] = formats.abstraction_to_payload(phi)
+    prefix = args.prefix or args.env_kind.replace("-", "_")
+    written = []
+    for name, file_payload in payloads.items():
+        written.append(os.path.join(args.out_dir or ".", f"{prefix}.{name}.json"))
+        formats.write_json(written[-1], file_payload)
     payload = {
         "format": "gen",
         "version": formats.FORMAT_VERSION,
@@ -381,6 +370,9 @@ def main(argv=None) -> int:
         if getattr(args, "out", None):
             formats.write_json(args.out, results)
         report = formats.build_report(command_echo, inputs, results, time.perf_counter() - start)
+    except OutputError as exc:
+        print(f"trajcore: output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except ParseError as exc:
         print(f"trajcore: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

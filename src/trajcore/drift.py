@@ -126,9 +126,7 @@ def kernel_distance(kernel: np.ndarray, previous: np.ndarray) -> float:
     previous = np.asarray(previous, dtype=float)
     if kernel.shape != previous.shape:
         raise DimensionMismatch(f"kernel shapes differ: {kernel.shape} vs {previous.shape}")
-    if kernel.size == 0:
-        return 0.0
-    return float(np.abs(kernel - previous).sum(axis=-1).max())
+    return float(np.abs(kernel - previous).sum(axis=-1).max(initial=0.0))
 
 
 _BLOCK_ENTRIES = 1 << 20
@@ -182,24 +180,16 @@ def reward_distance(reward: np.ndarray, previous: np.ndarray) -> float:
     previous = np.asarray(previous, dtype=float)
     if reward.shape != previous.shape:
         raise DimensionMismatch(f"reward shapes differ: {reward.shape} vs {previous.shape}")
-    if reward.size == 0:
-        return 0.0
-    return float(np.abs(reward - previous).max())
+    return float(np.abs(reward - previous).max(initial=0.0))
 
 
 def variation_budget(seq: EpisodeSequence) -> BudgetReport:
     """Cumulative kernel-plus-reward drift over the induced episode sequence."""
-    kernel_deltas = []
-    reward_deltas = []
-    for prev, cur in zip(seq.induced, seq.induced[1:]):
-        kernel_deltas.append(_rows_distance(cur.rows, prev.rows))
-        reward_deltas.append(reward_distance(cur.reward, prev.reward))
+    steps = list(zip(seq.induced, seq.induced[1:]))
+    kernel_deltas = tuple(_rows_distance(cur.rows, prev.rows) for prev, cur in steps)
+    reward_deltas = tuple(reward_distance(cur.reward, prev.reward) for prev, cur in steps)
     total = float(sum(kernel_deltas) + sum(reward_deltas))
-    return BudgetReport(
-        kernel_deltas=tuple(kernel_deltas),
-        reward_deltas=tuple(reward_deltas),
-        total=total,
-    )
+    return BudgetReport(kernel_deltas, reward_deltas, total)
 
 
 def uniform_peer(game: MarkovGame) -> PeerPolicy:
@@ -340,28 +330,15 @@ def drift_report(
     for index, (key_a, key_b) in enumerate(zip(keys, keys[1:]), start=1):
         core_a, core_b = mined.cores[key_a], mined.cores[key_b]
         if core_a is None or core_b is None:
-            steps.append(
-                DriftStep(
-                    index=index,
-                    common_core=None,
-                    literal_intersection=None,
-                    vanished=(),
-                    gained=(),
-                    common_within_individual=None,
-                )
-            )
+            steps.append(DriftStep(index=index, common_core=None, literal_intersection=None,
+                                   vanished=(), gained=(), common_within_individual=None))
             continue
         common = core_a if key_a == key_b else mined.common(key_a, key_b)
-        literal = canonical_member_order(
-            set(core_a.members) & set(core_b.members)
+        literal = canonical_member_order(set(core_a.members) & set(core_b.members))
+        contained = None if individual is None else all(
+            any(is_subsequence(member, big) for big in individual.members)
+            for member in common.members
         )
-        if individual is None:
-            contained = None
-        else:
-            contained = all(
-                any(is_subsequence(member, big) for big in individual.members)
-                for member in common.members
-            )
         steps.append(
             DriftStep(
                 index=index,

@@ -55,12 +55,20 @@ class GuardError(TrajcoreError):
 
 
 class ExplosionGuard(GuardError):
-    """Success enumeration, or a support graph, has more nodes than the budget allows."""
+    """Success enumeration, or a support graph, has more nodes than the budget allows.
+
+    ``needed`` is the node count of the full search, or None if not counted;
+    the message then gives a lower bound, as for a count past 4,300 digits.
+    """
 
     def __init__(self, budget, visited, needed):
         self.budget = budget
         self.visited = visited
         self.needed = needed
+        if needed is None:
+            needed = f"more than {max(budget, 0)}"
+        elif needed >= 10**4300:
+            needed = "at least 10**4300"
         super().__init__(
             f"search exceeded node budget {budget} "
             f"(visited {visited} nodes; the full search needs {needed}); "
@@ -95,4 +103,12 @@ class ParseError(TrajcoreError):
     def __init__(self, path, detail):
         self.path = path
         self.detail = detail
+        super().__init__(f"{path}: {detail}")
+
+
+class OutputError(TrajcoreError):
+    """A file could not be written."""
+
+    def __init__(self, path, detail):
+        self.path = path
         super().__init__(f"{path}: {detail}")

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .drift import BudgetReport, DriftReport, PrototypeChange
 from .envs import CoopKeyDoorConfig, KeyDoorConfig
-from .errors import DimensionMismatch, ParseError
+from .errors import DimensionMismatch, OutputError, ParseError
 from .mdp import KernelRows, MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory
 from .mining import Abstraction, CoreSet
 
@@ -54,17 +54,24 @@ def file_digest(path: str) -> str:
 
 
 def write_json(path: str, payload: Any) -> None:
-    """Atomic canonical write: temp file in the target directory, then rename."""
+    """Atomic canonical write: temp file in the target directory, then rename.
+
+    Any ``OSError`` on the way is an :class:`OutputError` that names the path.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(canonical_json(payload) + "\n")
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            where = exc.filename if exc.filename not in (None, tmp) else path
+            raise OutputError(path, f"cannot write: {exc.strerror or exc}: {where}") from exc
         raise
 
 
@@ -132,12 +139,24 @@ def _table(value):
     return value if isinstance(value, KernelRows) else np.asarray(value, dtype=float)
 
 
+def _exact(kind: type):
+    """A reader that takes only values of type ``kind``: no bool for an int, no 7.5 or "9"."""
+
+    def read(value):
+        if type(value) is not kind:
+            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+        return value
+
+    return read
+
+
+_int, _bool = _exact(int), _exact(bool)
 # how a decoded JSON value becomes a field of each annotated type
 _READERS = {
-    int: int,
-    bool: bool,
+    int: _int,
+    bool: _bool,
     np.ndarray: _table,
-    frozenset[int]: lambda value: frozenset(int(v) for v in value),
+    frozenset[int]: lambda value: frozenset(map(_int, value)),
     tuple[str, ...]: lambda value: tuple(str(v) for v in value),
 }
 
@@ -207,10 +226,7 @@ def _is_entry(entry) -> bool:
     return (
         type(entry) is list
         and len(entry) == 5
-        and type(entry[0]) is int
-        and type(entry[1]) is int
-        and type(entry[2]) is int
-        and type(entry[3]) is int
+        and type(entry[0]) is type(entry[1]) is type(entry[2]) is type(entry[3]) is int
         and type(entry[4]) in (int, float)
     )
 
@@ -225,7 +241,7 @@ def _joint_rows(payload: dict, path: str) -> KernelRows:
     """
     with _malformed(path, "game"):
         dims = tuple(
-            int(_field(payload, path, name))
+            _int(_field(payload, path, name))
             for name in ("num_states", "num_actions_1", "num_actions_2")
         )
         reward = np.asarray(_field(payload, path, "reward_1"), dtype=float)
@@ -335,17 +351,16 @@ def abstraction_to_payload(phi: Abstraction) -> dict:
 
 def abstraction_from_payload(payload: dict, path: str = "<memory>") -> Abstraction:
     payload = _expect(payload, path, "abstraction")
-    if payload.get("identity", False):
+    with _malformed(path, "abstraction"):
         mapping = None
-    else:
-        entries = _field(payload, path, "entries")
-        with _malformed(path, "abstraction entries"):
-            mapping = {(int(s), int(a)): str(symbol) for s, a, symbol in entries}
-    return Abstraction(
-        mapping=mapping,
-        collapse_runs=bool(payload.get("collapse_runs", False)),
-        label=str(payload.get("label", "")),
-    )
+        if not _bool(payload.get("identity", False)):
+            entries = _field(payload, path, "entries")
+            mapping = {(_int(s), _int(a)): str(symbol) for s, a, symbol in entries}
+        return Abstraction(
+            mapping=mapping,
+            collapse_runs=_bool(payload.get("collapse_runs", False)),
+            label=str(payload.get("label", "")),
+        )
 
 
 def trajectory_to_payload(traj: Trajectory) -> dict:
@@ -359,8 +374,8 @@ def trajectory_from_payload(entry: dict, path: str = "<memory>") -> Trajectory:
     with _malformed(path, "trajectory entry"):
         terminal = entry.get("terminal_state")
         return Trajectory(
-            steps=tuple((int(s), int(a)) for s, a in entry["steps"]),
-            terminal_state=None if terminal is None else int(terminal),
+            steps=tuple((_int(s), _int(a)) for s, a in entry["steps"]),
+            terminal_state=None if terminal is None else _int(terminal),
         )
 
 
@@ -422,31 +437,26 @@ def _change_to_payload(change: PrototypeChange) -> dict:
     }
 
 
+def _unless_none(convert, value):
+    return None if value is None else convert(value)
+
+
 def drift_to_payload(report: DriftReport) -> dict:
-    steps = []
-    for step in report.steps:
-        steps.append(
-            {
-                "index": step.index,
-                "common_core": None
-                if step.common_core is None
-                else core_to_payload(step.common_core),
-                "literal_intersection": None
-                if step.literal_intersection is None
-                else _members_to_payload(step.literal_intersection),
-                "vanished": [_change_to_payload(change) for change in step.vanished],
-                "gained": [_change_to_payload(change) for change in step.gained],
-                "common_within_individual": step.common_within_individual,
-            }
-        )
+    steps = [
+        {
+            "index": step.index,
+            "common_core": _unless_none(core_to_payload, step.common_core),
+            "literal_intersection": _unless_none(_members_to_payload, step.literal_intersection),
+            "vanished": [_change_to_payload(change) for change in step.vanished],
+            "gained": [_change_to_payload(change) for change in step.gained],
+            "common_within_individual": step.common_within_individual,
+        }
+        for step in report.steps
+    ]
     return {
-        "episode_cores": [
-            None if c is None else core_to_payload(c) for c in report.episode_cores
-        ],
+        "episode_cores": [_unless_none(core_to_payload, c) for c in report.episode_cores],
         "steps": steps,
-        "individual_core": None
-        if report.individual is None
-        else core_to_payload(report.individual),
+        "individual_core": _unless_none(core_to_payload, report.individual),
         "individual_core_definition": report.individual_core_definition,
         "budget": budget_to_payload(report.budget),
     }

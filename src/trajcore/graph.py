@@ -1,13 +1,14 @@
 """The labelled DAGs that hold a success set, and the core mined on them.
 
 Every success of a :class:`~trajcore.mdp.TabularMDP` is a path through its
-support graph.  Its nodes are the (state, t) of the pruned layered walk
-:func:`~trajcore.mdp._pruned_steps`, from which
-:func:`~trajcore.mdp.enumerate_successes` lists successes too.  Its edges
-are the (action, next state) steps of that walk, plus an edge from each
+support graph (:func:`build_graph`), the one walk over (state, t) in the
+package.  Its nodes are the (state, t) that lie on some success, and its
+edges the (action, next state) steps between them, plus an edge from each
 goal node to one accept node for the terminal pseudo-pair.  The graph has
 at most S·H (state, t) nodes however many successes it holds, and it is all
-that the core, the drift witnesses and the success count depend on.  A
+that the core, the drift witnesses, the success count and
+:func:`~trajcore.mdp.enumerate_successes`, which lists its paths
+(:meth:`SuccessGraph.successes`), depend on.  A
 listed family of sequences is held by its sequence graph
 (:func:`sequence_graph`): the minimal DAG whose root-to-accept paths spell
 its distinct words, which :meth:`Symbols.words` prepares with one dict pass
@@ -59,7 +60,8 @@ from .mdp import (
     TERMINAL,
     TabularMDP,
     Trajectory,
-    _pruned_steps,
+    _goal_distances,
+    _positive_rows,
 )
 
 if TYPE_CHECKING:
@@ -205,15 +207,48 @@ def build_graph(
 ) -> "SuccessGraph":
     """The support graph of a validated ``mdp``, labelled from ``symbols``.
 
-    Its (state, t) nodes are those of :func:`~trajcore.mdp._pruned_steps`.
-    Raises :class:`ExplosionGuard` when they number more than
-    ``node_budget``, with ``visited`` the nodes of the layers up to the one
-    that crossed the budget and ``needed`` the node count of the graph.
+    A forward walk, layer by layer, keeps the (state, t) nodes that lie on
+    some success (a goal within the horizon: :func:`~trajcore.mdp._goal_distances`)
+    and their steps, in ascending (action, next state) order.  Before ``phi``
+    sees a pair, it raises :class:`ExplosionGuard` past ``node_budget`` nodes,
+    with ``visited`` the nodes of the layers up to the one that crossed the
+    budget and ``needed`` those of the graph, counted on with one layer kept.
     """
-    seeds, steps, layers = _pruned_steps(mdp)
-    total = sum(layers)
-    if total > max(node_budget, 0):
-        visited = next(v for v in accumulate(layers) if v > node_budget)
+    targets, offsets = _positive_rows(mdp)
+    width, horizon, goals = mdp.num_actions, mdp.horizon, mdp.goals
+    dist = _goal_distances(mdp).tolist()
+    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
+    steps: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}  # layer -> first (t, total) past the budget
+    layer, t, total, visited, steady = seeds, 1, 0, 0, 0
+    while layer:
+        if visited and t <= steady:  # one map gives each layer from the last: skip whole periods
+            t0, total0 = seen.setdefault(tuple(layer), (t, total))
+            if t0 < t:
+                periods = (steady - t + 1) // (t - t0)
+                t, total = t + periods * (t - t0), total + periods * (total - total0)
+        total += len(layer)
+        if total > node_budget and not visited:
+            visited = total
+            # up to layer `steady` the horizon prunes only states that reach no goal at all
+            steady = horizon - 1 - max(d for d in dist if d < horizon)
+        slack = horizon - t - 1
+        following: set[int] = set()
+        for s in layer:
+            if s in goals:
+                continue
+            row = s * width
+            out = [
+                ((s, a), m)
+                for a in range(width)
+                for m in targets[offsets[row + a] : offsets[row + a + 1]]
+                if dist[m] <= slack
+            ]
+            if not visited:
+                steps[(s, t)] = out
+            following.update(m for _, m in out)
+        layer, t = sorted(following), t + 1
+    if visited:
         raise ExplosionGuard(node_budget, visited, total)
     collapse = symbols.phi.collapse_runs
     keys: list = [None]  # (state, t, symbol that entered the node under collapse_runs)
@@ -321,8 +356,8 @@ class SuccessGraph:
         moves = [tuple(sorted({(lab, m) for _, m, lab in row})) for row in self.edges]
         object.__setattr__(self, "moves", moves)
 
-    def num_successes(self) -> int:
-        """The exact number of successes, by a forward count in Python ints."""
+    def path_counts(self) -> list[int]:
+        """Root paths into each node, in Python ints: successes at accept, prefixes elsewhere."""
         paths = [0] * len(self.edges)
         for root in self.roots:
             paths[root] += 1
@@ -330,7 +365,29 @@ class SuccessGraph:
             if paths[n]:
                 for _, m, _ in self.edges[n]:
                     paths[m] += paths[n]
-        return paths[ACCEPT]
+        return paths
+
+    def num_successes(self) -> int:
+        """The exact number of successes."""
+        return self.path_counts()[ACCEPT]
+
+    def successes(self) -> tuple[Trajectory, ...]:
+        """Every success, in :class:`~trajcore.mdp.SuccessSet` order.
+
+        A depth-first walk over edges in ascending (action, next state)
+        order, which orders the pairs.  Each edge's pair is made once, so
+        the successes that share an edge share its pair object.
+        """
+        steps = [[((s, a), m) for a, m, _ in row[::-1]] for s, row in zip(self.state, self.edges)]
+        found: list[Trajectory] = []
+        stack = [(root, ()) for root in reversed(self.roots)]
+        while stack:
+            n, prefix = stack.pop()
+            if self.edges[n][0][0] == TERMINAL:
+                found.append(Trajectory(steps=prefix, terminal_state=self.state[n]))
+            else:
+                stack.extend((m, prefix + (pair,)) for pair, m in steps[n])
+        return tuple(found)
 
     def union(self, other: "SuccessGraph") -> "SuccessGraph":
         """One graph holding the successes of both, with one accept node.

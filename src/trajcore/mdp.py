@@ -15,8 +15,8 @@ Conventions used throughout the package:
   tolerates (down to ``-ROW_TOL``) are outside it.
 * The successes of an MDP are the root-to-goal paths of one layered graph
   over (state, t), pruned to the nodes from which a goal is still reachable
-  within the horizon (:func:`_pruned_steps`).  :func:`enumerate_successes`
-  counts and lists its paths; :func:`trajcore.graph.build_graph` labels it.
+  within the horizon.  :func:`trajcore.graph.build_graph` walks and labels
+  it; :func:`enumerate_successes` counts and lists its paths.
 * Randomness comes from NumPy's PCG64 generator seeded explicitly, with
   categorical draws done by inverse-CDF on a single uniform, so rollouts are
   bit-reproducible for a fixed seed across platforms.
@@ -47,6 +47,8 @@ from .errors import (
 TERMINAL = -1
 ROW_TOL = 1e-9
 DEFAULT_NODE_BUDGET = 10_000_000
+MAX_HORIZON = 2**63 - 1
+_COUNTED_NODES = 1 << 16  # the graph size up to which a tripped enumeration counts its prefixes
 
 
 def _freeze(values, dtype=float) -> np.ndarray:
@@ -384,8 +386,8 @@ class RolloutSet:
 
 def validate_mdp(mdp: TabularMDP) -> None:
     """Raise unless every TabularMDP invariant holds."""
-    if mdp.horizon < 1:
-        raise HorizonError(f"horizon must be >= 1, got {mdp.horizon}")
+    if not 1 <= mdp.horizon <= MAX_HORIZON:
+        raise HorizonError(f"horizon must be from 1 to {MAX_HORIZON}, got {mdp.horizon}")
     if not mdp.goals:
         raise EmptyGoalError("goal set is empty")
     _check_kernel(mdp.rows, "kernel")
@@ -400,8 +402,8 @@ def validate_mdp(mdp: TabularMDP) -> None:
 
 def validate_game(game: MarkovGame) -> None:
     """Raise unless every MarkovGame invariant holds."""
-    if game.horizon < 1:
-        raise HorizonError(f"horizon must be >= 1, got {game.horizon}")
+    if not 1 <= game.horizon <= MAX_HORIZON:
+        raise HorizonError(f"horizon must be from 1 to {MAX_HORIZON}, got {game.horizon}")
     if not game.goals:
         raise EmptyGoalError("goal set is empty")
     _check_kernel(game.rows, "joint kernel")
@@ -532,37 +534,29 @@ def enumerate_successes(
 
     The search is support-based: probability magnitudes are ignored beyond
     positive/non-positive, so the result depends only on the kernel support,
-    initial support, goals, and horizon.  The successes are the root-to-goal
-    paths of the pruned layered graph of :func:`_pruned_steps`, so every
-    node of the search is a prefix of some success and ``node_budget``
-    counts prefixes of successes.  One forward pass counts them before any
-    is listed.  When they number more than ``max(node_budget, 0)``, it
-    raises :class:`ExplosionGuard` with ``visited`` one past that and
-    ``needed`` the node count of the full search, and lists nothing.
+    initial support, goals, and horizon.  The successes are the paths of the
+    support graph (:func:`trajcore.graph.build_graph`), so every node of the
+    search is a prefix of some success and ``node_budget`` counts those
+    prefixes, all before any success is listed.  When they number more than
+    ``max(node_budget, 0)``, it raises :class:`ExplosionGuard` with
+    ``visited`` one past that and ``needed`` the node count of the full
+    search, and lists nothing.  ``needed`` is None where the graph has more
+    (state, t) nodes than that and ``_COUNTED_NODES``: it is not stored.
     """
+    from .graph import ACCEPT, Symbols, build_graph
+    from .mining import IDENTITY
+
     validate_mdp(mdp)
-    seeds, steps, _ = _pruned_steps(mdp)
-    # root paths into each (state, t); steps holds its keys layer by layer,
-    # so a node's count is complete before its own steps are read
-    paths = dict.fromkeys([(s, 1) for s in seeds], 1)
-    for (s, t), out in steps.items():
-        count = paths[s, t]
-        for _, m in out:
-            paths[m, t + 1] = paths.get((m, t + 1), 0) + count
-    needed = sum(paths.values())
-    if needed > max(node_budget, 0):
-        raise ExplosionGuard(node_budget, max(node_budget, 0) + 1, needed)
-    found: list[Trajectory] = []
-    stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(s, 1, ()) for s in seeds]
-    while stack:
-        s, t, prefix = stack.pop()
-        out = steps.get((s, t))
-        if out is None:  # a goal
-            found.append(Trajectory(steps=prefix, terminal_state=s))
-            continue
-        for pair, m in out:
-            stack.append((m, t + 1, prefix + (pair,)))
-    return SuccessSet.from_iterable(found)
+    limit = max(node_budget, 0)
+    try:  # a graph of more (state, t) nodes than this has more prefixes too
+        graph = build_graph(mdp, Symbols(IDENTITY, False), max(limit, _COUNTED_NODES))
+    except ExplosionGuard:
+        raise ExplosionGuard(node_budget, limit + 1, None) from None
+    paths = graph.path_counts()
+    needed = sum(paths) - paths[ACCEPT]
+    if needed > limit:
+        raise ExplosionGuard(node_budget, limit + 1, needed)
+    return SuccessSet(graph.successes())
 
 
 def _positive_rows(mdp: TabularMDP) -> tuple[list[int], list[int]]:
@@ -602,46 +596,6 @@ def _goal_distances(mdp: TabularMDP) -> np.ndarray:
         seen |= frontier
         dist[frontier] = steps
     return dist
-
-
-def _pruned_steps(mdp: TabularMDP):
-    """The layered support graph over (state, t) that holds every success.
-
-    Its nodes are the (state, t) that lie on some success: reachable from
-    the initial support, with a goal still reachable within the horizon
-    (see :func:`_goal_distances`).  Returns the root states at t = 1; the
-    ((state, action), next state) steps of every non-goal node, in ascending
-    (action, next state) order, keyed by (state, t) with the keys inserted
-    layer by layer; and the node count of each layer, goals included.  The
-    successes that share a step share its pair object.  Kernel supports are
-    read only for the nodes reached, from the rows of :func:`_positive_rows`.
-    """
-    targets, offsets = _positive_rows(mdp)
-    width = mdp.num_actions
-    dist = _goal_distances(mdp).tolist()
-    horizon, goals = mdp.horizon, mdp.goals
-    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
-    steps: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
-    layers: list[int] = []
-    layer, t = seeds, 1
-    while layer:
-        layers.append(len(layer))
-        slack = horizon - t - 1
-        following: set[int] = set()
-        for s in layer:
-            if s in goals:
-                continue
-            row = s * width
-            out = [
-                ((s, a), m)
-                for a in range(width)
-                for m in targets[offsets[row + a] : offsets[row + a + 1]]
-                if dist[m] <= slack
-            ]
-            steps[(s, t)] = out
-            following.update(m for _, m in out)
-        layer, t = sorted(following), t + 1
-    return seeds, steps, layers
 
 
 def goal_reachable(mdp: TabularMDP) -> bool:

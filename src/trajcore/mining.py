@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -83,12 +83,7 @@ class Abstraction:
         """Symbols that stand for goal-terminal pairs under this abstraction."""
         cached = self.__dict__.get("_terminal_symbols")
         if cached is None:
-            if self.mapping is None:
-                cached = frozenset()
-            else:
-                cached = frozenset(
-                    v for (s, a), v in self.mapping.items() if a == TERMINAL
-                )
+            cached = frozenset(v for (s, a), v in (self.mapping or {}).items() if a == TERMINAL)
             self.__dict__["_terminal_symbols"] = cached
         return cached
 
@@ -129,11 +124,7 @@ def apply_abstraction(traj: Trajectory | Sequence, phi: Abstraction = IDENTITY) 
     else:
         out = tuple(phi.image(p) for p in pairs)
     if phi.collapse_runs:
-        collapsed = []
-        for sym in out:
-            if not collapsed or collapsed[-1] != sym:
-                collapsed.append(sym)
-        out = tuple(collapsed)
+        out = tuple(sym for sym, _ in groupby(out))
     return out
 
 

@@ -125,6 +125,5 @@ def is_complete(
     trie: TrajectoryTrie, mdp: TabularMDP, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> bool:
     """True iff the trie's successful leaves equal the MDP's full success set."""
-    leaves = successful_leaves(trie).as_set()
-    full = enumerate_successes(mdp, node_budget=node_budget).as_set()
-    return leaves == full
+    # both sets are in canonical order, so equal sets are equal tuples
+    return successful_leaves(trie) == enumerate_successes(mdp, node_budget=node_budget)

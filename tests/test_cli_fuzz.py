@@ -210,6 +210,38 @@ def test_known_malformed_files_are_parse_errors(argv, role, data):
     assert "parse error" in err and "Traceback" not in err
 
 
+MINE_WITH_PHI = ["mine", "{mdp}", "--phi", "{kd_phi}"]
+
+
+@pytest.mark.parametrize(
+    "argv,roles,name,literal",
+    [
+        (["enumerate", "{mdp}"], ["mdp"], "goal_absorbing", '"no"'),
+        (["enumerate", "{mdp}"], ["mdp"], "goal_absorbing", "1"),
+        (["enumerate", "{mdp}"], ["mdp"], "horizon", "7.5"),
+        (["enumerate", "{mdp}"], ["mdp"], "horizon", '"9"'),
+        (["enumerate", "{mdp}"], ["mdp"], "horizon", "true"),
+        (["enumerate", "{mdp}"], ["mdp"], "goals", "[15.0]"),
+        (["gen", "keydoor", "{kd_cfg}", "--out-dir", "{dir}"], ["kd_cfg"], "corridor_length", "4.5"),
+        (["budget", "{game}", "{schedule}"], ["game", "schedule"], "num_states", '"9"'),
+        (["budget", "{game_v1}", "{schedule}"], ["game_v1", "schedule"], "horizon", "8.0"),
+        (MINE_WITH_PHI, ["kd_phi", "mdp"], "collapse_runs", '"no"'),
+        (MINE_WITH_PHI, ["kd_phi", "mdp"], "identity", "0"),
+        (["mine", "{successes}"], ["successes"], "trajectories", '[{"steps": [[1.5, 0]]}]'),
+    ],
+    ids=["bool-as-string", "bool-as-int", "int-as-float", "int-as-string", "int-as-bool",
+         "goal-as-float", "config-int-as-float", "game-int-as-string", "dense-game-int-as-float",
+         "phi-bool-as-string", "phi-bool-as-int", "step-as-float"],
+)
+def test_json_values_of_the_wrong_type_are_parse_errors(argv, roles, name, literal):
+    # only JSON integers (not true or false) read as ints, and only true or false as bools
+    files = _valid_files(roles)
+    files[roles[0]] = _with_literal(VALID[roles[0]], name, literal)
+    code, err = _run(argv, files)
+    assert code == 3, err
+    assert "parse error" in err and "expected a JSON" in err and "Traceback" not in err
+
+
 def _game_with(change) -> bytes:
     payload = json.loads(formats.canonical_json(VALID["game"]))
     change(payload)

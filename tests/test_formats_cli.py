@@ -434,6 +434,32 @@ def test_cli_guard_message_says_what_budget_would_suffice(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,blocked",
+    [
+        (["enumerate", "{mdp}", "--out", "{dir}"], "{dir}"),
+        (["enumerate", "{mdp}", "--out", "{file}/x.json"], "{file}"),
+        (["gen", "keydoor", "{cfg}", "--out-dir", "{file}"], "{file}"),
+    ],
+    ids=["out-is-a-directory", "out-under-a-file", "out-dir-is-a-file"],
+)
+def test_cli_output_that_cannot_be_written_exits_7(tmp_path, capsys, keydoor, argv, blocked):
+    paths = {"mdp": tmp_path / "m.json", "cfg": tmp_path / "cfg.json",
+             "dir": tmp_path / "adir", "file": tmp_path / "afile"}
+    formats.write_json(str(paths["mdp"]), formats.mdp_to_payload(keydoor[0]))
+    formats.write_json(str(paths["cfg"]), formats.keydoor_config_to_payload(DEFAULT_KEYDOOR))
+    paths["dir"].mkdir()
+    paths["file"].write_text("{}")
+    before = sorted(os.listdir(tmp_path))
+    argv = [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in argv]
+    assert main(argv) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("trajcore: output error: ") and "Traceback" not in err
+    assert blocked.format(**{k: str(v) for k, v in paths.items()}) in err
+    # no temp file is left behind
+    assert sorted(os.listdir(tmp_path)) == before and os.listdir(paths["dir"]) == []
+
+
 def test_cli_env_budget_override(tmp_path, capsys, monkeypatch):
     mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
     good = tmp_path / "good.json"

@@ -29,7 +29,7 @@ from trajcore import (
     uniform_peer,
 )
 from trajcore.cli import main
-from trajcore.envs import DEFAULT_COOP
+from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor
 from trajcore.graph import Symbols, build_graph
 from trajcore.mdp import DEFAULT_NODE_BUDGET
 
@@ -173,6 +173,44 @@ def test_node_budget_bounds_the_state_time_nodes_of_the_graph():
     for budget in [0, -1]:
         graph = build_graph(replace(mdp, horizon=1), Symbols(IDENTITY, False), node_budget=budget)
         assert graph.num_successes() == 0
+
+
+def test_an_over_budget_graph_trips_before_phi_sees_a_pair():
+    mdp = random_mdp(6, 2, 7, seed=3, support_size=2)
+    no_pairs = Abstraction(mapping={})
+    with pytest.raises(ExplosionGuard) as tripped:
+        build_graph(mdp, Symbols(no_pairs, False), node_budget=5)
+    assert tripped.value.needed == 20
+    with pytest.raises(UnmappedSymbol):
+        build_graph(mdp, Symbols(no_pairs, False), node_budget=20)
+
+
+@pytest.mark.parametrize("support_size", [1, 2, 3])
+def test_the_count_past_the_budget_is_the_node_count_at_long_horizons(support_size):
+    for seed in range(30):
+        sampled = random_mdp(7, 2, 5, seed=seed, support_size=support_size)
+        for horizon in (9, 23, 61):
+            mdp = replace(sampled, horizon=horizon)
+            nodes = len(build_graph(mdp, Symbols(IDENTITY, False)).edges) - 1
+            for budget in {0, nodes // 3, nodes - 1} - {nodes}:
+                with pytest.raises(ExplosionGuard) as tripped:
+                    build_graph(mdp, Symbols(IDENTITY, False), node_budget=budget)
+                assert tripped.value.needed == nodes
+
+
+def test_the_node_count_of_a_far_horizon_is_exact_and_quick():
+    mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
+
+    def needed(horizon: int) -> int:
+        with pytest.raises(ExplosionGuard) as tripped:
+            build_graph(replace(mdp, horizon=horizon), Symbols(IDENTITY, False), node_budget=1000)
+        return tripped.value.needed
+
+    # far from the horizon every layer holds the same states, so the count grows linearly
+    per_step = needed(201) - needed(200)
+    start = time.perf_counter()
+    assert needed(10**18) == needed(200) + (10**18 - 200) * per_step
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cli_mine_counts_successes_on_the_graph(tmp_path, capsys, monkeypatch):

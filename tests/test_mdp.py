@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from trajcore import (
     validate_mdp,
     validate_peer,
 )
-from trajcore.envs import DEFAULT_COOP, random_mdp
+from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor, random_mdp
 from trajcore.mdp import _draw, _positive_rows, goal_reachable
 
 from conftest import oracle_enumerate, random_game, random_peer, reweight_support
@@ -258,11 +259,53 @@ def test_a_tripped_enumeration_guard_lists_nothing(monkeypatch):
         made.append(1)
         return Trajectory(*args, **kwargs)
 
-    monkeypatch.setattr("trajcore.mdp.Trajectory", counted)
+    # every module of the package that could build a trajectory builds a counted one
+    makers = [m for name, m in sys.modules.items() if name.startswith("trajcore") and
+                getattr(m, "Trajectory", None) is Trajectory]
+    assert {"trajcore.mdp", "trajcore.graph"} <= {m.__name__ for m in makers}
+    for module in makers:
+        monkeypatch.setattr(module, "Trajectory", counted)
     with pytest.raises(ExplosionGuard) as err:
         enumerate_successes(full, node_budget=10**6)
     assert (err.value.budget, err.value.visited, err.value.needed) == (10**6, 10**6 + 1, 37_313_436)
     assert made == []
+
+
+def test_a_guard_past_4300_digits_states_a_lower_bound():
+    # from state 0 both actions reach 0 or the goal, so the prefixes double each step
+    kernel = np.zeros((2, 2, 2))
+    kernel[0, :, :] = 0.5
+    kernel[1, :, 1] = 1.0
+    mdp = TabularMDP(num_states=2, num_actions=2, kernel=kernel, reward=np.zeros((2, 2)),
+                     horizon=15_000, goals=frozenset({1}), initial=np.array([1.0, 0.0]))
+    with pytest.raises(ExplosionGuard) as err:
+        enumerate_successes(mdp)
+    assert err.value.needed > 10**4300
+    assert "the full search needs at least 10**4300)" in str(err.value)
+
+
+def test_a_graph_too_large_to_store_gives_no_exact_count():
+    mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
+    with pytest.raises(ExplosionGuard) as err:
+        enumerate_successes(replace(mdp, horizon=10**6), node_budget=10_000)
+    assert (err.value.budget, err.value.visited, err.value.needed) == (10_000, 10_001, None)
+    assert "the full search needs more than 10000)" in str(err.value)
+
+
+@pytest.mark.parametrize("horizon", [0, 2**63, 10**30])
+def test_a_horizon_outside_int64_is_a_horizon_error(chain_mdp, horizon):
+    with pytest.raises(HorizonError):
+        validate_mdp(replace(chain_mdp, horizon=horizon))
+    with pytest.raises(HorizonError):
+        validate_game(replace(game_from_mdp(chain_mdp), horizon=horizon))
+
+
+def test_the_largest_int64_horizon_is_valid_and_trips_the_guard(chain_mdp):
+    mdp = replace(chain_mdp, horizon=2**63 - 1)
+    validate_mdp(mdp)
+    with pytest.raises(ExplosionGuard) as err:
+        enumerate_successes(mdp, node_budget=100)
+    assert (err.value.visited, err.value.needed) == (101, None)
 
 
 def _chain_with_dead_ends(chain_mdp, width: int) -> TabularMDP:
@@ -360,7 +403,8 @@ def test_enumerate_matches_generate_and_filter_oracle(seed, horizon, support_siz
     expected = oracle_enumerate(mdp)
     # the node count of the search is the number of prefixes of the oracle's successes
     needed = len(_success_prefixes(expected))
-    assert enumerate_successes(mdp, node_budget=max(needed, 1)).as_set() == expected.as_set()
+    # equal as sets and in order: the enumeration lists in canonical order unsorted
+    assert enumerate_successes(mdp, node_budget=max(needed, 1)) == expected
     if needed:
         with pytest.raises(ExplosionGuard) as err:
             enumerate_successes(mdp, node_budget=needed - 1)
