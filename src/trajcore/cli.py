@@ -25,6 +25,7 @@ from . import __version__
 from .drift import EpisodeSequence, drift_report, variation_budget
 from .envs import build_coop_keydoor, build_keydoor
 from .errors import (
+    UNPRINTABLE,
     ConsistencyError,
     EmptySuccessSet,
     GuardError,
@@ -124,6 +125,9 @@ def cmd_mine(args, inputs):
         raise ParseError(args.input_file, f"cannot mine from format {kind!r}")
     if not count:
         raise EmptySuccessSet("input contains no successful trajectory")
+    if count >= UNPRINTABLE:
+        raise ValueError("num_successes is at least 10**4300, more than the 4,300 digits "
+                         "that the report can print; the core was not mined")
     mined = mine(seq_budget)
     payload = {
         "format": "core",

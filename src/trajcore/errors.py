@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the package."""
 
+# the least int of more than 4,300 digits, which Python will not print by default
+UNPRINTABLE = 10**4300
+
 
 class TrajcoreError(Exception):
     """Base class for all package-specific errors."""
@@ -27,7 +30,7 @@ class EmptyGoalError(ValidationError):
 
 
 class HorizonError(ValidationError):
-    """The horizon is not a positive integer."""
+    """The horizon is not an integer from 1 to 2**63 - 1."""
 
 
 class DimensionMismatch(ValidationError):
@@ -67,7 +70,7 @@ class ExplosionGuard(GuardError):
         self.needed = needed
         if needed is None:
             needed = f"more than {max(budget, 0)}"
-        elif needed >= 10**4300:
+        elif needed >= UNPRINTABLE:
             needed = "at least 10**4300"
         super().__init__(
             f"search exceeded node budget {budget} "

@@ -62,6 +62,7 @@ from .mdp import (
     Trajectory,
     _goal_distances,
     _positive_rows,
+    _support,
 )
 
 if TYPE_CHECKING:
@@ -190,12 +191,11 @@ def support_signature(mdp: TabularMDP) -> tuple:
     goals and the horizon: two MDPs with equal signatures have the same
     successes, so the same graph, core and witnesses.
     """
-    rows = mdp.rows
-    positive = rows.probs > 0
+    rows, targets = _support(mdp.rows)
     return (
-        rows.shape,
-        rows.entry_rows()[positive].tobytes(),
-        rows.targets[positive].tobytes(),
+        mdp.rows.shape,
+        rows.tobytes(),
+        targets.tobytes(),
         mdp.initial_support(),
         tuple(sorted(mdp.goals)),
         mdp.horizon,

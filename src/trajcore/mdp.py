@@ -12,7 +12,10 @@ Conventions used throughout the package:
   state index ``t <= horizon`` (states are 1-indexed, so a success has at
   most ``horizon - 1`` real action steps).  The support of a distribution is
   its set of entries ``> 0``; the small negative entries that validation
-  tolerates (down to ``-ROW_TOL``) are outside it.
+  tolerates (down to ``-ROW_TOL``) are outside it.  :func:`_support` lists
+  the row and target of each positive kernel entry for every reader of it.
+* An MDP and a game differ only in the rank of the kernel: both construct
+  through :func:`_build_model` and validate through :func:`_validate_model`.
 * The successes of an MDP are the root-to-goal paths of one layered graph
   over (state, t), pruned to the nodes from which a goal is still reachable
   within the horizon.  :func:`trajcore.graph.build_graph` walks and labels
@@ -46,7 +49,7 @@ from .errors import (
 
 TERMINAL = -1
 ROW_TOL = 1e-9
-DEFAULT_NODE_BUDGET = 10_000_000
+DEFAULT_NODE_BUDGET = 1_000_000  # a (state, t) node of a support graph holds about 1.2 KB
 MAX_HORIZON = 2**63 - 1
 _COUNTED_NODES = 1 << 16  # the graph size up to which a tripped enumeration counts its prefixes
 
@@ -57,25 +60,15 @@ def _freeze(values, dtype=float) -> np.ndarray:
     return arr
 
 
-def _check_distribution(entries: np.ndarray, sums: np.ndarray, what: str) -> None:
-    """Raise unless no entry is below ``-ROW_TOL`` and every row sum is 1 within ``ROW_TOL``."""
-    if np.any(entries < -ROW_TOL):
+def _check_distribution(entries: np.ndarray, sums: np.ndarray, what: str, floor=-ROW_TOL) -> None:
+    """Raise unless no entry is below ``floor`` and every row sum is 1 within ``ROW_TOL``."""
+    if np.any(entries < floor):
         raise RowSumError(what, "(negative entry)", float(entries.min()), ROW_TOL)
     # a NaN or infinite entry makes its row sum non-finite, which fails `<=`
     bad = np.argwhere(~(np.abs(sums - 1.0) <= ROW_TOL))
     if bad.size:
         row = tuple(int(i) for i in bad[0])
         raise RowSumError(what, row, float(sums[tuple(bad[0])]), ROW_TOL)
-
-
-def _check_rows(table: np.ndarray, what: str) -> None:
-    """Check that the trailing axis of a dense ``table`` is a distribution everywhere."""
-    _check_distribution(table, table.sum(axis=-1), what)
-
-
-def _check_kernel(rows: "KernelRows", what: str) -> None:
-    """:func:`_check_rows` for a kernel held as rows; a row with no entries sums to 0."""
-    _check_distribution(rows.probs, rows.row_sums().reshape(rows.shape[:-1]), what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,13 +179,25 @@ class _DenseView:
         obj.__dict__["rows"] = value
 
 
-def _as_rows(value, shape: tuple[int, ...], what: str) -> KernelRows:
-    """A dense table or rows of the expected ``shape``, as rows."""
-    if not isinstance(value, KernelRows):
-        value = np.asarray(value, dtype=float)
-    if value.shape != shape:
-        raise DimensionMismatch(f"{what} shape {value.shape}, expected {shape}")
-    return value if isinstance(value, KernelRows) else KernelRows.from_dense(value)
+def _build_model(model, reward: str, shape: tuple[int, ...], what: str) -> None:
+    """The one constructor of both models: ``reward`` names the reward field, ``what`` the kernel."""
+    table = _freeze(getattr(model, reward))
+    object.__setattr__(model, reward, table)
+    object.__setattr__(model, "initial", _freeze(model.initial))
+    object.__setattr__(model, "goals", frozenset(map(int, model.goals)))
+    kernel = model.rows
+    dense = not isinstance(kernel, KernelRows)
+    if dense:
+        kernel = np.asarray(kernel, dtype=float)
+    if kernel.shape != shape:
+        raise DimensionMismatch(f"{what} shape {kernel.shape}, expected {shape}")
+    object.__setattr__(model, "rows", KernelRows.from_dense(kernel) if dense else kernel)
+    if table.shape != shape[:-1]:
+        raise DimensionMismatch(f"reward shape {table.shape}, expected {shape[:-1]}")
+    if model.initial.shape != shape[-1:]:
+        raise DimensionMismatch(f"initial shape {model.initial.shape}, expected {shape[-1:]}")
+    if model.goals and (min(model.goals) < 0 or max(model.goals) >= shape[-1]):
+        raise DimensionMismatch(f"goal state out of range: {sorted(model.goals)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,21 +228,8 @@ class TabularMDP:
     goal_absorbing: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "reward", _freeze(self.reward))
-        object.__setattr__(self, "initial", _freeze(self.initial))
-        object.__setattr__(self, "goals", frozenset(int(g) for g in self.goals))
-        s, a = self.num_states, self.num_actions
-        object.__setattr__(self, "rows", _as_rows(self.rows, (s, a, s), "kernel"))
-        if self.reward.shape != (s, a):
-            raise DimensionMismatch(
-                f"reward shape {self.reward.shape}, expected {(s, a)}"
-            )
-        if self.initial.shape != (s,):
-            raise DimensionMismatch(
-                f"initial shape {self.initial.shape}, expected {(s,)}"
-            )
-        if any(g < 0 or g >= s for g in self.goals):
-            raise DimensionMismatch(f"goal state out of range: {sorted(self.goals)}")
+        s = self.num_states
+        _build_model(self, "reward", (s, self.num_actions, s), "kernel")
 
     def support(self, state: int, action: int) -> tuple[int, ...]:
         """States reachable from (state, action) with probability ``> 0``."""
@@ -272,23 +264,8 @@ class MarkovGame:
     initial: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "reward_1", _freeze(self.reward_1))
-        object.__setattr__(self, "initial", _freeze(self.initial))
-        object.__setattr__(self, "goals", frozenset(int(g) for g in self.goals))
-        s, a1, a2 = self.num_states, self.num_actions_1, self.num_actions_2
-        object.__setattr__(
-            self, "rows", _as_rows(self.rows, (s, a1, a2, s), "joint kernel")
-        )
-        if self.reward_1.shape != (s, a1, a2):
-            raise DimensionMismatch(
-                f"reward shape {self.reward_1.shape}, expected {(s, a1, a2)}"
-            )
-        if self.initial.shape != (s,):
-            raise DimensionMismatch(
-                f"initial shape {self.initial.shape}, expected {(s,)}"
-            )
-        if any(g < 0 or g >= s for g in self.goals):
-            raise DimensionMismatch(f"goal state out of range: {sorted(self.goals)}")
+        shape = (self.num_states, self.num_actions_1, self.num_actions_2, self.num_states)
+        _build_model(self, "reward_1", shape, "joint kernel")
 
     @cached_property
     def _fold_plan(self) -> "_FoldPlan":
@@ -384,14 +361,20 @@ class RolloutSet:
         return tuple(t for t in self.trajectories if t.terminated)
 
 
+def _validate_model(model, what: str) -> None:
+    """The checks of :func:`validate_mdp` and :func:`validate_game`; ``what`` names the kernel."""
+    if not 1 <= model.horizon <= MAX_HORIZON:
+        raise HorizonError(f"horizon must be from 1 to {MAX_HORIZON}, got {model.horizon}")
+    if not model.goals:
+        raise EmptyGoalError("goal set is empty")
+    rows = model.rows  # a row with no entries sums to 0
+    _check_distribution(rows.probs, rows.row_sums().reshape(rows.shape[:-1]), what)
+    _check_distribution(model.initial, model.initial.sum(keepdims=True), "initial distribution")
+
+
 def validate_mdp(mdp: TabularMDP) -> None:
     """Raise unless every TabularMDP invariant holds."""
-    if not 1 <= mdp.horizon <= MAX_HORIZON:
-        raise HorizonError(f"horizon must be from 1 to {MAX_HORIZON}, got {mdp.horizon}")
-    if not mdp.goals:
-        raise EmptyGoalError("goal set is empty")
-    _check_kernel(mdp.rows, "kernel")
-    _check_rows(mdp.initial[None, :], "initial distribution")
+    _validate_model(mdp, "kernel")
     if mdp.goal_absorbing and not _goals_absorbing(mdp.rows, mdp.goals):
         for g in sorted(mdp.goals):
             for a in range(mdp.num_actions):
@@ -402,19 +385,12 @@ def validate_mdp(mdp: TabularMDP) -> None:
 
 def validate_game(game: MarkovGame) -> None:
     """Raise unless every MarkovGame invariant holds."""
-    if not 1 <= game.horizon <= MAX_HORIZON:
-        raise HorizonError(f"horizon must be from 1 to {MAX_HORIZON}, got {game.horizon}")
-    if not game.goals:
-        raise EmptyGoalError("goal set is empty")
-    _check_kernel(game.rows, "joint kernel")
-    _check_rows(game.initial[None, :], "initial distribution")
+    _validate_model(game, "joint kernel")
 
 
 def validate_peer(peer: PeerPolicy) -> None:
-    if np.any(peer.probs < 0):
-        raise RowSumError(f"peer policy {peer.label!r}", "(negative entry)",
-                          float(peer.probs.min()), ROW_TOL)
-    _check_rows(peer.probs, f"peer policy {peer.label!r}")
+    """Raise unless every row of the peer table is a distribution with no negative entry."""
+    _check_distribution(peer.probs, peer.probs.sum(axis=-1), f"peer policy {peer.label!r}", 0.0)
 
 
 def _goals_absorbing(rows: KernelRows, goals: frozenset[int]) -> bool:
@@ -559,16 +535,21 @@ def enumerate_successes(
     return SuccessSet(graph.successes())
 
 
+def _support(rows: KernelRows) -> tuple[np.ndarray, np.ndarray]:
+    """The row and the target of every positive entry of ``rows``, in stored order."""
+    positive = rows.probs > 0
+    return rows.entry_rows()[positive], rows.targets[positive]
+
+
 def _positive_rows(mdp: TabularMDP) -> tuple[list[int], list[int]]:
     """The targets of the positive kernel entries, and where each row's run of them starts.
 
     Row ``r = s * num_actions + a`` holds ``mdp.support(s, a)`` as
     ``targets[offsets[r]:offsets[r + 1]]``.
     """
-    kernel = mdp.rows
-    positive = kernel.probs > 0
-    counts = np.bincount(kernel.entry_rows()[positive], minlength=kernel.num_rows)
-    return kernel.targets[positive].tolist(), [0] + np.cumsum(counts).tolist()
+    rows, targets = _support(mdp.rows)
+    counts = np.bincount(rows, minlength=mdp.rows.num_rows)
+    return targets.tolist(), [0] + np.cumsum(counts).tolist()
 
 
 def _goal_distances(mdp: TabularMDP) -> np.ndarray:
@@ -580,9 +561,8 @@ def _goal_distances(mdp: TabularMDP) -> np.ndarray:
     ``t >= 1`` can afford.
     """
     dist = np.full(mdp.num_states, mdp.horizon, dtype=np.int64)
-    positive = mdp.rows.probs > 0
-    sources = mdp.rows.entry_rows()[positive] // mdp.num_actions
-    targets = mdp.rows.targets[positive]
+    rows, targets = _support(mdp.rows)
+    sources = rows // mdp.num_actions
     frontier = np.zeros(mdp.num_states, dtype=bool)
     frontier[list(mdp.goals)] = True
     seen = frontier.copy()
@@ -658,7 +638,8 @@ def rollout(
 
     Episodes terminate at the first goal visit (within the horizon) or after
     ``horizon`` action steps.  Reproducible: PCG64(seed) plus inverse-CDF
-    sampling.
+    sampling.  Each (s, a) row drawn from is made dense once per call, so
+    no dense kernel is built.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -669,12 +650,12 @@ def rollout(
             f"policy shape {policy.shape}, expected "
             f"{(mdp.num_states, mdp.num_actions)}"
         )
-    _check_rows(policy, "rollout policy")
+    _check_distribution(policy, policy.sum(axis=1), "rollout policy")
 
     rng = np.random.Generator(np.random.PCG64(seed))
     init_cdf = np.cumsum(mdp.initial)
     policy_cdf = np.cumsum(policy, axis=1)
-    kernel_cdf = np.cumsum(mdp.kernel, axis=2)
+    kernel_cdf: dict[int, np.ndarray] = {}  # the cdf of each (s, a) row drawn from
 
     out: list[Trajectory] = []
     for _ in range(n):
@@ -686,7 +667,11 @@ def rollout(
                 terminal = state
                 break
             action = _draw(rng, policy_cdf[state])
-            nxt = _draw(rng, kernel_cdf[state, action])
+            row = state * mdp.num_actions + action
+            cdf = kernel_cdf.get(row)
+            if cdf is None:
+                cdf = kernel_cdf[row] = np.cumsum(mdp.rows.block([row])[0])
+            nxt = _draw(rng, cdf)
             steps.append((state, action))
             state = nxt
         out.append(Trajectory(steps=tuple(steps), terminal_state=terminal))

@@ -236,6 +236,29 @@ def dense_fold(game: MarkovGame, peer: PeerPolicy) -> np.ndarray:
     return np.einsum("sabt,sb->sat", game.joint_kernel, peer.probs)
 
 
+def dense_rollout(mdp: TabularMDP, policy: np.ndarray, n: int, seed: int) -> tuple[Trajectory, ...]:
+    """Reference for ``rollout``: every kernel draw reads the cdf of the whole dense kernel."""
+    from trajcore.mdp import _draw
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    init_cdf = np.cumsum(mdp.initial)
+    policy_cdf = np.cumsum(policy, axis=1)
+    kernel_cdf = np.cumsum(mdp.kernel, axis=2)
+    out = []
+    for _ in range(n):
+        state, steps, terminal = _draw(rng, init_cdf), [], None
+        for _t in range(mdp.horizon):
+            if state in mdp.goals:
+                terminal = state
+                break
+            action = _draw(rng, policy_cdf[state])
+            nxt = _draw(rng, kernel_cdf[state, action])
+            steps.append((state, action))
+            state = nxt
+        out.append(Trajectory(steps=tuple(steps), terminal_state=terminal))
+    return tuple(out)
+
+
 def dense_distance(kernel: np.ndarray, previous: np.ndarray) -> float:
     """Reference for the rows budget: the largest L1 row distance over whole dense kernels."""
     return float(np.abs(kernel - previous).sum(axis=-1).max())

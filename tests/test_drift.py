@@ -370,7 +370,7 @@ def test_certified_change_without_witness_is_a_consistency_error(chain_mdp):
 
 # Results digest of drift_report(..., phi, strip_terminal=True) on this layout,
 # computed by the unpruned search with a 100M-node budget; the unpruned
-# search trips the default 10M-node guard here.
+# search trips a 10M-node guard here.
 L5_K0_D2_G3_S1_P0_H9_DIGEST = "98f3798a49b7ec65fbfdd985cfeb23cffc2a3ac27e02a12b685f9b4d12fa5b28"
 
 

@@ -1,6 +1,7 @@
 """The support graph against the list path and the oracles: cores, counts, budgets, witnesses, drift."""
 import json
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from trajcore import (
     BudgetExceeded,
     EpisodeSequence,
     ExplosionGuard,
+    TabularMDP,
     UnmappedSymbol,
     apply_abstraction,
     build_coop_keydoor,
@@ -222,6 +224,36 @@ def test_cli_mine_counts_successes_on_the_graph(tmp_path, capsys, monkeypatch):
     assert main(["mine", path]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["num_successes"] == expected
     assert calls == []
+
+
+def test_cli_mine_refuses_a_count_it_cannot_print_before_mining(tmp_path, capsys, monkeypatch):
+    # from state 0 both actions reach 0 or the goal, so the successes double each step
+    kernel = np.zeros((2, 2, 2))
+    kernel[0, :, :] = 0.5
+    kernel[1, :, 1] = 1.0
+    mdp = TabularMDP(num_states=2, num_actions=2, kernel=kernel, reward=np.zeros((2, 2)),
+                     horizon=15_000, goals=frozenset({1}), initial=np.array([1.0, 0.0]))
+    path = str(tmp_path / "mdp.json")
+    formats.write_json(path, formats.mdp_to_payload(mdp))
+    mined = count_calls(monkeypatch, "_maximal_words")
+    assert main(["mine", path]) == 4
+    err = capsys.readouterr().err
+    assert "num_successes is at least 10**4300, more than the 4,300 digits" in err
+    assert mined == []
+
+
+def test_the_default_node_budget_fits_in_2_gib():
+    mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
+    mdp = replace(mdp, horizon=5000)
+    tracemalloc.start()
+    try:
+        graph = build_graph(mdp, Symbols(IDENTITY, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = len(graph.edges) - 1  # every node but accept is a (state, t)
+    assert 45_000 <= nodes <= 55_000
+    assert peak / nodes * DEFAULT_NODE_BUDGET <= 2 * 2**30
 
 
 def test_horizon_12_coop_layout_drifts_past_the_enumeration_wall(monkeypatch):

@@ -32,7 +32,7 @@ from trajcore import (
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor, random_mdp
 from trajcore.mdp import _draw, _positive_rows, goal_reachable
 
-from conftest import oracle_enumerate, random_game, random_peer, reweight_support
+from conftest import dense_rollout, oracle_enumerate, random_game, random_peer, reweight_support
 
 CHAIN_SUCCESSES = {
     ((0, 1), (1, 1), (2, -1)),
@@ -504,6 +504,59 @@ def test_rollout_respects_horizon(chain_mdp):
     for traj in result:
         assert not traj.terminated
         assert traj.num_action_steps == chain_mdp.horizon
+
+
+def test_rollout_draws_as_the_dense_kernel_does_without_building_it(monkeypatch):
+    cases = [random_mdp(6, 3, 8, seed=seed, support_size=3) for seed in range(4)]
+    kernel = np.array(cases[0].kernel)
+    row = kernel[0, 0]
+    low, high = np.flatnonzero(row == 0)[0], np.flatnonzero(row)[-1]
+    row[low], row[high] = -5e-10, row[high] + 5e-10  # tolerated, and drawn from
+    cases.append(replace(cases[0], kernel=kernel))
+    validate_mdp(cases[-1])
+    runs = []
+    for index, mdp in enumerate(cases):
+        policy = np.random.default_rng(index).random((mdp.num_states, mdp.num_actions))
+        policy /= policy.sum(axis=1, keepdims=True)
+        runs.append((mdp, policy, index, dense_rollout(mdp, policy, 300, seed=index)))
+
+    def refuse(rows):
+        raise AssertionError("a dense kernel was built")
+
+    monkeypatch.setattr(KernelRows, "dense", refuse)
+    for mdp, policy, seed, expected in runs:
+        assert rollout(mdp, policy, n=300, seed=seed).trajectories == expected
+
+
+# ---------------------------------------------------------------------------
+# one constructor and one validator for both models
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("reward", np.zeros((3, 3)), "reward shape (3, 3), expected {reward}"),
+    ("initial", np.array([0.5, 0.5]), "initial shape (2,), expected (3,)"),
+    ("goals", frozenset({1, 3}), "goal state out of range: [1, 3]"),
+    ("goals", frozenset({-1}), "goal state out of range: [-1]"),
+])
+def test_both_models_reject_a_bad_shape_or_goal_alike(chain_mdp, field, value, message):
+    game = game_from_mdp(chain_mdp)
+    with pytest.raises(DimensionMismatch) as mdp_err:
+        replace(chain_mdp, **{field: value})
+    with pytest.raises(DimensionMismatch) as game_err:
+        replace(game, **{"reward_1" if field == "reward" else field: value})
+    assert str(mdp_err.value) == message.format(reward=(3, 2))
+    assert str(game_err.value) == message.format(reward=(3, 2, 1))
+
+
+def test_a_peer_allows_no_negative_entry_where_a_kernel_row_tolerates_one(chain_mdp):
+    kernel = np.array(chain_mdp.kernel)
+    kernel[0, 0, 1], kernel[0, 0, 0] = -1e-12, 1.0 + 1e-12
+    validate_mdp(replace(chain_mdp, kernel=kernel))
+    peer = PeerPolicy(probs=np.array([[1.0 + 1e-12, -1e-12], [0.5, 0.5]]), label="p")
+    with pytest.raises(RowSumError) as err:
+        validate_peer(peer)
+    assert (err.value.what, err.value.row, err.value.total) == ("peer policy 'p'", "(negative entry)", -1e-12)
 
 
 # ---------------------------------------------------------------------------
