@@ -269,7 +269,7 @@ def _joint_rows(payload: dict, path: str) -> KernelRows:
     repeated = np.flatnonzero(keys[1:] == keys[:-1])
     if repeated.size:
         raise ParseError(path, f"duplicate game entry at {entries[order[repeated[0]]][:4]!r}")
-    kept = probs != 0
+    kept = np.flatnonzero(probs)  # rows store no zero entry
     return KernelRows.from_keys(shape, keys[kept], probs[kept])
 
 

@@ -2,17 +2,17 @@
 
 Every success of a :class:`~trajcore.mdp.TabularMDP` is a path through its
 support graph (:func:`build_graph`), the one walk over (state, t) in the
-package.  Its nodes are the (state, t) that lie on some success, and its
-edges the (action, next state) steps between them, plus an edge from each
-goal node to one accept node for the terminal pseudo-pair.  The graph has
-at most S·H (state, t) nodes however many successes it holds, and it is all
-that the core, the drift witnesses, the success count and
+package, which reads the kernel support the MDP keeps.  Its nodes are the
+(state, t) that lie on some success, and its edges the (action, next state)
+steps between them, plus an edge from each goal node to one accept node for
+the terminal pseudo-pair.  The graph has at most S·H (state, t) nodes
+however many successes it holds, and it is all that the core, the drift
+witnesses, the success count (:meth:`SuccessGraph.count_paths`) and
 :func:`~trajcore.mdp.enumerate_successes`, which lists its paths
-(:meth:`SuccessGraph.successes`), depend on.  A
-listed family of sequences is held by its sequence graph
-(:func:`sequence_graph`): the minimal DAG whose root-to-accept paths spell
-its distinct words, which :meth:`Symbols.words` prepares with one dict pass
-per sequence.
+(:meth:`SuccessGraph.successes`), depend on.  A listed family of sequences
+is held by its sequence graph (:func:`sequence_graph`): the minimal DAG
+whose root-to-accept paths spell its distinct words, which
+:meth:`Symbols.words` prepares with one dict pass per sequence.
 
 Edges carry small int symbol ids from a :class:`Symbols` table, which puts
 each distinct pair through the abstraction once.  Under ``collapse_runs`` a
@@ -61,8 +61,6 @@ from .mdp import (
     TabularMDP,
     Trajectory,
     _goal_distances,
-    _positive_rows,
-    _support,
 )
 
 if TYPE_CHECKING:
@@ -148,21 +146,25 @@ class Symbols:
     def words(self, items) -> list[tuple[int, ...]]:
         """The sorted distinct words of listed sequences or trajectories.
 
-        A word is the symbol ids of a sequence with the ids that :meth:`label`
-        makes ε dropped.  A sequence whose items are all known is mapped by
-        one dict pass; any other goes through :meth:`of` item by item, so
-        each distinct item meets ``phi`` once, in iteration order.
+        A word is the symbol ids of a sequence (a trajectory's steps, then
+        its terminal pair) with the ids that :meth:`label` makes ε dropped.
+        A sequence whose items are all known is mapped by one dict pass; any
+        other goes through :meth:`of` item by item, so each distinct item
+        meets ``phi`` once, in iteration order.
         """
         known = self._items.__getitem__
         raw = set()
         for item in items:
-            seq = item.pairs() if isinstance(item, Trajectory) else item
-            if not isinstance(seq, tuple):
-                seq = tuple(seq)  # a failed pass must not have consumed it
+            seq, end = item, None
+            if isinstance(item, Trajectory):
+                seq, end = item.steps, item.terminal_state
+            elif not isinstance(item, tuple):
+                seq = tuple(item)  # a failed pass must not have consumed it
             try:
-                raw.add(tuple(map(known, seq)))
+                ids = tuple(map(known, seq))
             except (KeyError, TypeError):  # an item not seen yet, or a list
-                raw.add(tuple(map(self.of, seq)))
+                ids = tuple(map(self.of, seq))
+            raw.add(ids if end is None else ids + (self.of((end, TERMINAL)),))
         if self.phi.collapse_runs or any(self.stripped):
             raw = {self._drop_eps(ids) for ids in raw}
         return sorted(raw)
@@ -187,19 +189,13 @@ class Symbols:
 def support_signature(mdp: TabularMDP) -> tuple:
     """What the success set of ``mdp`` depends on, as a hashable key.
 
-    The positive-entry pattern of the kernel rows, the initial support, the
-    goals and the horizon: two MDPs with equal signatures have the same
-    successes, so the same graph, core and witnesses.
+    The kernel support, the initial support, the goals and the horizon: two
+    MDPs with equal signatures have the same successes, so the same graph,
+    core and witnesses.
     """
-    rows, targets = _support(mdp.rows)
-    return (
-        mdp.rows.shape,
-        rows.tobytes(),
-        targets.tobytes(),
-        mdp.initial_support(),
-        tuple(sorted(mdp.goals)),
-        mdp.horizon,
-    )
+    support = mdp._support
+    return (support.shape, support.offsets.tobytes(), support.targets.tobytes(),
+            mdp.initial_support(), tuple(sorted(mdp.goals)), mdp.horizon)
 
 
 def build_graph(
@@ -207,14 +203,15 @@ def build_graph(
 ) -> "SuccessGraph":
     """The support graph of a validated ``mdp``, labelled from ``symbols``.
 
-    A forward walk, layer by layer, keeps the (state, t) nodes that lie on
-    some success (a goal within the horizon: :func:`~trajcore.mdp._goal_distances`)
-    and their steps, in ascending (action, next state) order.  Before ``phi``
-    sees a pair, it raises :class:`ExplosionGuard` past ``node_budget`` nodes,
-    with ``visited`` the nodes of the layers up to the one that crossed the
-    budget and ``needed`` those of the graph, counted on with one layer kept.
+    A forward walk over the kernel support, layer by layer, keeps the
+    (state, t) nodes that lie on some success (a goal within the horizon:
+    :func:`~trajcore.mdp._goal_distances`) and their steps, in ascending
+    (action, next state) order.  Before ``phi`` sees a pair, it raises
+    :class:`ExplosionGuard` past ``node_budget`` nodes, with ``visited`` the
+    nodes of the layers up to the one that crossed the budget and ``needed``
+    those of the graph, counted on with one layer kept.
     """
-    targets, offsets = _positive_rows(mdp)
+    targets, offsets = mdp._support.targets.tolist(), mdp._support.offsets.tolist()
     width, horizon, goals = mdp.num_actions, mdp.horizon, mdp.goals
     dist = _goal_distances(mdp).tolist()
     seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
@@ -356,20 +353,27 @@ class SuccessGraph:
         moves = [tuple(sorted({(lab, m) for _, m, lab in row})) for row in self.edges]
         object.__setattr__(self, "moves", moves)
 
-    def path_counts(self) -> list[int]:
-        """Root paths into each node, in Python ints: successes at accept, prefixes elsewhere."""
+    def count_paths(self) -> tuple[int, int]:
+        """The successes, and the prefixes (root paths into nodes but accept), in Python ints.
+
+        One pass in id order, parents first, pushes each node's count to its
+        children and drops it, so at most two layers of counts are held.
+        """
         paths = [0] * len(self.edges)
         for root in self.roots:
             paths[root] += 1
+        prefixes = 0
         for n in range(1, len(self.edges)):
-            if paths[n]:
+            count, paths[n] = paths[n], 0
+            if count:
+                prefixes += count
                 for _, m, _ in self.edges[n]:
-                    paths[m] += paths[n]
-        return paths
+                    paths[m] += count
+        return paths[ACCEPT], prefixes
 
     def num_successes(self) -> int:
         """The exact number of successes."""
-        return self.path_counts()[ACCEPT]
+        return self.count_paths()[0]
 
     def successes(self) -> tuple[Trajectory, ...]:
         """Every success, in :class:`~trajcore.mdp.SuccessSet` order.

@@ -12,8 +12,8 @@ Conventions used throughout the package:
   state index ``t <= horizon`` (states are 1-indexed, so a success has at
   most ``horizon - 1`` real action steps).  The support of a distribution is
   its set of entries ``> 0``; the small negative entries that validation
-  tolerates (down to ``-ROW_TOL``) are outside it.  :func:`_support` lists
-  the row and target of each positive kernel entry for every reader of it.
+  tolerates (down to ``-ROW_TOL``) are outside it.  Every reader of the
+  kernel support reads the one kept by :attr:`TabularMDP._support`.
 * An MDP and a game differ only in the rank of the kernel: both construct
   through :func:`_build_model` and validate through :func:`_validate_model`.
 * The successes of an MDP are the root-to-goal paths of one layered graph
@@ -26,9 +26,10 @@ Conventions used throughout the package:
 
 All container types are immutable after construction (arrays are marked
 read-only) and safe to share between threads.  A game keeps the plan of its
-first peer fold (:func:`_plan_fold`).  The plan is read-only and built from
-the game's read-only fields alone, so no value the game reports changes, and
-threads that fold into one game at once build equal plans at worst.
+first peer fold (:func:`_plan_fold`), and an MDP its kernel support on first
+use.  Both are read-only and built from the model's read-only fields alone,
+so no value the model reports changes, and threads that read one model at
+once build equal values at worst.
 """
 from __future__ import annotations
 
@@ -231,12 +232,28 @@ class TabularMDP:
         s = self.num_states
         _build_model(self, "reward", (s, self.num_actions, s), "kernel")
 
+    @cached_property
+    def _support(self) -> KernelRows:
+        """The kernel support: the positive entries of ``rows``, or ``rows`` when all are.
+
+        The one place that compares kernel entries with 0.  Folds store no
+        zero sums, so an induced MDP is usually its own support.
+        """
+        rows = self.rows
+        positive = rows.probs > 0
+        if positive.all():
+            return rows
+        before = np.concatenate(([0], np.cumsum(positive)))  # positive entries before each
+        return KernelRows(
+            rows.shape, before[rows.offsets], rows.targets[positive], rows.probs[positive]
+        )
+
     def support(self, state: int, action: int) -> tuple[int, ...]:
         """States reachable from (state, action) with probability ``> 0``."""
-        row = state * self.num_actions + action
-        start, end = self.rows.offsets[row], self.rows.offsets[row + 1]
-        targets = self.rows.targets[start:end]
-        return tuple(int(t) for t in targets[self.rows.probs[start:end] > 0])
+        if not (0 <= state < self.num_states and 0 <= action < self.num_actions):
+            raise ValueError(f"pair ({state}, {action}) out of range for this MDP")
+        support, row = self._support, state * self.num_actions + action
+        return tuple(support.targets[support.offsets[row] : support.offsets[row + 1]].tolist())
 
     def initial_support(self) -> tuple[int, ...]:
         return tuple(int(t) for t in np.flatnonzero(self.initial > 0))
@@ -519,7 +536,7 @@ def enumerate_successes(
     search, and lists nothing.  ``needed`` is None where the graph has more
     (state, t) nodes than that and ``_COUNTED_NODES``: it is not stored.
     """
-    from .graph import ACCEPT, Symbols, build_graph
+    from .graph import Symbols, build_graph
     from .mining import IDENTITY
 
     validate_mdp(mdp)
@@ -528,41 +545,23 @@ def enumerate_successes(
         graph = build_graph(mdp, Symbols(IDENTITY, False), max(limit, _COUNTED_NODES))
     except ExplosionGuard:
         raise ExplosionGuard(node_budget, limit + 1, None) from None
-    paths = graph.path_counts()
-    needed = sum(paths) - paths[ACCEPT]
+    needed = graph.count_paths()[1]
     if needed > limit:
         raise ExplosionGuard(node_budget, limit + 1, needed)
     return SuccessSet(graph.successes())
 
 
-def _support(rows: KernelRows) -> tuple[np.ndarray, np.ndarray]:
-    """The row and the target of every positive entry of ``rows``, in stored order."""
-    positive = rows.probs > 0
-    return rows.entry_rows()[positive], rows.targets[positive]
-
-
-def _positive_rows(mdp: TabularMDP) -> tuple[list[int], list[int]]:
-    """The targets of the positive kernel entries, and where each row's run of them starts.
-
-    Row ``r = s * num_actions + a`` holds ``mdp.support(s, a)`` as
-    ``targets[offsets[r]:offsets[r + 1]]``.
-    """
-    rows, targets = _support(mdp.rows)
-    counts = np.bincount(rows, minlength=mdp.rows.num_rows)
-    return targets.tolist(), [0] + np.cumsum(counts).tolist()
-
-
 def _goal_distances(mdp: TabularMDP) -> np.ndarray:
     """Fewest support steps from each state to a goal, through non-goal states.
 
-    One backward breadth-first pass over the support edges of the kernel
-    rows.  Goals are at distance 0; a state with no goal within
-    ``horizon - 1`` steps gets ``horizon``, which no state reached at index
-    ``t >= 1`` can afford.
+    One backward breadth-first pass over the edges of the kernel support.
+    Goals are at distance 0; a state with no goal within ``horizon - 1``
+    steps gets ``horizon``, which no state reached at index ``t >= 1`` can
+    afford.
     """
     dist = np.full(mdp.num_states, mdp.horizon, dtype=np.int64)
-    rows, targets = _support(mdp.rows)
-    sources = rows // mdp.num_actions
+    support = mdp._support
+    sources, targets = support.entry_rows() // mdp.num_actions, support.targets
     frontier = np.zeros(mdp.num_states, dtype=bool)
     frontier[list(mdp.goals)] = True
     seen = frontier.copy()
@@ -595,13 +594,9 @@ def is_successful(traj: Trajectory, mdp: TabularMDP) -> bool:
     support, no intermediate goal visit, and every transition in the kernel
     support.
     """
-    for s, a in traj.steps:
-        if not (0 <= s < mdp.num_states and 0 <= a < mdp.num_actions):
-            raise ValueError(f"pair ({s}, {a}) out of range for this MDP")
+    supports = [mdp.support(s, a) for s, a in traj.steps]  # raises on a pair out of range
     if not traj.terminated or traj.terminal_state not in mdp.goals:
         return False
-    if not (0 <= traj.terminal_state < mdp.num_states):
-        raise ValueError(f"terminal state {traj.terminal_state} out of range")
     if traj.num_action_steps > mdp.horizon - 1:
         return False
     states = [s for s, _ in traj.steps] + [traj.terminal_state]
@@ -609,10 +604,7 @@ def is_successful(traj: Trajectory, mdp: TabularMDP) -> bool:
         return False
     if any(s in mdp.goals for s, _ in traj.steps):
         return False
-    for (s, a), nxt in zip(traj.steps, states[1:]):
-        if mdp.rows.value(s * mdp.num_actions + a, nxt) <= 0.0:
-            return False
-    return True
+    return all(nxt in support for support, nxt in zip(supports, states[1:]))
 
 
 def _draw(rng: np.random.Generator, cdf: np.ndarray) -> int:

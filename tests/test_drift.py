@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import cached_property
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from trajcore import (
     KernelRows,
     MarkovGame,
     PeerPolicy,
+    TabularMDP,
     build_coop_keydoor,
     build_keydoor,
     core,
@@ -357,6 +359,31 @@ def test_drift_path_validates_each_induced_mdp_once(monkeypatch):
     drift_report(seq)
     # one per episode plus one for the individual core, before its graph is built
     assert len(calls) == seq.num_episodes + 1
+
+
+def test_drift_builds_the_support_of_each_induced_mdp_once(monkeypatch):
+    rng = np.random.default_rng(11)
+    game = sparse_game(rng)
+    gate = PeerPolicy(probs=np.tile([1.0, 0.0], (game.num_states, 1)), label="gate")
+    schedule = [random_peer(rng, game), gate, random_peer(rng, game), gate]
+    seq = EpisodeSequence.from_schedule(game, schedule)
+    built = []
+    plain = TabularMDP.__dict__["_support"].func
+
+    def counted(mdp):
+        built.append(mdp)
+        return plain(mdp)
+
+    support = cached_property(counted)
+    support.__set_name__(TabularMDP, "_support")
+    monkeypatch.setattr(TabularMDP, "_support", support)
+    drift_report(seq)
+    # one per episode plus one for the uniform peer; the signature, the goal
+    # distances and the graph walk all read the same kept support
+    assert len(built) == seq.num_episodes + 1
+    assert all(any(mdp is other for other in built) for mdp in seq.induced)
+    drift_report(seq)  # the episodes keep theirs; only the uniform peer is folded anew
+    assert len(built) == seq.num_episodes + 2
 
 
 def test_certified_change_without_witness_is_a_consistency_error(chain_mdp):

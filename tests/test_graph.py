@@ -242,18 +242,38 @@ def test_cli_mine_refuses_a_count_it_cannot_print_before_mining(tmp_path, capsys
     assert mined == []
 
 
-def test_the_default_node_budget_fits_in_2_gib():
+@pytest.fixture(scope="module")
+def traced_keydoor_graph():
+    """The key-door graph at horizon 5,000, its traced size and the traced peak of its build."""
     mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
     mdp = replace(mdp, horizon=5000)
     tracemalloc.start()
     try:
         graph = build_graph(mdp, Symbols(IDENTITY, False))
-        peak = tracemalloc.get_traced_memory()[1]
+        size, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return graph, size, peak
+
+
+def test_the_default_node_budget_fits_in_2_gib(traced_keydoor_graph):
+    graph, _, peak = traced_keydoor_graph
     nodes = len(graph.edges) - 1  # every node but accept is a (state, t)
     assert 45_000 <= nodes <= 55_000
     assert peak / nodes * DEFAULT_NODE_BUDGET <= 2 * 2**30
+
+
+def test_counting_the_paths_adds_little_to_the_graph(traced_keydoor_graph):
+    # the counts have thousands of digits here; one per node would outweigh the graph
+    graph, size, _ = traced_keydoor_graph
+    tracemalloc.start()
+    try:
+        successes, prefixes = graph.count_paths()
+        added = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert successes.bit_length() > 1000 and prefixes > successes
+    assert added < 0.1 * size
 
 
 def test_horizon_12_coop_layout_drifts_past_the_enumeration_wall(monkeypatch):

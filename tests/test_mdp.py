@@ -30,7 +30,7 @@ from trajcore import (
     validate_peer,
 )
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor, random_mdp
-from trajcore.mdp import _draw, _positive_rows, goal_reachable
+from trajcore.mdp import _draw, goal_reachable
 
 from conftest import dense_rollout, oracle_enumerate, random_game, random_peer, reweight_support
 
@@ -661,15 +661,34 @@ def test_positive_rows_equal_the_support_of_every_pair(support_size):
         mdp = random_mdp(
             num_states=7, num_actions=3, horizon=5, seed=seed, support_size=support_size
         )
+        assert mdp._support is mdp.rows  # every stored entry is positive
         kernel = mdp.kernel.copy()
         kernel[0, 0, -1] = -5e-10  # tolerated by validation, outside the support
         mdp = replace(mdp, kernel=kernel)
-        targets, offsets = _positive_rows(mdp)
-        assert len(offsets) == mdp.num_states * mdp.num_actions + 1
+        support = mdp._support
+        assert support is not mdp.rows and support.shape == mdp.rows.shape
+        assert len(support.offsets) == mdp.num_states * mdp.num_actions + 1
+        dense = mdp.kernel
         for s in range(mdp.num_states):
             for a in range(mdp.num_actions):
                 row = s * mdp.num_actions + a
-                assert tuple(targets[offsets[row] : offsets[row + 1]]) == mdp.support(s, a)
+                kept = support.targets[support.offsets[row] : support.offsets[row + 1]]
+                assert kept.tolist() == np.flatnonzero(dense[s, a] > 0).tolist()
+                assert mdp.support(s, a) == tuple(kept.tolist())
+                assert np.array_equal(support.probs[support.offsets[row] : support.offsets[row + 1]],
+                                      dense[s, a, kept])
+
+
+@pytest.mark.parametrize("state, action", [(-1, 0), (0, 3), (1, -1), (16, 0)])
+def test_support_rejects_a_pair_out_of_range(state, action):
+    mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
+    assert (mdp.num_states, mdp.num_actions) == (16, 3)
+    message = rf"pair \({state}, {action}\) out of range for this MDP"
+    with pytest.raises(ValueError, match=message):
+        mdp.support(state, action)
+    # is_successful checks every pair first, even of a trajectory that reaches no goal
+    with pytest.raises(ValueError, match=message):
+        is_successful(Trajectory(steps=((0, 0), (state, action))), mdp)
 
 
 def test_kernels_are_held_as_non_zero_rows_behind_a_dense_view(chain_mdp):

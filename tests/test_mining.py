@@ -22,6 +22,7 @@ from trajcore import (
     enumerate_successes,
     is_subsequence,
     lcs_pair,
+    random_mdp,
 )
 from trajcore.mining import canonical_member_order, maximal_elements
 
@@ -345,6 +346,19 @@ def test_core_maps_each_distinct_pair_once(chain_mdp, monkeypatch):
     monkeypatch.setattr(Abstraction, "image", lambda self, pair: seen.append(pair) or image(self, pair))
     assert core(successes, phi, strip_terminal=True).members == (("x", "x"),)
     assert sorted(seen) == sorted(pairs)
+
+
+def test_core_of_a_success_set_never_builds_pairs(monkeypatch):
+    successes = enumerate_successes(random_mdp(num_states=7, num_actions=3, horizon=6, seed=2))
+    assert len(successes) > 10 and all(traj.terminated for traj in successes)
+    listed = [traj.pairs() for traj in successes]
+    expected = [core(listed, strip_terminal=strip) for strip in (False, True)]
+
+    def refused(self):
+        raise AssertionError("Trajectory.pairs called")
+
+    monkeypatch.setattr(Trajectory, "pairs", refused)
+    assert [core(successes, strip_terminal=strip) for strip in (False, True)] == expected
 
 
 # Every way a listed family may hold a sequence of pairs; each call makes

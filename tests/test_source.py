@@ -18,6 +18,33 @@ def test_library_has_no_bare_assert():
     assert found == []
 
 
+def _reads_kernel_entries(node) -> bool:
+    """True iff an expression reads ``probs`` or calls ``.value(...)``, as kernel entries are read."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id == "probs":
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr == "probs":
+            return True
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr == "value":
+            return True
+    return False
+
+
+def test_kernel_entries_are_compared_with_zero_in_one_place():
+    # the support is the entries > 0; TabularMDP._support keeps it, and every reader reads that
+    found = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            zero = any(isinstance(op, ast.Constant) and op.value == 0 for op in operands)
+            if zero and any(_reads_kernel_entries(op) for op in operands):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(found) == 1 and found[0].startswith("mdp.py:"), found
+
+
 def test_every_traced_function_exists():
     # the tracer replaces each (module, function) of TARGETS by name, so a moved one breaks it
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
