@@ -4,9 +4,9 @@ Verbs: enumerate, mine, induce, budget, drift, gen, oracle-check.  Every
 command prints a self-describing JSON report to stdout; ``--out`` (or
 ``--out-dir`` for gen) additionally writes the primary payload to disk.
 
-Exit codes: 0 success, 2 usage, 3 file parse error, 4 validation or
-precondition failure, 5 search-budget guard tripped, 6 internal consistency
-check failed, 7 an output file could not be written.
+Exit codes: 0 success, 2 usage, 3 file parse error, 4 validation or precondition
+failure, 5 a search-budget guard tripped, or an allocation failed, 6 internal
+consistency check failed, 7 an output file could not be written.
 The ``TRAJCORE_BUDGET`` environment variable overrides the default search
 budget wherever ``--budget`` is not given explicitly.
 """
@@ -383,8 +383,9 @@ def main(argv=None) -> int:
     except (ValidationError, EmptySuccessSet, UnmappedSymbol, OracleScaleError, ValueError) as exc:
         print(f"trajcore: invalid input: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except GuardError as exc:
-        print(f"trajcore: budget guard: {exc}", file=sys.stderr)
+    except (GuardError, MemoryError) as exc:
+        memory = "out of memory: " if isinstance(exc, MemoryError) else ""
+        print(f"trajcore: budget guard: {memory}{exc}", file=sys.stderr)
         return EXIT_GUARD
     except (AssertionError, TrajcoreError) as exc:
         print(f"trajcore: internal error: {exc}", file=sys.stderr)

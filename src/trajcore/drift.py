@@ -15,16 +15,18 @@ survives every peer behavior the joint dynamics support; this definition is
 echoed in every report.
 
 Nothing here lists successes.  Each episode, and the uniform peer's MDP, is
-mined on its support graph (:mod:`trajcore.graph`), built and mined once per
-distinct support signature within one call; a step mines the union of its
-two graphs, and a witness is found by a walk over the other episode's
-graph.  ``node_budget`` bounds the (state, t) nodes of each support graph,
-so it is never above S·H, and ``seq_budget`` the nodes of each
+mined on its support graph (:mod:`trajcore.graph`).  Index aside, a step
+depends only on its two support signatures, so one call mines each distinct
+signature once and measures each unordered pair of them once: it mines the
+union of the two graphs and finds each witness by a walk over the other
+episode's graph.  ``node_budget`` bounds the (state, t) nodes of each support
+graph, so it is never above S·H, and ``seq_budget`` the nodes of each
 maximal-subsequence search.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,47 +199,66 @@ def uniform_peer(game: MarkovGame) -> PeerPolicy:
     return PeerPolicy(probs=probs, label="uniform-full-support")
 
 
-class _Mined:
-    """The graphs, cores and certified changes of one analysis.
+class _Support(NamedTuple):
+    """A support signature's number in order of first sight, its graph and core."""
 
-    Each distinct support signature is built and mined once, each distinct
-    union pair once, and each ordered pair's changes once.  Held by one call,
-    so nothing outlives it.
+    number: int
+    graph: SuccessGraph
+    core: CoreSet | None  # None without successes
+
+
+class _Mined:
+    """The supports and support pairs of one analysis.
+
+    Each distinct support signature is built and mined once.  Each unordered
+    pair of them is measured once, as the step from its lower to its higher
+    number with index 0, and the other order reads that record with vanished
+    and gained swapped.  Held by one call, so nothing outlives it.
     """
 
     def __init__(self, phi: Abstraction, strip_terminal: bool, node_budget: int, seq_budget: int):
         self.symbols = Symbols(phi, strip_terminal)
         self.node_budget = node_budget
         self.seq_budget = seq_budget
-        self.graphs: dict = {}  # signature -> SuccessGraph
-        self.cores: dict = {}  # signature -> CoreSet, or None without successes
-        self.unions: dict = {}  # frozenset of two signatures -> CoreSet of the union
-        self.changes: dict = {}  # (signature lost from, signature kept in) -> changes
+        self.supports: dict = {}  # signature -> _Support
+        self.pairs: dict = {}  # (lower number, higher number) -> DriftStep with index 0
 
-    def episode(self, mdp: TabularMDP) -> tuple:
-        """Validate ``mdp``, mine it unless its signature is known, and return the signature."""
+    def episode(self, mdp: TabularMDP) -> _Support:
+        """Validate ``mdp``, mine it unless its signature is known, and return its support."""
         validate_mdp(mdp)
         key = support_signature(mdp)
-        if key not in self.graphs:
-            graph = self.graphs[key] = build_graph(mdp, self.symbols, self.node_budget)
-            self.cores[key] = graph.core(self.seq_budget) if graph.roots else None
-        return key
+        if key not in self.supports:
+            graph = build_graph(mdp, self.symbols, self.node_budget)
+            core = graph.core(self.seq_budget) if graph.roots else None
+            self.supports[key] = _Support(len(self.supports), graph, core)
+        return self.supports[key]
 
-    def common(self, key_a: tuple, key_b: tuple) -> CoreSet:
-        """The core over the union of both success sets."""
-        pair = frozenset((key_a, key_b))
-        if pair not in self.unions:
-            union = self.graphs[key_a].union(self.graphs[key_b])
-            self.unions[pair] = union.core(self.seq_budget)
-        return self.unions[pair]
+    def individual(self, game: MarkovGame) -> CoreSet | None:
+        """The core of the uniform peer's MDP; None when nothing succeeds under it."""
+        validate_game(game)
+        return self.episode(_fold_peer(game, uniform_peer(game))).core
 
-    def lost(self, key_from: tuple, key_in: tuple) -> tuple[PrototypeChange, ...]:
-        """Members of the first core with no superseding member in the second, certified."""
-        if (key_from, key_in) not in self.changes:
-            self.changes[key_from, key_in] = _certified_changes(
-                self.cores[key_from], self.cores[key_in], self.graphs[key_in]
-            )
-        return self.changes[key_from, key_in]
+    def step(self, index: int, a: _Support, b: _Support, individual: CoreSet | None) -> DriftStep:
+        """The step from ``a`` to ``b``, read from the record of their pair."""
+        if a.number > b.number:
+            step = self.step(index, b, a, individual)
+            return replace(step, vanished=step.gained, gained=step.vanished)
+        if (a.number, b.number) not in self.pairs:
+            self.pairs[a.number, b.number] = self._measure(a, b, individual)
+        return replace(self.pairs[a.number, b.number], index=index)
+
+    def _measure(self, a: _Support, b: _Support, individual: CoreSet | None) -> DriftStep:
+        if a.core is None or b.core is None:
+            return DriftStep(0, None, None, (), (), None)
+        common = a.core if a is b else a.graph.union(b.graph).core(self.seq_budget)
+        literal = canonical_member_order(set(a.core.members) & set(b.core.members))
+        contained = None if individual is None else all(
+            any(is_subsequence(member, big) for big in individual.members)
+            for member in common.members
+        )
+        vanished = _certified_changes(a.core, b.core, b.graph)
+        gained = _certified_changes(b.core, a.core, a.graph)
+        return DriftStep(0, common, literal, vanished, gained, contained)
 
 
 def individual_core(
@@ -253,13 +274,7 @@ def individual_core(
     kernel support is the union of the supports induced by every possible
     peer policy.
     """
-    return _individual(game, _Mined(phi, strip_terminal, node_budget, seq_budget))
-
-
-def _individual(game: MarkovGame, mined: _Mined) -> CoreSet:
-    """:func:`individual_core` in ``mined``, which reuses the graph of an equal signature."""
-    validate_game(game)
-    found = mined.cores[mined.episode(_fold_peer(game, uniform_peer(game)))]
+    found = _Mined(phi, strip_terminal, node_budget, seq_budget).individual(game)
     if found is None:
         raise EmptySuccessSet("no trajectory succeeds under any peer behavior")
     return found
@@ -274,7 +289,7 @@ def episode_cores(
 ) -> list[CoreSet | None]:
     """Per-episode cores; None marks an episode whose success set is empty."""
     mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
-    return [mined.cores[mined.episode(mdp)] for mdp in seq.induced]
+    return [mined.episode(mdp).core for mdp in seq.induced]
 
 
 def _certified_changes(
@@ -319,40 +334,13 @@ def drift_report(
     has their core as its common core and no vanished or gained prototype.
     """
     mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
-    keys = [mined.episode(mdp) for mdp in seq.induced]
-
-    try:
-        individual = _individual(seq.game, mined)
-    except EmptySuccessSet:
-        individual = None
-
-    steps = []
-    for index, (key_a, key_b) in enumerate(zip(keys, keys[1:]), start=1):
-        core_a, core_b = mined.cores[key_a], mined.cores[key_b]
-        if core_a is None or core_b is None:
-            steps.append(DriftStep(index=index, common_core=None, literal_intersection=None,
-                                   vanished=(), gained=(), common_within_individual=None))
-            continue
-        common = core_a if key_a == key_b else mined.common(key_a, key_b)
-        literal = canonical_member_order(set(core_a.members) & set(core_b.members))
-        contained = None if individual is None else all(
-            any(is_subsequence(member, big) for big in individual.members)
-            for member in common.members
-        )
-        steps.append(
-            DriftStep(
-                index=index,
-                common_core=common,
-                literal_intersection=literal,
-                vanished=mined.lost(key_a, key_b),
-                gained=mined.lost(key_b, key_a),
-                common_within_individual=contained,
-            )
-        )
-
+    supports = [mined.episode(mdp) for mdp in seq.induced]
+    individual = mined.individual(seq.game)
+    pairs = enumerate(zip(supports, supports[1:]), start=1)
+    steps = tuple(mined.step(index, a, b, individual) for index, (a, b) in pairs)
     return DriftReport(
-        episode_cores=tuple(mined.cores[key] for key in keys),
-        steps=tuple(steps),
+        episode_cores=tuple(support.core for support in supports),
+        steps=steps,
         individual=individual,
         budget=variation_budget(seq),
     )

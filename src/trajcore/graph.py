@@ -51,6 +51,7 @@ trips at the same count, on any graph of the same words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Union
 
@@ -96,7 +97,11 @@ class CoreSet:
         return len(self.members)
 
     def __contains__(self, seq) -> bool:
-        return tuple(seq) in set(self.members)
+        return tuple(seq) in self._set
+
+    @cached_property
+    def _set(self) -> frozenset[SymbolSeq]:
+        return frozenset(self.members)
 
     def max_length(self) -> int:
         return max((len(m) for m in self.members), default=0)

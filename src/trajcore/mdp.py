@@ -26,10 +26,10 @@ Conventions used throughout the package:
 
 All container types are immutable after construction (arrays are marked
 read-only) and safe to share between threads.  A game keeps the plan of its
-first peer fold (:func:`_plan_fold`), and an MDP its kernel support on first
-use.  Both are read-only and built from the model's read-only fields alone,
-so no value the model reports changes, and threads that read one model at
-once build equal values at worst.
+first peer fold (:func:`_plan_fold`), an MDP its kernel support and a success
+set its frozenset, each on first use.  Each is read-only and built from the
+read-only fields alone, so no value the object reports changes, and threads
+that read one object at once build equal values at worst.
 """
 from __future__ import annotations
 
@@ -354,9 +354,13 @@ class SuccessSet:
         return len(self.trajectories)
 
     def __contains__(self, traj: Trajectory) -> bool:
-        return traj in set(self.trajectories)
+        return traj in self._set
 
     def as_set(self) -> frozenset[Trajectory]:
+        return self._set
+
+    @cached_property
+    def _set(self) -> frozenset[Trajectory]:
         return frozenset(self.trajectories)
 
 

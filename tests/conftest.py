@@ -298,6 +298,19 @@ def reweight_support(rng: np.random.Generator, mdp: TabularMDP) -> TabularMDP:
     )
 
 
+def count_set_builds(monkeypatch, module) -> list:
+    """Record every ``set`` or ``frozenset`` that code in ``module`` builds from now on."""
+    built = []
+    for kind in (set, frozenset):
+
+        def counted(*args, _kind=kind):
+            built.append(_kind)
+            return _kind(*args)
+
+        monkeypatch.setattr(module, kind.__name__, counted, raising=False)
+    return built
+
+
 def count_calls(monkeypatch, name: str) -> list:
     """Count calls of a package function under every module name that holds it."""
     from trajcore import drift, envs, graph, mdp, mining

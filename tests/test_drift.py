@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from trajcore import (
     IDENTITY,
+    TERMINAL,
+    Abstraction,
     ConsistencyError,
     CoreSet,
     DimensionMismatch,
@@ -35,7 +37,7 @@ from trajcore import (
 from trajcore import drift as drift_module
 from trajcore import formats
 from trajcore.drift import _certified_changes, _rows_distance
-from trajcore.graph import Symbols, build_graph, support_signature
+from trajcore.graph import SuccessGraph, Symbols, build_graph, support_signature
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
 from conftest import (
@@ -337,6 +339,38 @@ def test_drift_report_builds_one_graph_per_signature_and_enumerates_nothing(monk
     )
     assert enumerated == [] and len(built) == len(signatures)
     assert report == expected == oracle_drift_report(seq)
+
+
+def test_drift_report_measures_each_support_pair_once(monkeypatch):
+    rng = np.random.default_rng(736)
+    game = sparse_game(rng)
+    gate = PeerPolicy(probs=np.tile([1.0, 0.0], (game.num_states, 1)), label="gate")
+    peers = [random_peer(rng, game) for _ in range(3)]
+    # two signatures, A B A B A, so every step crosses the same unordered pair
+    seq = EpisodeSequence.from_schedule(game, [peers[0], gate, peers[1], gate, peers[2]])
+    assert len({support_signature(mdp) for mdp in seq.induced}) == 2
+    # an action-level abstraction, under which the two cores share a member
+    mapping = {(s, a): f"a{a}" for s in range(game.num_states) for a in range(2)}
+    mapping.update({(g, TERMINAL): "T" for g in game.goals})
+    phi = Abstraction(mapping=mapping)
+    certified = count_calls(monkeypatch, "_certified_changes")
+    unions = []
+    plain_union = SuccessGraph.union
+
+    def counted_union(graph, other):
+        unions.append(other)
+        return plain_union(graph, other)
+
+    monkeypatch.setattr(SuccessGraph, "union", counted_union)
+    report = drift_report(seq, phi)
+    first, steps = report.steps[0], report.steps
+    assert first.literal_intersection and first.gained
+    assert all(step.literal_intersection is first.literal_intersection for step in steps)
+    assert all(step.common_core is first.common_core for step in steps)
+    assert steps[1].vanished is first.gained and steps[1].gained is first.vanished
+    assert [step.index for step in steps] == [1, 2, 3, 4]
+    assert len(certified) == 2 and len(unions) == 1
+    assert report == oracle_drift_report(seq, phi)
 
 
 def test_drift_report_mines_the_uniform_peer_with_the_episodes(monkeypatch):

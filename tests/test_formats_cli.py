@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -432,6 +433,30 @@ def test_cli_guard_message_says_what_budget_would_suffice(tmp_path, capsys):
     capsys.readouterr()
     assert main(["enumerate", str(path), "--budget", str(needed)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "kind,config",
+    [
+        ("keydoor", formats.keydoor_config_to_payload(
+            replace(DEFAULT_KEYDOOR, corridor_length=1_000_000))),
+        ("coop-keydoor", formats.coop_config_to_payload(
+            replace(DEFAULT_COOP, corridor_length=10_000))),
+    ],
+)
+def test_cli_gen_of_a_layout_too_large_to_allocate_exits_5(tmp_path, capsys, kind, config):
+    # the first dense array of either layout is above 2^47 bytes, so NumPy
+    # refuses it at once, whatever the host's overcommit policy
+    cfg = tmp_path / "cfg.json"
+    formats.write_json(str(cfg), config)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["gen", kind, str(cfg), "--out-dir", str(out_dir)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("trajcore: budget guard: out of memory: ")
+    assert captured.err.count("\n") == 1
+    assert os.listdir(out_dir) == []
 
 
 @pytest.mark.parametrize(

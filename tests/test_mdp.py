@@ -32,7 +32,14 @@ from trajcore import (
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor, random_mdp
 from trajcore.mdp import _draw, goal_reachable
 
-from conftest import dense_rollout, oracle_enumerate, random_game, random_peer, reweight_support
+from conftest import (
+    count_set_builds,
+    dense_rollout,
+    oracle_enumerate,
+    random_game,
+    random_peer,
+    reweight_support,
+)
 
 CHAIN_SUCCESSES = {
     ((0, 1), (1, 1), (2, -1)),
@@ -460,6 +467,18 @@ def test_success_set_is_exactly_the_passing_trajectories(seed):
     enumerated = enumerate_successes(mdp).as_set()
     passing = {t for t in oracle_enumerate(mdp) if is_successful(t, mdp)}
     assert enumerated == passing
+
+
+def test_success_set_membership_reads_one_kept_set(monkeypatch):
+    from trajcore import mdp as mdp_module
+
+    successes = enumerate_successes(random_mdp(num_states=4, num_actions=2, horizon=4, seed=0))
+    assert len(successes) > 1 and successes.trajectories[0] in successes
+    built = count_set_builds(monkeypatch, mdp_module)
+    assert all(traj in successes for traj in successes)
+    assert Trajectory(steps=((0, 0),) * 5) not in successes
+    assert successes.as_set() is successes.as_set() == set(successes.trajectories)
+    assert built == []
 
 
 # ---------------------------------------------------------------------------

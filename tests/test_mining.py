@@ -10,6 +10,7 @@ from trajcore import (
     TERMINAL,
     Abstraction,
     BudgetExceeded,
+    CoreSet,
     EmptySuccessSet,
     OracleScaleError,
     Trajectory,
@@ -26,7 +27,7 @@ from trajcore import (
 )
 from trajcore.mining import canonical_member_order, maximal_elements
 
-from conftest import oracle_core
+from conftest import count_set_builds, oracle_core
 
 symbols = st.sampled_from("abcd")
 seqs = st.lists(symbols, min_size=0, max_size=8).map(tuple)
@@ -219,6 +220,16 @@ def test_core_strip_of_terminal_only_success_is_empty(chain_mdp):
     mined = core(terminal_only, strip_terminal=True)
     assert mined.members == ()
     assert core(terminal_only).members == (((2, TERMINAL),),)
+
+
+def test_core_set_membership_reads_one_kept_set(monkeypatch):
+    from trajcore import graph as graph_module
+
+    mined = CoreSet(members=(("a", "b"), ("c",)))
+    assert ("c",) in mined
+    built = count_set_builds(monkeypatch, graph_module)
+    assert ["a", "b"] in mined and ("b",) not in mined and "c" in mined
+    assert built == []
 
 
 def test_core_maximality_against_common_subsequences():
