@@ -1,10 +1,10 @@
 """Versioned JSON file formats and deterministic report emission.
 
 Every file is a single JSON object with a ``format`` and ``version`` field.
-Floats round-trip exactly (shortest-repr decimal).  Files hold the canonical
-form (sorted keys, no whitespace), the same bytes that :func:`digest` hashes,
-and writes are atomic (temp file then rename), so fixed inputs produce
-byte-identical files and payloads across runs and platforms.
+Floats round-trip exactly (shortest-repr decimal).  Files hold the bytes that
+:func:`digest` hashes, the canonical form (sorted keys, no whitespace), plus
+one newline.  Writes are atomic (temp file then rename), so fixed inputs
+produce byte-identical files and payloads across runs and platforms.
 
 Games are written as version 2: the joint kernel is the list ``entries`` of
 its non-zero entries ``[s, a1, a2, t, p]``, in ascending (s, a1, a2, t)
@@ -56,7 +56,8 @@ def file_digest(path: str) -> str:
 def write_json(path: str, payload: Any) -> None:
     """Atomic canonical write: temp file in the target directory, then rename.
 
-    Any ``OSError`` on the way is an :class:`OutputError` that names the path.
+    The file gets mode ``0o666 & ~umask``, as ``open`` would give it.  Any
+    ``OSError`` on the way is an :class:`OutputError` that names the path.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
@@ -65,6 +66,9 @@ def write_json(path: str, payload: Any) -> None:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(canonical_json(payload) + "\n")
+        umask = os.umask(0)  # the only way to read it; put back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -90,6 +94,8 @@ def read_input(path: str) -> tuple[Any, str]:
         raise ParseError(path, f"not valid UTF-8 at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except ValueError as exc:  # an integer past the int_max_str_digits limit
+        raise ParseError(path, f"invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(path, "JSON nested too deeply") from exc
 

@@ -1,13 +1,14 @@
 """The labelled DAGs that hold a success set, and the core mined on them.
 
 Every success of a :class:`~trajcore.mdp.TabularMDP` is a path through its
-support graph (:func:`build_graph`), the one walk over (state, t) in the
-package, which reads the kernel support the MDP keeps.  Its nodes are the
+support graph (:func:`build_graph`), the only code that walks (state, t),
+which reads the kernel support the MDP keeps.  Its nodes are the
 (state, t) that lie on some success, and its edges the (action, next state)
 steps between them, plus an edge from each goal node to one accept node for
-the terminal pseudo-pair.  The graph has at most S·H (state, t) nodes
-however many successes it holds, and it is all that the core, the drift
-witnesses, the success count (:meth:`SuccessGraph.count_paths`) and
+the terminal pseudo-pair.  The graph has at most S·H (state, t) nodes, of
+about 0.5 KB each on the key-door, however many successes it holds, and it
+is all that the core, the drift witnesses, the success count
+(:meth:`SuccessGraph.count_paths`) and
 :func:`~trajcore.mdp.enumerate_successes`, which lists its paths
 (:meth:`SuccessGraph.successes`), depend on.  A listed family of sequences
 is held by its sequence graph (:func:`sequence_graph`): the minimal DAG
@@ -208,19 +209,20 @@ def build_graph(
 ) -> "SuccessGraph":
     """The support graph of a validated ``mdp``, labelled from ``symbols``.
 
-    A forward walk over the kernel support, layer by layer, keeps the
+    A forward walk over the kernel support that keeps one layer counts the
     (state, t) nodes that lie on some success (a goal within the horizon:
-    :func:`~trajcore.mdp._goal_distances`) and their steps, in ascending
-    (action, next state) order.  Before ``phi`` sees a pair, it raises
-    :class:`ExplosionGuard` past ``node_budget`` nodes, with ``visited`` the
-    nodes of the layers up to the one that crossed the budget and ``needed``
-    those of the graph, counted on with one layer kept.
+    :func:`~trajcore.mdp._goal_distances`).  Before ``phi`` sees a pair, it
+    raises :class:`ExplosionGuard` past ``node_budget`` nodes, with
+    ``visited`` the nodes of the layers up to the one that crossed the
+    budget and ``needed`` those of the graph.  A second walk labels them
+    layer by layer, steps in ascending (action, next state) order, and
+    numbers each next layer's nodes as they are first reached.  So the
+    build peaks at the graph plus a layer: 0.5 KB a node on the key-door.
     """
     targets, offsets = mdp._support.targets.tolist(), mdp._support.offsets.tolist()
     width, horizon, goals = mdp.num_actions, mdp.horizon, mdp.goals
     dist = _goal_distances(mdp).tolist()
     seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
-    steps: dict[tuple[int, int], list[tuple[tuple[int, int], int]]] = {}
     seen: dict[tuple[int, ...], tuple[int, int]] = {}  # layer -> first (t, total) past the budget
     layer, t, total, visited, steady = seeds, 1, 0, 0, 0
     while layer:
@@ -237,50 +239,37 @@ def build_graph(
         slack = horizon - t - 1
         following: set[int] = set()
         for s in layer:
-            if s in goals:
-                continue
-            row = s * width
-            out = [
-                ((s, a), m)
-                for a in range(width)
-                for m in targets[offsets[row + a] : offsets[row + a + 1]]
-                if dist[m] <= slack
-            ]
-            if not visited:
-                steps[(s, t)] = out
-            following.update(m for _, m in out)
+            if s not in goals:
+                reached = targets[offsets[s * width] : offsets[(s + 1) * width]]
+                following.update(m for m in reached if dist[m] <= slack)
         layer, t = sorted(following), t + 1
     if visited:
         raise ExplosionGuard(node_budget, visited, total)
     collapse = symbols.phi.collapse_runs
-    keys: list = [None]  # (state, t, symbol that entered the node under collapse_runs)
-    index: dict = {}
-
-    def node(key) -> int:
-        n = index.get(key)
-        if n is None:
-            n = index[key] = len(keys)
-            keys.append(key)
-        return n
-
-    roots = tuple(node((s, 1, None)) for s in seeds)
-    edges: list[tuple[tuple[int, int, int], ...]] = [()]
-    n = 1
-    while n < len(keys):  # ids grow with t, so this runs layer by layer
-        s, t, last = keys[n]
-        out = steps.get((s, t))
-        if out is None:  # a goal
-            sid = symbols.of((s, TERMINAL))
-            edges.append(((TERMINAL, ACCEPT, symbols.label(sid, last)),))
-        else:
-            row = []
-            for pair, m in out:
-                sid = symbols.of(pair)
-                target = node((m, t + 1, sid if collapse else None))
-                row.append((pair[1], target, symbols.label(sid, last)))
+    state, edges = [-1], [()]
+    # (state, symbol that entered it under collapse_runs)
+    layer, t = [(s, None) for s in seeds], 1
+    while layer:
+        slack, first = horizon - t - 1, len(edges) + len(layer)
+        ids: dict[tuple[int, int | None], int] = {}  # the next layer's nodes
+        for s, last in layer:
+            state.append(s)
+            if s in goals:
+                sid = symbols.of((s, TERMINAL))
+                edges.append(((TERMINAL, ACCEPT, symbols.label(sid, last)),))
+                continue
+            row, base = [], s * width
+            for a in range(width):
+                reached = targets[offsets[base + a] : offsets[base + a + 1]]
+                kept = [m for m in reached if dist[m] <= slack]
+                if kept:
+                    sid = symbols.of((s, a))
+                    label, key = symbols.label(sid, last), sid if collapse else None
+                    for m in kept:
+                        row.append((a, ids.setdefault((m, key), first + len(ids)), label))
             edges.append(tuple(row))
-        n += 1
-    return SuccessGraph(symbols, [-1] + [key[0] for key in keys[1:]], edges, roots)
+        layer, t = list(ids), t + 1
+    return SuccessGraph(symbols, state, edges, tuple(range(1, len(seeds) + 1)))
 
 
 def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGraph":

@@ -210,6 +210,16 @@ def test_known_malformed_files_are_parse_errors(argv, role, data):
     assert "parse error" in err and "Traceback" not in err
 
 
+def test_an_integer_of_more_digits_than_json_reads_is_a_parse_error():
+    # json.loads refuses an integer of more than 4,300 digits with a bare ValueError
+    files = _valid_files(["game", "peer"])
+    files["peer"] = _with_literal(VALID["peer"], "version", "9" * 5000)
+    code, err = _run(["induce", "{game}", "{peer}"], files)
+    assert code == 3
+    assert err.startswith("trajcore: parse error: ") and "Traceback" not in err
+    assert f"{os.sep}peer.json: " in err
+
+
 MINE_WITH_PHI = ["mine", "{mdp}", "--phi", "{kd_phi}"]
 
 

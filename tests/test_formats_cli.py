@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -520,6 +521,38 @@ def test_write_json_is_atomic_and_stable(tmp_path):
     with open(path) as handle:
         assert handle.read() == text
     assert not [f for f in os.listdir(tmp_path) if f.endswith(".tmp")]
+
+
+def test_a_file_holds_the_digested_bytes_then_a_newline(tmp_path, capsys, keydoor):
+    mdp_file, out = tmp_path / "m.json", tmp_path / "out.json"
+    formats.write_json(str(mdp_file), formats.mdp_to_payload(keydoor[0]))
+    assert main(["enumerate", str(mdp_file), "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    data = out.read_bytes()
+    assert data == (formats.canonical_json(report["results"]) + "\n").encode("utf-8")
+    assert report["results_digest"] == hashlib.sha256(data[:-1]).hexdigest()
+    assert formats.file_digest(str(out)) != report["results_digest"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_get_their_mode_from_the_umask(tmp_path, capsys, keydoor, umask, mode):
+    mdp_file, out = tmp_path / "m.json", tmp_path / "out.json"
+    formats.write_json(str(mdp_file), formats.mdp_to_payload(keydoor[0]))
+    out.write_text("{}")
+    out.chmod(0o600 if mode == 0o644 else 0o644)  # an existing file does not keep its mode
+    cfg = _write_keydoor_config(tmp_path)
+    before = os.umask(umask)
+    try:
+        assert main(["gen", "keydoor", cfg, "--out-dir", str(tmp_path / "gen")]) == 0
+        written = json.loads(capsys.readouterr().out)["results"]["written"]
+        assert main(["enumerate", str(mdp_file), "--out", str(out)]) == 0
+        assert os.umask(umask) == umask  # the process umask is as it was
+    finally:
+        os.umask(before)
+    capsys.readouterr()
+    assert len(written) >= 2
+    for path in written + [str(out)]:
+        assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
 def test_float_round_trip_precision(tmp_path):

@@ -152,6 +152,18 @@ def test_unmapped_pair_raises_exactly_when_it_lies_on_a_success():
         assert raised == [missing in on_success] * 2
 
 
+@pytest.mark.parametrize("collapse_runs", [False, True])
+def test_unmapped_symbol_names_the_first_pair_the_labelling_meets(collapse_runs):
+    # phi meets the pairs layer by layer, each node's in ascending action order
+    mdp = random_mdp(6, 2, 7, seed=3, support_size=2)
+    every = [(s, a) for s in range(6) for a in range(2)] + [(g, TERMINAL) for g in mdp.goals]
+    for mapped, first in [([], (3, 0)), ([p for p in every if p[0] % 3 != 2], (5, TERMINAL))]:
+        phi = Abstraction(mapping={pair: "x" for pair in mapped}, collapse_runs=collapse_runs)
+        with pytest.raises(UnmappedSymbol) as unmapped:
+            build_graph(mdp, Symbols(phi, False))
+        assert unmapped.value.pair == first
+
+
 def test_node_budget_bounds_the_state_time_nodes_of_the_graph():
     mdp = random_mdp(6, 2, 7, seed=3, support_size=2)
     # the (state, t) nodes that successes pass through, the accept node aside
@@ -261,6 +273,12 @@ def test_the_default_node_budget_fits_in_2_gib(traced_keydoor_graph):
     nodes = len(graph.edges) - 1  # every node but accept is a (state, t)
     assert 45_000 <= nodes <= 55_000
     assert peak / nodes * DEFAULT_NODE_BUDGET <= 2 * 2**30
+
+
+def test_building_the_graph_holds_little_besides_the_graph(traced_keydoor_graph):
+    # the walks keep one layer at a time, not a second copy of the graph's steps
+    _, size, peak = traced_keydoor_graph
+    assert peak <= 1.5 * size
 
 
 def test_counting_the_paths_adds_little_to_the_graph(traced_keydoor_graph):
