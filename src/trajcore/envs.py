@@ -17,6 +17,7 @@ the peer's policy, which is exactly what the episode schedules vary.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import prod
 
 import numpy as np
 
@@ -87,6 +88,14 @@ DEFAULT_COOP = CoopKeyDoorConfig(
     peer_start=1,
     horizon=8,
 )
+
+
+def _zeros(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """``np.zeros(shape, dtype)``; a table too large for NumPy to index is a MemoryError."""
+    dtype = np.dtype(dtype)
+    if prod(shape) * dtype.itemsize > np.iinfo(np.intp).max:
+        raise MemoryError(f"cannot allocate an array with shape {shape} and data type {dtype}")
+    return np.zeros(shape, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +181,7 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
                 return pos, has_key, True
         return pos, has_key, door_open
 
-    kernel = np.zeros((num_states, num_actions, num_states))
+    kernel = _zeros((num_states, num_actions, num_states))
     reward = np.zeros((num_states, num_actions))
     for state in range(num_states):
         pos, has_key, door_open = keydoor_decode(state)
@@ -369,7 +378,7 @@ def build_coop_keydoor(
     num_states = layout.num_states
 
     # deterministic dynamics: each (state, a1, a2) row holds one entry, 1.0
-    successors = np.zeros((num_states, 3, 3), dtype=np.int64)
+    successors = _zeros((num_states, 3, 3), np.int64)
     reward = np.zeros((num_states, 3, 3))
     goals = frozenset(s for s in range(num_states) if layout.is_goal(s))
     for state in range(num_states):

@@ -376,12 +376,19 @@ def trajectory_to_payload(traj: Trajectory) -> dict:
     }
 
 
+def _index(value) -> int:
+    """A state or action: a JSON integer of at least 0, so no step is the reserved terminal pair."""
+    if _int(value) < 0:
+        raise ValueError(f"expected a state or action of at least 0, got {value}")
+    return value
+
+
 def trajectory_from_payload(entry: dict, path: str = "<memory>") -> Trajectory:
     with _malformed(path, "trajectory entry"):
         terminal = entry.get("terminal_state")
         return Trajectory(
-            steps=tuple((_int(s), _int(a)) for s, a in entry["steps"]),
-            terminal_state=None if terminal is None else _int(terminal),
+            steps=tuple((_index(s), _index(a)) for s, a in entry["steps"]),
+            terminal_state=None if terminal is None else _index(terminal),
         )
 
 

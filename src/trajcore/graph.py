@@ -6,7 +6,7 @@ which reads the kernel support the MDP keeps.  Its nodes are the
 (state, t) that lie on some success, and its edges the (action, next state)
 steps between them, plus an edge from each goal node to one accept node for
 the terminal pseudo-pair.  The graph has at most S·H (state, t) nodes, of
-about 0.5 KB each on the key-door, however many successes it holds, and it
+about 0.3 KB each on the key-door, however many successes it holds, and it
 is all that the core, the drift witnesses, the success count
 (:meth:`SuccessGraph.count_paths`) and
 :func:`~trajcore.mdp.enumerate_successes`, which lists its paths
@@ -51,7 +51,7 @@ trips at the same count, on any graph of the same words.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import TYPE_CHECKING, Iterator, Union
@@ -217,7 +217,7 @@ def build_graph(
     budget and ``needed`` those of the graph.  A second walk labels them
     layer by layer, steps in ascending (action, next state) order, and
     numbers each next layer's nodes as they are first reached.  So the
-    build peaks at the graph plus a layer: 0.5 KB a node on the key-door.
+    build peaks at the graph plus a layer: 0.3 KB a node on the key-door.
     """
     targets, offsets = mdp._support.targets.tolist(), mdp._support.offsets.tolist()
     width, horizon, goals = mdp.num_actions, mdp.horizon, mdp.goals
@@ -334,18 +334,14 @@ class SuccessGraph:
     label) edges of node ``n`` in ascending (action, next state) order; a
     goal node has the single edge ``(TERMINAL, ACCEPT, label)``.  Every edge
     lies on some success.  A :func:`sequence_graph` has the same form.
+    Every pass reads these rows and folds them per node by AND, OR, min,
+    max or set union, so two rows with the same (label, target) count once.
     """
 
     symbols: Symbols
     state: list[int]
     edges: list[tuple[tuple[int, int, int], ...]]
     roots: tuple[int, ...]
-    # the distinct (label, target) pairs of each node's edges, all the passes read
-    moves: list[tuple[tuple[int, int], ...]] = field(init=False)
-
-    def __post_init__(self):
-        moves = [tuple(sorted({(lab, m) for _, m, lab in row})) for row in self.edges]
-        object.__setattr__(self, "moves", moves)
 
     def count_paths(self) -> tuple[int, int]:
         """The successes, and the prefixes (root paths into nodes but accept), in Python ints.
@@ -413,7 +409,7 @@ class SuccessGraph:
         """
         if not self.roots:
             raise EmptySuccessSet("core is undefined over zero successes")
-        found = _maximal_words(self.moves, self.roots, budget)
+        found = _maximal_words(self.edges, self.roots, budget)
         return CoreSet(
             members=canonical_member_order(self.symbols.decode(w) for w in found if w),
             alphabet_tag=self.symbols.phi.label,
@@ -434,11 +430,11 @@ class SuccessGraph:
         for j, sid in enumerate(word):
             masks[sid] = masks.get(sid, 0) | 1 << j
         # short[n]: automaton states at n from which some path ends short of len(word)
-        short = [0] * len(self.moves)
+        short = [0] * len(self.edges)
         short[ACCEPT] = (1 << len(word)) - 1
-        for n in range(len(self.moves) - 1, 0, -1):
+        for n in range(len(self.edges) - 1, 0, -1):
             acc = 0
-            for lab, m in self.moves[n]:
+            for _, m, lab in self.edges[n]:
                 mask = masks.get(lab, 0)
                 acc |= (short[m] & ~mask) | (short[m] >> 1 & mask)
             short[n] = acc
@@ -468,27 +464,27 @@ def _bits(x: int) -> list[int]:
     return out
 
 
-def _must(moves) -> list[int]:
+def _must(edges) -> list[int]:
     """``must[n]``: the symbols on every path from ``n`` to accept, as a bitset."""
-    must = [0] * len(moves)
-    for n in range(len(moves) - 1, 0, -1):
+    must = [0] * len(edges)
+    for n in range(len(edges) - 1, 0, -1):
         acc = -1
-        for lab, m in moves[n]:
+        for _, m, lab in edges[n]:
             acc &= must[m] | (1 << lab if lab >= 0 else 0)
         must[n] = acc
     return must
 
 
-def _before(moves, c: int) -> list[int]:
+def _before(edges, c: int) -> list[int]:
     """``table[n]``: symbols ``d != c`` that no path from ``n`` holds before its first ``c``.
 
     Empty where some path from ``n`` holds no ``c``.
     """
     bit = 1 << c
-    table = [0] * len(moves)
-    for n in range(len(moves) - 1, 0, -1):
+    table = [0] * len(edges)
+    for n in range(len(edges) - 1, 0, -1):
         acc = -1
-        for lab, m in moves[n]:
+        for _, m, lab in edges[n]:
             if lab == c:
                 acc &= ~bit
             elif lab < 0:
@@ -499,13 +495,13 @@ def _before(moves, c: int) -> list[int]:
     return table
 
 
-def _advance(moves, frontier: tuple[int, ...], c: int) -> tuple[int, ...]:
+def _advance(edges, frontier: tuple[int, ...], c: int) -> tuple[int, ...]:
     """Targets of the first ``c``-edges on the paths from ``frontier``."""
     found: set[int] = set()
     seen = set(frontier)
     todo = list(frontier)
     while todo:
-        for lab, m in moves[todo.pop()]:
+        for _, m, lab in edges[todo.pop()]:
             if lab == c:
                 found.add(m)
             elif m not in seen:
@@ -514,21 +510,21 @@ def _advance(moves, frontier: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def _gap_bounds(moves) -> tuple[list[int], list[int]]:
+def _gap_bounds(edges) -> tuple[list[int], list[int]]:
     """The id ranges that the gap passes of :func:`_no_gap_fits` need.
 
     ``first[i]`` is the least id of a node whose longest path from a root
     has ``i`` or more edges; ``last[k]`` is the greatest id of a node each
     of whose paths to accept carries ``k`` or more symbols (0 if none).
     """
-    size = len(moves)
+    size = len(edges)
     depth, fewest = [0] * size, [0] * size
     for n in range(1, size):
-        for _, m in moves[n]:
+        for _, m, _ in edges[n]:
             if depth[m] <= depth[n]:
                 depth[m] = depth[n] + 1
     for n in range(size - 1, 0, -1):
-        fewest[n] = min(fewest[m] + (lab >= 0) for lab, m in moves[n])
+        fewest[n] = min(fewest[m] + (lab >= 0) for _, m, lab in edges[n])
     first = [size] * (max(depth[1:], default=0) + 1)
     # read up to len(word) + 1, and no common word is longer than fewest[root]
     last = [0] * (max(fewest) + 2)
@@ -538,18 +534,18 @@ def _gap_bounds(moves) -> tuple[list[int], list[int]]:
     return list(accumulate(first[::-1], min))[::-1], list(accumulate(last[::-1], max))[::-1]
 
 
-def _maximal_words(moves, roots: tuple[int, ...], budget: int) -> set[tuple[int, ...]]:
+def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int, ...]]:
     """Maximal common subsequences of the label sequences of all root-to-accept paths.
 
     The search of the module docstring; raises :class:`BudgetExceeded` once
     it visits more than ``budget`` nodes.
     """
-    must = _must(moves)
+    must = _must(edges)
     common = -1
     for root in roots:
         common &= must[root]
-    before = {c: _before(moves, c) for c in _bits(common)}
-    bounds = _gap_bounds(moves)
+    before = {c: _before(edges, c) for c in _bits(common)}
+    bounds = _gap_bounds(edges)
     found: set[tuple[int, ...]] = set()
     visited = 0
     # (word, frontier after each prefix of the word)
@@ -564,7 +560,7 @@ def _maximal_words(moves, roots: tuple[int, ...], budget: int) -> set[tuple[int,
         for n in frontier:
             extensions &= must[n]
         if not extensions:
-            if _no_gap_fits(moves, must, common, word, frontiers, bounds):
+            if _no_gap_fits(edges, must, common, word, frontiers, bounds):
                 found.add(word)
             continue
         candidates = _bits(extensions)
@@ -576,11 +572,11 @@ def _maximal_words(moves, roots: tuple[int, ...], budget: int) -> set[tuple[int,
             dominated |= first
         for c in candidates:
             if not dominated >> c & 1:
-                stack.append((word + (c,), frontiers + (_advance(moves, frontier, c),)))
+                stack.append((word + (c,), frontiers + (_advance(edges, frontier, c),)))
     return found
 
 
-def _no_gap_fits(moves, must, common: int, word, frontiers, bounds) -> bool:
+def _no_gap_fits(edges, must, common: int, word, frontiers, bounds) -> bool:
     """True iff no symbol of ``common`` can be inserted before any ``word[i]``.
 
     ``holds[n]`` is the set of symbols ``x`` such that every path from ``n``
@@ -599,10 +595,10 @@ def _no_gap_fits(moves, must, common: int, word, frontiers, bounds) -> bool:
     for i in range(len(word) - 1, -1, -1):
         c = word[i]
         # a path from m holds word[i:] iff c is in the previous holds[m]
-        nxt = [0] * len(moves)
+        nxt = [0] * len(edges)
         for n in range(last[len(word) - i + 1], first[i] - 1, -1):
             acc = -1
-            for lab, m in moves[n]:
+            for _, m, lab in edges[n]:
                 if lab < 0:
                     acc &= nxt[m]
                 else:

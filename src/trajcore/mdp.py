@@ -50,7 +50,7 @@ from .errors import (
 
 TERMINAL = -1
 ROW_TOL = 1e-9
-DEFAULT_NODE_BUDGET = 1_000_000  # a support graph node peaks at 0.5 KB (key-door) to 1.3 KB
+DEFAULT_NODE_BUDGET = 1_000_000  # a support graph node peaks at 0.3 KB (key-door) to 0.8 KB
 MAX_HORIZON = 2**63 - 1
 _COUNTED_NODES = 1 << 16  # the graph size up to which a tripped enumeration counts its prefixes
 

@@ -1,6 +1,6 @@
 """The benchmark's correctness gate, run once untimed.
 
-Builds the seed-41 operations of two ``perfbench`` workloads, runs each once
+Builds the seed-41 operations of every ``perfbench`` workload, runs each once
 and checks every result digest against ``perfbench/reference.json``, as
 ``perfbench/run.py`` does before it times anything.  Reads those files and
 writes nothing under ``perfbench/``.
@@ -26,7 +26,7 @@ def workloads():
     return workloads
 
 
-@pytest.mark.parametrize("name", ["coop-drift", "mine-families"])
+@pytest.mark.parametrize("name", ["coop-drift", "schedule-cli", "mine-families"])
 def test_benchmark_ops_match_the_reference_digests(workloads, name, tmp_path):
     reference = json.loads((BENCH_DIR / "reference.json").read_text())["ops"][name]
     ops = workloads.WORKLOADS[name](41, str(tmp_path))

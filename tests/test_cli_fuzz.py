@@ -220,6 +220,22 @@ def test_an_integer_of_more_digits_than_json_reads_is_a_parse_error():
     assert f"{os.sep}peer.json: " in err
 
 
+@pytest.mark.parametrize("strip", [[], ["--strip-terminal"]], ids=["kept", "stripped"])
+@pytest.mark.parametrize(
+    "trajectory",
+    [{"steps": [[0, TERMINAL]], "terminal_state": 3}, {"steps": [[-1, 0]], "terminal_state": 3},
+     {"steps": [[0, 0]], "terminal_state": -1}],
+    ids=["reserved-action", "negative-state", "negative-terminal-state"],
+)
+def test_a_negative_state_or_action_in_a_successes_file_is_a_parse_error(trajectory, strip):
+    # a step (s, TERMINAL) was mined as a terminal pair mid-trajectory, or dropped by --strip-terminal
+    data = formats.canonical_json({**VALID["successes"], "trajectories": [trajectory]})
+    code, err = _run(["mine", "{successes}", *strip], {"successes": data.encode("utf-8")})
+    assert code == 3
+    assert err.startswith("trajcore: parse error: ") and "Traceback" not in err
+    assert f"{os.sep}successes.json: malformed trajectory entry: " in err
+
+
 MINE_WITH_PHI = ["mine", "{mdp}", "--phi", "{kd_phi}"]
 
 

@@ -443,11 +443,16 @@ def test_cli_guard_message_says_what_budget_would_suffice(tmp_path, capsys):
             replace(DEFAULT_KEYDOOR, corridor_length=1_000_000))),
         ("coop-keydoor", formats.coop_config_to_payload(
             replace(DEFAULT_COOP, corridor_length=10_000))),
+        ("keydoor", formats.keydoor_config_to_payload(
+            replace(DEFAULT_KEYDOOR, corridor_length=10**9))),
+        ("coop-keydoor", formats.coop_config_to_payload(
+            replace(DEFAULT_COOP, corridor_length=10**6))),
     ],
 )
 def test_cli_gen_of_a_layout_too_large_to_allocate_exits_5(tmp_path, capsys, kind, config):
-    # the first dense array of either layout is above 2^47 bytes, so NumPy
-    # refuses it at once, whatever the host's overcommit policy
+    # the first dense array of each layout is above 2^47 bytes, so NumPy
+    # refuses it at once, whatever the host's overcommit policy; the last two
+    # are past the bytes NumPy can index at all, which the builders refuse first
     cfg = tmp_path / "cfg.json"
     formats.write_json(str(cfg), config)
     out_dir = tmp_path / "out"

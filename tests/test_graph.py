@@ -281,6 +281,12 @@ def test_building_the_graph_holds_little_besides_the_graph(traced_keydoor_graph)
     assert peak <= 1.5 * size
 
 
+def test_the_kept_graph_holds_one_edge_list_a_node(traced_keydoor_graph):
+    # a state and one tuple of (action, target, label) rows, with no second copy of them
+    graph, size, _ = traced_keydoor_graph
+    assert size / (len(graph.edges) - 1) <= 400
+
+
 def test_counting_the_paths_adds_little_to_the_graph(traced_keydoor_graph):
     # the counts have thousands of digits here; one per node would outweigh the graph
     graph, size, _ = traced_keydoor_graph
