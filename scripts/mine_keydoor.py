@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Mine the core of a single-agent key-door corridor.
 
-Enumerates every successful trajectory of a configurable corridor and prints
-the maximal common subsequences under the option-level abstraction, next to
-the raw state-action core.
+Mines a configurable corridor on its support graph, as ``trajcore mine``
+does, without listing its successful trajectories, and prints the maximal
+common subsequences under the option-level abstraction, next to the raw
+state-action core.
 """
 import argparse
 
-from trajcore import KeyDoorConfig, build_keydoor, core, enumerate_successes
+from trajcore import IDENTITY, KeyDoorConfig, build_keydoor, validate_mdp
+from trajcore.graph import Symbols, build_graph
 
 
 def main() -> None:
@@ -29,15 +31,16 @@ def main() -> None:
         horizon=args.horizon,
     )
     mdp, phi = build_keydoor(cfg)
-    successes = enumerate_successes(mdp)
-    print(f"{len(successes)} successful trajectories within horizon {cfg.horizon}")
+    validate_mdp(mdp)
+    concrete_graph = build_graph(mdp, Symbols(IDENTITY, strip_terminal=False))
+    print(f"{concrete_graph.num_successes()} successful trajectories within horizon {cfg.horizon}")
 
-    abstract = core(successes, phi=phi, strip_terminal=True)
+    abstract = build_graph(mdp, Symbols(phi, strip_terminal=True)).core()
     print("abstract core (terminal stripped):")
     for member in abstract.members:
         print("  " + " > ".join(member))
 
-    concrete = core(successes)
+    concrete = concrete_graph.core()
     print("concrete core (state-action pairs):")
     for member in concrete.members:
         print("  " + " ".join(f"({s},{a})" for s, a in member))

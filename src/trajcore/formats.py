@@ -6,16 +6,18 @@ Floats round-trip exactly (shortest-repr decimal).  Files hold the bytes that
 one newline.  Writes are atomic (temp file then rename), so fixed inputs
 produce byte-identical files and payloads across runs and platforms.
 
+Each decoded value is read by one exact rule per JSON kind, and a value of
+another kind is a :class:`ParseError`: ints are JSON integers, bools are
+``true`` or ``false``, strings are JSON strings, lists are JSON lists, table
+cells are JSON numbers, and keyed entries hold one entry per key.
+
 Games are written as version 2: the joint kernel is the list ``entries`` of
 its non-zero entries ``[s, a1, a2, t, p]``, in ascending (s, a1, a2, t)
-order, which is how :class:`~trajcore.mdp.KernelRows` holds it; a game's
-kernel is mostly zeros, so this is a small fraction of the dense table.
-The reader also accepts version 1, where ``joint_kernel`` is the dense
-row-major nested list.  Every other table is dense and every other format
-is version 1.  That includes the ``mdp`` payload, because the results of
-``trajcore induce`` are that payload and their digests must not change,
-and peer policies and schedules, whose tables hold one row of peer actions
-per state and so stay small.
+order, as :class:`~trajcore.mdp.KernelRows` holds it.  The reader also
+accepts version 1, with the dense ``joint_kernel``.  Every other table and
+format is dense version 1: the ``mdp`` payload because ``trajcore induce``
+emits it as results whose digests must not change, peer policies and
+schedules because they hold one row of peer actions per state.
 """
 from __future__ import annotations
 
@@ -133,37 +135,45 @@ def sniff_format(payload: Any, path: str = "<memory>") -> str:
     """The ``format`` field of an already-decoded payload."""
     if not isinstance(payload, dict) or "format" not in payload:
         raise ParseError(path, "missing 'format' field")
-    return str(payload["format"])
+    with _malformed(path, "format field"):
+        return _str(payload["format"])
 
 
 # ---------------------------------------------------------------------------
 # Dataclass payloads: MDPs, games, environment configs
 # ---------------------------------------------------------------------------
 
-def _table(value):
-    """A dense table field, or kernel rows already read from version-2 entries."""
-    return value if isinstance(value, KernelRows) else np.asarray(value, dtype=float)
-
-
-def _exact(kind: type):
+def _exact(kind: type, name: str):
     """A reader that takes only values of type ``kind``: no bool for an int, no 7.5 or "9"."""
 
     def read(value):
         if type(value) is not kind:
-            raise TypeError(f"expected a JSON {kind.__name__}, got {value!r}")
+            raise TypeError(f"expected a JSON {name}, got {value!r}")
         return value
 
     return read
 
 
-_int, _bool = _exact(int), _exact(bool)
+_int, _bool = _exact(int, "integer"), _exact(bool, "bool")
+_str, _list = _exact(str, "string"), _exact(list, "list")
+
+
+def _numbers(value, kinds: tuple[type, ...] = (int, float), name: str = "number") -> np.ndarray:
+    """A table as floats: JSON lists, nested to any depth, of cells whose types are in ``kinds``."""
+    cells = np.asarray(value, dtype=object)
+    if not set(map(type, cells.flat)).issubset(kinds):
+        bad = next(cell for cell in cells.flat if type(cell) not in kinds)
+        raise TypeError(f"expected a JSON {name}, got {bad!r}")
+    return cells.astype(float)
+
+
 # how a decoded JSON value becomes a field of each annotated type
 _READERS = {
     int: _int,
     bool: _bool,
-    np.ndarray: _table,
-    frozenset[int]: lambda value: frozenset(map(_int, value)),
-    tuple[str, ...]: lambda value: tuple(str(v) for v in value),
+    np.ndarray: _numbers,
+    frozenset[int]: lambda value: frozenset(map(_int, _list(value))),
+    tuple[str, ...]: lambda value: tuple(map(_str, _list(value))),
 }
 
 
@@ -183,17 +193,17 @@ def _to_payload(obj, kind: str, skip: str = "") -> dict:
     return payload
 
 
-def _from_payload(cls, payload: Any, path: str, kind: str):
-    """Dataclass ``cls`` from a payload holding each field that has no default."""
+def _from_payload(cls, payload: Any, path: str, kind: str, **ready):
+    """Dataclass ``cls`` from ``ready`` and a payload holding each other field with no default."""
     payload = _expect(payload, path, kind)
     types = get_type_hints(cls)
     readers = [
         (f.name, _READERS[types[f.name]])
         for f in fields(cls)
-        if f.name in payload or f.default is MISSING
+        if f.name not in ready and (f.name in payload or f.default is MISSING)
     ]
     with _malformed(path, kind.replace("_", " ")):
-        return cls(**{name: read(_field(payload, path, name)) for name, read in readers})
+        return cls(**ready, **{name: read(_field(payload, path, name)) for name, read in readers})
 
 
 def mdp_to_payload(mdp: TabularMDP) -> dict:
@@ -220,52 +230,38 @@ def game_from_payload(payload: dict, path: str = "<memory>") -> MarkovGame:
     """A game from a version-2 payload, or from a dense version-1 one."""
     payload = _expect(payload, path, "game")
     version = payload.get("version")
-    if version == GAME_FORMAT_VERSION:
-        payload = {**payload, "joint_kernel": _joint_rows(payload, path)}
-    elif version != FORMAT_VERSION:
+    if type(version) is not int or version not in (FORMAT_VERSION, GAME_FORMAT_VERSION):
         raise ParseError(path, f"unsupported game version {version!r}")
-    return _from_payload(MarkovGame, payload, path, "game")
+    ready = _version_2_tables(payload, path) if version == GAME_FORMAT_VERSION else {}
+    return _from_payload(MarkovGame, payload, path, "game", **ready)
 
 
-def _is_entry(entry) -> bool:
-    """``[s, a1, a2, t, p]`` with integer indices and a numeric ``p``."""
-    return (
-        type(entry) is list
-        and len(entry) == 5
-        and type(entry[0]) is type(entry[1]) is type(entry[2]) is type(entry[3]) is int
-        and type(entry[4]) in (int, float)
-    )
+def _version_2_tables(payload: dict, path: str) -> dict:
+    """The ``reward_1`` and the joint kernel rows of a version-2 game payload.
 
-
-def _joint_rows(payload: dict, path: str) -> KernelRows:
-    """The ``entries`` of a version-2 game payload as rows.
-
-    Malformed entries are a :class:`ParseError`: not a list of
-    ``[s, a1, a2, t, p]``, a non-integer index, a non-numeric ``p``, an index
-    out of range, or two entries at one (s, a1, a2, t).  Probabilities are
-    checked, as for a dense table, when the game is validated.
+    Malformed ``entries`` are a :class:`ParseError`: not a list of JSON integers
+    ``[s, a1, a2, t]`` and a number ``p``, an index out of range, or two entries
+    at one (s, a1, a2, t).  Probabilities are checked, as for a dense table,
+    when the game is validated.
     """
     with _malformed(path, "game"):
         dims = tuple(
             _int(_field(payload, path, name))
             for name in ("num_states", "num_actions_1", "num_actions_2")
         )
-        reward = np.asarray(_field(payload, path, "reward_1"), dtype=float)
+        reward = _numbers(_field(payload, path, "reward_1"))
     # the dense reward has one value per row: checking it first bounds the
     # number of rows by the size of the file, whatever sizes the file declares
     if reward.shape != dims:
         raise DimensionMismatch(f"reward shape {reward.shape}, expected {dims}")
     shape = (*dims, dims[0])
-    entries = _field(payload, path, "entries")
-    if not isinstance(entries, list):
-        raise ParseError(path, "field 'entries' must be a list")
-    bad = next((entry for entry in entries if not _is_entry(entry)), None)
-    if bad is not None:
-        raise ParseError(path, f"malformed game entry {bad!r}: expected [s, a1, a2, t, p]")
-    # exact for every index in range: the reward check bounds them far below 2**53
     with _malformed(path, "game entries"):
-        table = np.array(entries, dtype=float).reshape(-1, 5)
-    index, probs = table[:, :4], table[:, 4]
+        entries = _list(_field(payload, path, "entries"))
+        cells = np.array(entries or np.empty((0, 5)), dtype=object)
+        if cells.shape[1:] != (5,):
+            raise ValueError("expected a JSON list of entries [s, a1, a2, t, p]")
+        # exact for every index in range: the reward check bounds them far below 2**53
+        index, probs = _numbers(cells[:, :4], (int,), "integer"), _numbers(cells[:, 4])
     outside = np.flatnonzero(((index < 0) | (index >= shape)).any(axis=1))
     if outside.size:
         raise ParseError(path, f"game entry {entries[outside[0]]!r} out of range for shape {shape}")
@@ -276,7 +272,7 @@ def _joint_rows(payload: dict, path: str) -> KernelRows:
     if repeated.size:
         raise ParseError(path, f"duplicate game entry at {entries[order[repeated[0]]][:4]!r}")
     kept = np.flatnonzero(probs)  # rows store no zero entry
-    return KernelRows.from_keys(shape, keys[kept], probs[kept])
+    return dict(reward_1=reward, joint_kernel=KernelRows.from_keys(shape, keys[kept], probs[kept]))
 
 
 def keydoor_config_to_payload(cfg: KeyDoorConfig) -> dict:
@@ -307,8 +303,8 @@ def _peer_entry(peer: PeerPolicy) -> dict:
 def _peer_from_entry(entry: dict, path: str, default_label: str) -> PeerPolicy:
     with _malformed(path, "peer policy"):
         return PeerPolicy(
-            probs=np.asarray(_field(entry, path, "probs"), dtype=float),
-            label=str(entry.get("label", default_label)),
+            probs=_numbers(_field(entry, path, "probs")),
+            label=_str(entry.get("label", default_label)),
         )
 
 
@@ -360,12 +356,14 @@ def abstraction_from_payload(payload: dict, path: str = "<memory>") -> Abstracti
     with _malformed(path, "abstraction"):
         mapping = None
         if not _bool(payload.get("identity", False)):
-            entries = _field(payload, path, "entries")
-            mapping = {(_int(s), _int(a)): str(symbol) for s, a, symbol in entries}
+            entries = _list(_field(payload, path, "entries"))
+            mapping = {(_int(s), _int(a)): _str(symbol) for s, a, symbol in map(_list, entries)}
+            if len(mapping) < len(entries):
+                raise ValueError("expected a JSON list of one entry per (s, a)")
         return Abstraction(
             mapping=mapping,
             collapse_runs=_bool(payload.get("collapse_runs", False)),
-            label=str(payload.get("label", "")),
+            label=_str(payload.get("label", "")),
         )
 
 
@@ -387,7 +385,7 @@ def trajectory_from_payload(entry: dict, path: str = "<memory>") -> Trajectory:
     with _malformed(path, "trajectory entry"):
         terminal = entry.get("terminal_state")
         return Trajectory(
-            steps=tuple((_index(s), _index(a)) for s, a in entry["steps"]),
+            steps=tuple((_index(s), _index(a)) for s, a in map(_list, _list(entry["steps"]))),
             terminal_state=None if terminal is None else _index(terminal),
         )
 
@@ -406,7 +404,7 @@ def successes_from_payload(payload: dict, path: str = "<memory>") -> SuccessSet:
     entries = _field(payload, path, "trajectories")
     with _malformed(path, "successes"):
         return SuccessSet.from_iterable(
-            trajectory_from_payload(entry, path) for entry in entries
+            trajectory_from_payload(entry, path) for entry in _list(entries)
         )
 
 

@@ -185,6 +185,13 @@ def test_a_budget_below_one_is_a_usage_error(verb, budget, capsys):
     assert f"argument --budget: must be at least 1, got {budget}" in capsys.readouterr().err
 
 
+def test_a_budget_that_is_not_an_integer_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["enumerate", "m.json", "--budget", "abc"])
+    assert usage.value.code == 2
+    assert "argument --budget: expected an integer, got 'abc'" in capsys.readouterr().err
+
+
 def _with_literal(payload: dict, name: str, literal: str) -> bytes:
     text = formats.canonical_json({**payload, name: "@@"})
     return text.replace('"@@"', literal).encode("utf-8")
@@ -237,6 +244,28 @@ def test_a_negative_state_or_action_in_a_successes_file_is_a_parse_error(traject
 
 
 MINE_WITH_PHI = ["mine", "{mdp}", "--phi", "{kd_phi}"]
+INDUCE = ["induce", "{game}", "{peer}"]
+BUDGET = ["budget", "{game}", "{schedule}"]
+GEN_COOP = ["gen", "coop-keydoor", "{coop_cfg}", "--out-dir", "{dir}"]
+
+
+def _cell_as(role: str, name: str, literal: str) -> str:
+    """Table ``name`` of ``role`` as JSON text, its first cell written as ``literal``.
+
+    ``{}`` in ``literal`` stands for the cell's own JSON text, so ``'"{}"'``
+    writes the number as a string that reads back as the same number.
+    """
+    table = json.loads(formats.canonical_json(VALID[role][name]))
+    row = table
+    while isinstance(row[0], list):
+        row = row[0]
+    cell, row[0] = json.dumps(row[0]), "@@"
+    return formats.canonical_json(table).replace('"@@"', literal.format(cell))
+
+
+def _phi_entries(*changed: list) -> str:
+    """The key-door abstraction's entries, the first replaced by ``changed[0]``, ``changed[1:]`` added."""
+    return formats.canonical_json([changed[0], *VALID["kd_phi"]["entries"][1:], *changed[1:]])
 
 
 @pytest.mark.parametrize(
@@ -254,10 +283,37 @@ MINE_WITH_PHI = ["mine", "{mdp}", "--phi", "{kd_phi}"]
         (MINE_WITH_PHI, ["kd_phi", "mdp"], "collapse_runs", '"no"'),
         (MINE_WITH_PHI, ["kd_phi", "mdp"], "identity", "0"),
         (["mine", "{successes}"], ["successes"], "trajectories", '[{"steps": [[1.5, 0]]}]'),
+        # every table cell is a JSON number: not a string, a bool or null
+        (["enumerate", "{mdp}"], ["mdp"], "initial", _cell_as("mdp", "initial", '"{}"')),
+        (["enumerate", "{mdp}"], ["mdp"], "kernel", _cell_as("mdp", "kernel", "true")),
+        (["enumerate", "{mdp}"], ["mdp"], "reward", _cell_as("mdp", "reward", "null")),
+        (INDUCE, ["peer", "game"], "probs", _cell_as("peer", "probs", '"{}"')),
+        (INDUCE, ["peer", "game"], "probs", _cell_as("peer", "probs", "false")),
+        (INDUCE, ["peer", "game"], "probs", _cell_as("peer", "probs", "null")),
+        (BUDGET, ["game", "schedule"], "reward_1", _cell_as("game", "reward_1", '"{}"')),
+        (BUDGET, ["game", "schedule"], "reward_1", _cell_as("game", "reward_1", "true")),
+        (BUDGET, ["game", "schedule"], "reward_1", _cell_as("game", "reward_1", "null")),
+        # a list field is a JSON list, of JSON strings where it holds names
+        (GEN_COOP, ["coop_cfg"], "peer_modes", '{"helper": 0, "independent": 0}'),
+        (GEN_COOP, ["coop_cfg"], "peer_modes", '"helper"'),
+        (GEN_COOP, ["coop_cfg"], "peer_modes", "[1]"),
+        (MINE_WITH_PHI, ["kd_phi", "mdp"], "entries", _phi_entries([0, 0, 7])),
+        (MINE_WITH_PHI, ["kd_phi", "mdp"], "entries", _phi_entries([0, 0, None])),
+        (MINE_WITH_PHI, ["kd_phi", "mdp"], "label", "7"),
+        (MINE_WITH_PHI, ["kd_phi", "mdp"], "label", "null"),
+        (INDUCE, ["peer", "game"], "label", "7"),
+        # one entry per (s, a): a second one does not silently win
+        (MINE_WITH_PHI, ["kd_phi", "mdp"], "entries", _phi_entries([0, 0, "move"], [0, 0, "find_key"])),
     ],
     ids=["bool-as-string", "bool-as-int", "int-as-float", "int-as-string", "int-as-bool",
          "goal-as-float", "config-int-as-float", "game-int-as-string", "dense-game-int-as-float",
-         "phi-bool-as-string", "phi-bool-as-int", "step-as-float"],
+         "phi-bool-as-string", "phi-bool-as-int", "step-as-float",
+         "table-cell-string", "table-cell-bool", "table-cell-null",
+         "peer-cell-string", "peer-cell-bool", "peer-cell-null",
+         "reward-cell-string", "reward-cell-bool", "reward-cell-null",
+         "peer-modes-object", "peer-modes-string", "peer-modes-of-int",
+         "phi-symbol-int", "phi-symbol-null", "phi-label-int", "phi-label-null", "peer-label-int",
+         "phi-duplicate-entry"],
 )
 def test_json_values_of_the_wrong_type_are_parse_errors(argv, roles, name, literal):
     # only JSON integers (not true or false) read as ints, and only true or false as bools
@@ -303,6 +359,8 @@ VERSION_2_GAME_FAULTS = {
     "entry-not-a-list": (3, lambda p: p["entries"].__setitem__(0, {"s": 0})),
     "entries-not-a-list": (3, lambda p: p.__setitem__("entries", 5)),
     "unknown-version": (3, lambda p: p.__setitem__("version", 3)),
+    "version-float": (3, lambda p: p.__setitem__("version", 2.0)),
+    "reward-shape": (4, lambda p: p["reward_1"].pop()),
     "p-negative": (4, _set(4, -0.5)),
     "p-nan": (4, _set(4, float("nan"))),
     "p-inf": (4, _set(4, float("inf"))),

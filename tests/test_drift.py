@@ -14,6 +14,7 @@ from trajcore import (
     ConsistencyError,
     CoreSet,
     DimensionMismatch,
+    EmptySuccessSet,
     EpisodeSequence,
     KernelRows,
     MarkovGame,
@@ -139,6 +140,11 @@ def test_budget_constant_schedule_is_zero():
     report = variation_budget(seq)
     assert report.total == 0.0
     assert all(d == 0.0 for d in report.kernel_deltas + report.reward_deltas)
+
+
+def test_an_empty_schedule_is_refused():
+    with pytest.raises(ValueError, match="at least one episode"):
+        EpisodeSequence.from_schedule(_gate_game(), [])
 
 
 def test_budget_single_episode_is_empty():
@@ -289,6 +295,12 @@ def test_coop_drift_report_certifies_vanished_prototype():
                 assert is_subsequence(member, image)
 
 
+def test_individual_core_of_a_game_where_nothing_succeeds_raises():
+    # the goal is one step from the start, past a horizon of 1
+    with pytest.raises(EmptySuccessSet):
+        individual_core(replace(_gate_game(), horizon=1))
+
+
 def test_individual_core_of_degenerate_game_matches_single_agent():
     mdp, phi = build_keydoor(DEFAULT_KEYDOOR)
     game = game_from_mdp(mdp)
@@ -371,6 +383,38 @@ def test_drift_report_measures_each_support_pair_once(monkeypatch):
     assert [step.index for step in steps] == [1, 2, 3, 4]
     assert len(certified) == 2 and len(unions) == 1
     assert report == oracle_drift_report(seq, phi)
+
+
+def _fork_game() -> MarkovGame:
+    """From start 0 the one focal action goes to x = 1 or y = 4, each with 1/2.
+
+    y goes to the goal 2.  x goes to the sink 3 under peer action 0 and to
+    the goal under peer action 1.  The goal and the sink self-loop.
+    """
+    joint = np.zeros((5, 1, 2, 5))
+    joint[0, 0, :, [1, 4]] = 0.5
+    joint[1, 0, 0, 3] = joint[1, 0, 1, 2] = 1.0
+    joint[[2, 3, 4], 0, :, [2, 3, 2]] = 1.0
+    return MarkovGame(
+        num_states=5, num_actions_1=1, num_actions_2=2, joint_kernel=joint,
+        reward_1=np.zeros((5, 1, 2)), horizon=3, goals=frozenset({2}),
+        initial=np.eye(5)[0],
+    )
+
+
+def test_a_peer_change_at_states_off_the_previous_graph_can_move_the_core():
+    # a rule that skips the walk when the peer changes only at states the
+    # previous graph does not hold would keep episode 1's core here
+    game = _fork_game()
+    stay = PeerPolicy(probs=np.tile([1.0, 0.0], (5, 1)), label="stay")
+    switched = PeerPolicy(probs=np.where(np.arange(5)[:, None] == 1, [0.0, 1.0], stay.probs),
+                          label="switched at x")
+    seq = EpisodeSequence.from_schedule(game, [stay, switched])
+    visited = {s for t in enumerate_successes(seq.induced[0]) for s, _ in t.pairs()}
+    assert visited == {0, 2, 4}
+    report = drift_report(seq)
+    assert [c.member for c in report.steps[0].vanished] == [((0, 0), (4, 0), (2, TERMINAL))]
+    assert report == oracle_drift_report(seq)
 
 
 def test_drift_report_mines_the_uniform_peer_with_the_episodes(monkeypatch):

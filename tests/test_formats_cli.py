@@ -183,6 +183,18 @@ def test_sniff_format_reads_the_decoded_payload():
     for bad in ([], {"version": 1}):
         with pytest.raises(formats.ParseError, match="missing 'format' field"):
             formats.sniff_format(bad, "in.json")
+    with pytest.raises(formats.ParseError, match="expected a JSON string, got 5"):
+        formats.sniff_format({"format": 5}, "in.json")
+
+
+@pytest.mark.parametrize("make", [lambda path: None, os.mkdir], ids=["missing", "directory"])
+def test_an_input_that_cannot_be_read_is_a_parse_error_naming_it(tmp_path, capsys, make):
+    path = str(tmp_path / "mdp.json")
+    make(path)
+    assert main(["enumerate", path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("trajcore: parse error: ") and "Traceback" not in err
+    assert path in err
 
 
 def test_parse_errors_name_the_problem(tmp_path):
@@ -354,6 +366,16 @@ def test_cli_oracle_check(capsys):
     assert report["results"]["mismatches"] == []
 
 
+def test_the_module_entry_point_exits_with_the_code_of_main():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run(
+        [sys.executable, "-m", "trajcore.cli", "oracle-check", "--trials", "3"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["results"]["agreements"] == 3
+
+
 def test_cli_oracle_disagreement_exits_internal_even_under_optimize():
     # under -O a bare assert would vanish and the run would exit 0
     script = (
@@ -498,6 +520,8 @@ def test_cli_env_budget_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TRAJCORE_BUDGET", "3")
     assert main(["enumerate", str(good)]) == 5
     monkeypatch.setenv("TRAJCORE_BUDGET", "junk")
+    assert main(["enumerate", str(good)]) == 3
+    monkeypatch.setenv("TRAJCORE_BUDGET", "0")
     assert main(["enumerate", str(good)]) == 3
     monkeypatch.delenv("TRAJCORE_BUDGET")
     assert main(["enumerate", str(good)]) == 0

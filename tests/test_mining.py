@@ -211,6 +211,7 @@ def test_core_strip_terminal(chain_mdp):
     mined = core(successes, strip_terminal=True)
     assert mined.strip_terminal_applied
     assert mined.members == (((0, 1), (1, 1)),)
+    assert brute_force_core(successes, strip_terminal=True).members == mined.members
 
 
 def test_core_strip_of_terminal_only_success_is_empty(chain_mdp):
