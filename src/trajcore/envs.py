@@ -114,9 +114,8 @@ def _check_keydoor(cfg: KeyDoorConfig | CoopKeyDoorConfig) -> int:
             raise ConfigError(f"position {pos} outside corridor of length {length}")
     if len({cfg.key_pos, cfg.door_pos, cfg.goal_pos}) != 3:
         raise ConfigError("key, door, and goal positions must be distinct")
+    # the goal lies beyond the door by this choice, as the door and goal differ
     direction = 1 if cfg.goal_pos > cfg.door_pos else -1
-    if (cfg.goal_pos - cfg.door_pos) * direction <= 0:
-        raise ConfigError("goal must lie beyond the door")
     if (cfg.door_pos - cfg.start_pos) * direction <= 0:
         raise ConfigError("start must lie on the near side of the door")
     if (cfg.door_pos - cfg.key_pos) * direction <= 0:

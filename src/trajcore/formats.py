@@ -382,11 +382,11 @@ def _index(value) -> int:
 
 
 def trajectory_from_payload(entry: dict, path: str = "<memory>") -> Trajectory:
+    """A success: a file that lists a trajectory with no goal ``terminal_state`` is malformed."""
     with _malformed(path, "trajectory entry"):
-        terminal = entry.get("terminal_state")
         return Trajectory(
             steps=tuple((_index(s), _index(a)) for s, a in map(_list, _list(entry["steps"]))),
-            terminal_state=None if terminal is None else _index(terminal),
+            terminal_state=_index(entry["terminal_state"]),
         )
 
 

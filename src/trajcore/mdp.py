@@ -46,6 +46,7 @@ from .errors import (
     ExplosionGuard,
     HorizonError,
     RowSumError,
+    ValidationError,
 )
 
 TERMINAL = -1
@@ -136,12 +137,6 @@ class KernelRows:
     def row_sums(self) -> np.ndarray:
         """Sum of each row's entries, added left to right (0.0 for an empty row)."""
         return np.bincount(self.entry_rows(), weights=self.probs, minlength=self.num_rows)
-
-    def value(self, row: int, target: int) -> float:
-        """The entry at (``row``, ``target``); 0.0 when none is stored."""
-        start, end = int(self.offsets[row]), int(self.offsets[row + 1])
-        at = start + int(np.searchsorted(self.targets[start:end], target))
-        return float(self.probs[at]) if at < end and self.targets[at] == target else 0.0
 
     def block(self, rows: np.ndarray) -> np.ndarray:
         """The listed rows as a dense (len(rows), shape[-1]) array."""
@@ -382,8 +377,8 @@ class RolloutSet:
         return tuple(t for t in self.trajectories if t.terminated)
 
 
-def _validate_model(model, what: str) -> None:
-    """The checks of :func:`validate_mdp` and :func:`validate_game`; ``what`` names the kernel."""
+def _validate_model(model, reward: str, what: str) -> None:
+    """The checks of :func:`validate_mdp` and :func:`validate_game`; ``reward`` names a field."""
     if not 1 <= model.horizon <= MAX_HORIZON:
         raise HorizonError(f"horizon must be from 1 to {MAX_HORIZON}, got {model.horizon}")
     if not model.goals:
@@ -391,22 +386,35 @@ def _validate_model(model, what: str) -> None:
     rows = model.rows  # a row with no entries sums to 0
     _check_distribution(rows.probs, rows.row_sums().reshape(rows.shape[:-1]), what)
     _check_distribution(model.initial, model.initial.sum(keepdims=True), "initial distribution")
+    table = getattr(model, reward)
+    if not np.isfinite(table).all():
+        at = tuple(np.argwhere(~np.isfinite(table))[0].tolist())
+        raise ValidationError(f"{reward} entry {at} is not finite: {table[at]}")
 
 
 def validate_mdp(mdp: TabularMDP) -> None:
-    """Raise unless every TabularMDP invariant holds."""
-    _validate_model(mdp, "kernel")
-    if mdp.goal_absorbing and not _goals_absorbing(mdp.rows, mdp.goals):
-        for g in sorted(mdp.goals):
-            for a in range(mdp.num_actions):
-                loop = mdp.rows.value(g * mdp.num_actions + a, g)
-                if abs(loop - 1.0) > ROW_TOL:
-                    raise RowSumError("absorbing goal kernel", (g, a), loop, ROW_TOL)
+    """Raise unless every TabularMDP invariant holds.
+
+    The horizon is from 1 to ``MAX_HORIZON``, some state is a goal, every
+    kernel row and the initial distribution sum to 1 within ``ROW_TOL`` with
+    no entry below ``-ROW_TOL``, and every reward is finite.  With
+    ``goal_absorbing`` set, the first (goal, action) row, in ascending order,
+    whose :func:`_goal_loops` entry is more than ``ROW_TOL`` from 1 is a
+    :class:`RowSumError` that reports that entry (0.0 where none is stored).
+    """
+    _validate_model(mdp, "reward", "kernel")
+    if mdp.goal_absorbing:
+        loops = _goal_loops(mdp.rows, mdp.goals)
+        bad = np.argwhere(np.abs(loops - 1.0) > ROW_TOL)
+        if bad.size:
+            i, a = bad[0].tolist()
+            loop = float(loops[i, a])
+            raise RowSumError("absorbing goal kernel", (sorted(mdp.goals)[i], a), loop, ROW_TOL)
 
 
 def validate_game(game: MarkovGame) -> None:
-    """Raise unless every MarkovGame invariant holds."""
-    _validate_model(game, "joint kernel")
+    """Raise unless every MarkovGame invariant of :func:`validate_mdp` but the goal loops holds."""
+    _validate_model(game, "reward_1", "joint kernel")
 
 
 def validate_peer(peer: PeerPolicy) -> None:
@@ -414,13 +422,16 @@ def validate_peer(peer: PeerPolicy) -> None:
     _check_distribution(peer.probs, peer.probs.sum(axis=-1), f"peer policy {peer.label!r}", 0.0)
 
 
-def _goals_absorbing(rows: KernelRows, goals: frozenset[int]) -> bool:
-    """True iff every row of every goal ``g`` has entry 1 at ``g``, within ``ROW_TOL``."""
-    per_state = math.prod(rows.shape[1:-1])
-    sources = rows.entry_rows() // max(per_state, 1)  # no rows, and no entries, if 0
-    loops = (rows.targets == sources) & (np.abs(rows.probs - 1.0) <= ROW_TOL)
-    # a row stores each target at most once, so each goal row counts at most once
-    return int(np.count_nonzero(loops & np.isin(sources, list(goals)))) == len(goals) * per_state
+def _goal_loops(rows: KernelRows, goals: frozenset[int]) -> np.ndarray:
+    """Each goal row's entry at its own goal state, 0.0 where none is stored.
+
+    Shaped ``(len(goals),) + rows.shape[1:-1]``, goals ascending.  A row
+    stores each target at most once, so a row's sum of loop entries is exact.
+    """
+    entry_rows = rows.entry_rows()
+    loop = rows.targets == entry_rows // max(math.prod(rows.shape[1:-1]), 1)  # no rows if 0
+    at_own = np.bincount(entry_rows[loop], weights=rows.probs[loop], minlength=rows.num_rows)
+    return at_own.reshape(rows.shape[:-1])[sorted(goals)]
 
 
 def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
@@ -443,7 +454,8 @@ class _FoldPlan:
     its flat (s, a2) index into a peer table and ``slot`` the position of
     its induced (s, a1, t) key in ``keys``, the ascending distinct keys
     ``(s * A1 + a1) * S + t``.  ``goal_absorbing`` is
-    :func:`_goals_absorbing` of the joint kernel.
+    True iff every :func:`_goal_loops` entry of the joint kernel is 1 within
+    ``ROW_TOL``, the rule :func:`validate_mdp` enforces.
     """
 
     peer_at: np.ndarray
@@ -463,7 +475,7 @@ def _plan_fold(game: MarkovGame) -> _FoldPlan:
         peer_at=_freeze(state * num_actions_2 + rows % num_actions_2, np.int64),
         keys=_freeze(keys, np.int64),
         slot=_freeze(slot, np.int64),
-        goal_absorbing=_goals_absorbing(joint, game.goals),
+        goal_absorbing=bool(np.all(np.abs(_goal_loops(joint, game.goals) - 1.0) <= ROW_TOL)),
     )
 
 

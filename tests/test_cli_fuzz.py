@@ -11,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -207,9 +208,10 @@ def _with_literal(payload: dict, name: str, literal: str) -> bytes:
          _with_literal(VALID["kd_cfg"], "horizon", "1e400")),
         (["enumerate", "{mdp}"], "mdp", b'{"format": "mdp", "label": "\xff"}'),
         (["enumerate", "{mdp}"], "mdp", b"[" * 200_000 + b"]" * 200_000),
+        (["mine", "{game}"], "game", formats.canonical_json(VALID["game"]).encode("utf-8")),
     ],
     ids=["trajectories-int", "trajectories-of-int", "mdp-horizon-overflow",
-         "config-horizon-overflow", "not-utf8", "deep-nesting"],
+         "config-horizon-overflow", "not-utf8", "deep-nesting", "mine-a-game"],
 )
 def test_known_malformed_files_are_parse_errors(argv, role, data):
     code, err = _run(argv, {role: data})
@@ -231,8 +233,11 @@ def test_an_integer_of_more_digits_than_json_reads_is_a_parse_error():
 @pytest.mark.parametrize(
     "trajectory",
     [{"steps": [[0, TERMINAL]], "terminal_state": 3}, {"steps": [[-1, 0]], "terminal_state": 3},
-     {"steps": [[0, 0]], "terminal_state": -1}],
-    ids=["reserved-action", "negative-state", "negative-terminal-state"],
+     {"steps": [[0, 0]], "terminal_state": -1},
+     # a successes file lists successes, so each trajectory ends at its goal
+     {"steps": [[0, 0]], "terminal_state": None}, {"steps": [[0, 0], [1, 1]]}],
+    ids=["reserved-action", "negative-state", "negative-terminal-state",
+         "null-terminal-state", "no-terminal-state"],
 )
 def test_a_negative_state_or_action_in_a_successes_file_is_a_parse_error(trajectory, strip):
     # a step (s, TERMINAL) was mined as a terminal pair mid-trajectory, or dropped by --strip-terminal
@@ -322,6 +327,30 @@ def test_json_values_of_the_wrong_type_are_parse_errors(argv, roles, name, liter
     code, err = _run(argv, files)
     assert code == 3, err
     assert "parse error" in err and "expected a JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "argv,roles,name",
+    [
+        (["enumerate", "{mdp}"], ["mdp"], "reward"),
+        (MINE_WITH_PHI, ["mdp", "kd_phi"], "reward"),
+        (INDUCE, ["game", "peer"], "reward_1"),
+        (BUDGET, ["game", "schedule"], "reward_1"),
+        (["drift", "{game}", "{schedule}"], ["game", "schedule"], "reward_1"),
+    ],
+    ids=["enumerate", "mine", "induce", "budget", "drift"],
+)
+def test_a_non_finite_reward_is_a_validation_error(argv, roles, name, literal):
+    # the reader takes NaN and Infinity, so validation is what keeps them out of every result
+    files = _valid_files(roles)
+    files[roles[0]] = _with_literal(VALID[roles[0]], name, _cell_as(roles[0], name, literal))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv, files)
+    assert code == 4, err
+    assert err.startswith(f"trajcore: invalid input: {name} entry (0, 0") and "is not finite" in err
+    assert "Traceback" not in err and caught == []
 
 
 def _game_with(change) -> bytes:

@@ -118,6 +118,10 @@ def test_kernel_distance_zero_and_hand_cases():
 def test_kernel_distance_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         kernel_distance(np.zeros((2, 1, 2)), np.zeros((2, 2, 2)))
+    with pytest.raises(DimensionMismatch, match="kernel shapes differ"):
+        _rows_distance(KernelRows.from_dense(np.eye(2)), KernelRows.from_dense(np.eye(3)))
+    with pytest.raises(DimensionMismatch, match="reward shapes differ"):
+        reward_distance(np.zeros((2, 1)), np.zeros((2, 2)))
 
 
 def test_reward_distance_cases():

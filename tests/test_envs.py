@@ -81,6 +81,20 @@ def test_keydoor_rejects_bad_layouts():
         build_keydoor(replace(DEFAULT_KEYDOOR, door_pos=9))  # outside corridor
 
 
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (dict(corridor_length=1, key_pos=0, door_pos=0, goal_pos=0, start_pos=0),
+         "corridor length must be >= 2, got 1"),
+        (dict(corridor_length=5, key_pos=3, goal_pos=4), "key must lie on the near side of the door"),
+    ],
+    ids=["length-1", "key-past-the-door"],
+)
+def test_keydoor_config_errors_say_what_is_wrong(change, message):
+    with pytest.raises(ConfigError, match=message):
+        build_keydoor(replace(DEFAULT_KEYDOOR, **change))
+
+
 def test_keydoor_abstraction_is_total():
     mdp, phi = build_keydoor(DEFAULT_KEYDOOR)
     for state in range(mdp.num_states):
@@ -142,6 +156,10 @@ def test_coop_rejects_unsolvable_and_bad_configs():
         build_coop_keydoor(replace(DEFAULT_COOP, peer_modes=("surprising",)))
     with pytest.raises(ConfigError):
         build_coop_keydoor(replace(DEFAULT_COOP, peer_modes=()))
+    # the mirror image of the default layout is a valid single-agent layout, but not a cooperative one
+    mirrored = replace(DEFAULT_COOP, key_pos=2, door_pos=1, goal_pos=0, start_pos=2, peer_start=2)
+    with pytest.raises(ConfigError, match="requires key < door < goal"):
+        build_coop_keydoor(mirrored)
 
 
 def test_coop_abstraction_is_total_over_states_and_terminals():

@@ -9,8 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trajcore import Abstraction, enumerate_successes
-from trajcore import formats
+from trajcore import Abstraction, CoreSet, enumerate_successes
+from trajcore import cli, formats
 from trajcore.cli import main
 from trajcore.envs import (
     DEFAULT_COOP,
@@ -392,6 +392,31 @@ def test_cli_oracle_disagreement_exits_internal_even_under_optimize():
     assert done.returncode == 6
     assert done.stdout == ""
     assert "disagrees with oracle on 3 trials" in done.stderr
+
+
+def test_cli_oracle_disagreement_exits_6_and_lists_the_trial(monkeypatch, capsys):
+    families = []
+
+    def wrong_core(family, budget):
+        families.append([list(seq) for seq in family])
+        return CoreSet(members=(("z",),))
+
+    monkeypatch.setattr(cli, "core", wrong_core)
+    assert main(["oracle-check", "--trials", "2", "--seed", "1"]) == 6
+    out, err = capsys.readouterr()
+    assert out == ""
+    prefix = "trajcore: internal error: fast path disagrees with oracle on 2 trials: "
+    assert err.startswith(prefix)
+    listed = json.loads(err[len(prefix):])
+    assert [m["trial"] for m in listed] == [0, 1]
+    assert [m["family"] for m in listed] == families
+    assert all(m["fast"] == [["z"]] for m in listed)
+
+
+def test_write_json_removes_its_temp_file_and_reraises_an_error_that_is_not_an_os_error(tmp_path):
+    with pytest.raises(TypeError):
+        formats.write_json(str(tmp_path / "x.json"), {"a": object()})  # not JSON
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_malformed_peer_and_schedule_are_parse_errors(tmp_path, capsys):

@@ -18,6 +18,7 @@ from trajcore import (
     RowSumError,
     TabularMDP,
     Trajectory,
+    ValidationError,
     build_coop_keydoor,
     enumerate_successes,
     game_from_mdp,
@@ -30,7 +31,7 @@ from trajcore import (
     validate_peer,
 )
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor, random_mdp
-from trajcore.mdp import _draw, goal_reachable
+from trajcore.mdp import _draw, _plan_fold, goal_reachable
 
 from conftest import (
     count_set_builds,
@@ -114,6 +115,54 @@ def test_validate_enforces_absorbing_flag(chain_mdp):
         validate_mdp(bad)
 
 
+def _two_goal_mdp(leaks: dict) -> TabularMDP:
+    """4 states, 2 actions, goals {1, 3} absorbing except at ``leaks``: (goal, action) -> row."""
+    kernel = np.zeros((4, 2, 4))
+    kernel[0, :, 1] = kernel[2, :, 3] = 1.0
+    for g in (1, 3):
+        kernel[g, :, g] = 1.0
+    for (g, a), row in leaks.items():
+        kernel[g, a] = row
+    return TabularMDP(
+        num_states=4,
+        num_actions=2,
+        kernel=kernel,
+        reward=np.zeros((4, 2)),
+        horizon=3,
+        goals=frozenset({1, 3}),
+        initial=np.array([0.5, 0.0, 0.5, 0.0]),
+        goal_absorbing=True,
+    )
+
+
+def test_the_first_leaking_goal_row_is_reported_with_its_own_entry():
+    validate_mdp(_two_goal_mdp({}))
+    # (1, 1) comes before (3, 0) in ascending (goal, action) order
+    leaks = {(3, 0): [0.5, 0.0, 0.0, 0.5], (1, 1): [0.75, 0.25, 0.0, 0.0]}
+    with pytest.raises(RowSumError) as err:
+        validate_mdp(_two_goal_mdp(leaks))
+    assert err.value.what == "absorbing goal kernel"
+    assert (err.value.row, err.value.total) == ((1, 1), 0.25)
+    # a goal row that stores no entry at its goal reports 0.0
+    with pytest.raises(RowSumError) as err:
+        validate_mdp(_two_goal_mdp({**leaks, (1, 0): [0.0, 0.0, 1.0, 0.0]}))
+    assert (err.value.row, err.value.total) == ((1, 0), 0.0)
+    assert type(err.value.total) is float
+
+
+def test_the_fold_plan_reads_the_goal_loops_of_the_joint_kernel():
+    game, _, _ = build_coop_keydoor(DEFAULT_COOP)
+    assert _plan_fold(game).goal_absorbing
+    assert induce_mdp(game, uniform_peer(game)).goal_absorbing
+    goal = min(game.goals)
+    joint = np.array(game.joint_kernel)
+    joint[goal, 0, 1] = 0.0  # the goal's row under focal action 0 and peer action 1 leaks
+    joint[goal, 0, 1, (goal + 1) % game.num_states] = 1.0
+    leaky = replace(game, joint_kernel=joint)
+    assert not _plan_fold(leaky).goal_absorbing
+    assert not induce_mdp(leaky, uniform_peer(leaky)).goal_absorbing
+
+
 # ---------------------------------------------------------------------------
 # induce_mdp
 # ---------------------------------------------------------------------------
@@ -156,6 +205,21 @@ def test_validation_rejects_non_finite_probabilities(chain_mdp, bad):
         validate_game(replace(game, initial=np.array([bad, 1.0])))
     with pytest.raises(RowSumError):
         validate_peer(PeerPolicy(probs=np.array([[bad, 1.0], [0.5, 0.5]])))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_validation_rejects_non_finite_rewards(chain_mdp, bad):
+    reward = np.array(chain_mdp.reward)
+    reward[1, 0] = bad
+    with pytest.raises(ValidationError, match=r"reward entry \(1, 0\) is not finite"):
+        validate_mdp(replace(chain_mdp, reward=reward))
+    game = _two_row_game()
+    reward_1 = np.array(game.reward_1)
+    reward_1[0, 0, 1] = bad
+    with pytest.raises(ValidationError, match=r"reward_1 entry \(0, 0, 1\) is not finite"):
+        validate_game(replace(game, reward_1=reward_1))
+    with pytest.raises(ValidationError, match="reward_1 entry"):
+        induce_mdp(replace(game, reward_1=reward_1), PeerPolicy(probs=np.full((2, 2), 0.5)))
 
 
 def test_induce_weighted_sum_row():
@@ -460,6 +524,11 @@ def test_unterminated_trajectory_is_not_successful(chain_mdp):
     assert not is_successful(Trajectory(steps=((0, 1),)), chain_mdp)
 
 
+def test_a_trajectory_that_starts_outside_the_initial_support_is_not_successful(chain_mdp):
+    # 1 -R-> 2 is in the support, but every episode starts at 0
+    assert not is_successful(Trajectory(steps=((1, 1),), terminal_state=2), chain_mdp)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_success_set_is_exactly_the_passing_trajectories(seed):
@@ -490,6 +559,12 @@ def test_rollout_rejects_zero_samples(chain_mdp):
     policy = np.full((3, 2), 0.5)
     with pytest.raises(ValueError):
         rollout(chain_mdp, policy, n=0, seed=1)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (6,)])
+def test_rollout_rejects_a_policy_of_the_wrong_shape(chain_mdp, shape):
+    with pytest.raises(DimensionMismatch, match=r"policy shape .*, expected \(3, 2\)"):
+        rollout(chain_mdp, np.full(shape, 0.5), n=1, seed=1)
 
 
 def test_rollout_deterministic_policy_unique_trajectory(chain_mdp):
@@ -723,7 +798,7 @@ def test_kernels_are_held_as_non_zero_rows_behind_a_dense_view(chain_mdp):
     view = mdp.kernel
     assert np.array_equal(view, table) and not view.flags.writeable
     assert mdp.kernel is not view  # rebuilt on every access
-    assert rows.value(0, 2) == -5e-10 and rows.value(1, 0) == 0.0
+    assert rows.block(np.array([0, 1])).tolist() == [[0.5 + 5e-10, 0.5, -5e-10], [0.0, 1.0, 0.0]]
     assert np.array_equal(rows.block(np.array([2, 0])), table.reshape(6, 3)[[2, 0]])
     assert rows.block(np.array([], dtype=int)).shape == (0, 3)
     assert mdp.support(0, 0) == (0, 1)

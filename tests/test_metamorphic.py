@@ -1,18 +1,32 @@
-"""Metamorphic checks: the fast paths agree with themselves on relabelled inputs.
+"""Metamorphic checks: the fast paths agree with themselves on transformed inputs.
 
 A relation compares a result with the result on a transformed input, so it
-checks at sizes no oracle reaches.  Here the states are permuted: every
-core, success count and drift member maps back exactly, and every witness
-is a success of the other episode that avoids its member.  A witness need
-not map to the witness, because the order of successes changes.
+checks at sizes no oracle reaches.  Each runs on hypothesis-drawn small
+games and on one fixed L8 cooperative corridor.
+
+* Permuting states or focal actions: every core, success count and drift
+  member maps back exactly, and every witness, mapped back, is a success of
+  the other episode that avoids its member.  A witness need not map to the
+  witness, because the order of successes changes.
+* Permuting peer actions: every core, member and witness is the same.  The
+  budget deltas may differ in the last bits, because a fold adds its
+  products in peer-action order.
+* Reversing a schedule reverses its steps and swaps ``vanished`` and
+  ``gained`` in each, and reverses the episode cores and the deltas.
+* Appending states that no initial state reaches changes no core or step.
+  When every episode's peer plays the same rows there, the deltas agree
+  too, up to the rounding of a wider row sum.
 """
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trajcore import (
     IDENTITY,
+    TERMINAL,
     Abstraction,
     EpisodeSequence,
     KernelRows,
@@ -31,20 +45,29 @@ from trajcore.envs import DEFAULT_COOP
 from trajcore.graph import Symbols, build_graph
 from trajcore.mining import canonical_member_order
 
+from conftest import random_game, sparse_game, sparse_peer
+
+L8_COOP = replace(DEFAULT_COOP, corridor_length=8, key_pos=1, door_pos=4, goal_pos=6,
+                  start_pos=2, peer_start=2, horizon=16,
+                  peer_modes=("helper", "independent", "helper"))
+
+
+def _rows_from(rows: KernelRows, old: np.ndarray) -> KernelRows:
+    """The kernel ``rows`` with its rows reordered: row ``r`` is row ``old[r]`` of ``rows``."""
+    counts = rows.offsets[old + 1] - rows.offsets[old]
+    at = np.repeat(rows.offsets[old] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return KernelRows(rows.shape, offsets, rows.targets[at], rows.probs[at])
+
 
 def _permuted_rows(rows: KernelRows, perm: np.ndarray) -> KernelRows:
     """``rows`` with state ``s`` renamed ``perm[s]``, on both the row and the target side."""
     inv = np.argsort(perm)
     per_state = int(np.prod(rows.shape[1:-1]))
-    old = (inv[:, None] * per_state + np.arange(per_state)).ravel()  # old row of each new row
-    targets, probs = [], []
-    for start, end in zip(rows.offsets[old], rows.offsets[old + 1]):
-        moved = perm[rows.targets[start:end]]
-        order = np.argsort(moved)
-        targets.append(moved[order])
-        probs.append(rows.probs[start:end][order])
-    offsets = np.concatenate(([0], np.cumsum([len(t) for t in targets])))
-    return KernelRows(rows.shape, offsets, np.concatenate(targets), np.concatenate(probs))
+    moved = _rows_from(rows, (inv[:, None] * per_state + np.arange(per_state)).ravel())
+    targets = perm[moved.targets]
+    order = np.lexsort((targets, moved.entry_rows()))  # ascending targets within each row
+    return KernelRows(rows.shape, moved.offsets, targets[order], moved.probs[order])
 
 
 def _permuted_mdp(mdp: TabularMDP, perm: np.ndarray) -> TabularMDP:
@@ -65,11 +88,6 @@ def _map_symbol(symbol, perm: np.ndarray):
 
 def _map_members(members, perm: np.ndarray) -> tuple:
     return canonical_member_order(tuple(_map_symbol(x, perm) for x in m) for m in members)
-
-
-def _map_trajectory(traj: Trajectory, perm: np.ndarray) -> Trajectory:
-    return Trajectory(steps=tuple((int(perm[s]), a) for s, a in traj.steps),
-                      terminal_state=int(perm[traj.terminal_state]))
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -98,14 +116,49 @@ def _permuted_drift(game: MarkovGame, peers, phi: Abstraction, perm: np.ndarray)
     return EpisodeSequence.from_schedule(game, peers), phi
 
 
+def _members(core_set) -> tuple | None:
+    return None if core_set is None else core_set.members
+
+
+def _assert_maps_back(base, other, seq: EpisodeSequence, phi: Abstraction, back) -> None:
+    """``other``, the drift report of a relabelled ``seq``, maps back to ``base`` by ``back``.
+
+    ``back`` maps a symbol of the relabelled input to the symbol of ``seq``;
+    a witness maps back pair by pair, its terminal pseudo-pair included.
+    """
+
+    def members(found):
+        return None if found is None else canonical_member_order(tuple(map(back, m)) for m in found)
+
+    assert [members(_members(c)) for c in other.episode_cores] == [
+        _members(c) for c in base.episode_cores]
+    assert members(_members(other.individual)) == _members(base.individual)
+    for step, moved in zip(base.steps, other.steps):
+        assert members(_members(moved.common_core)) == _members(step.common_core)
+        assert members(moved.literal_intersection) == step.literal_intersection
+        assert moved.common_within_individual == step.common_within_individual
+        for changes, base_changes, witness_episode in (
+            (moved.vanished, step.vanished, step.index),  # episodes are 0-based here
+            (moved.gained, step.gained, step.index - 1),
+        ):
+            assert members([change.member for change in changes]) == tuple(
+                c.member for c in base_changes)
+            for change in changes:
+                witness = Trajectory.from_pairs(map(back, change.witness.pairs()))
+                assert is_successful(witness, seq.induced[witness_episode])
+                member = tuple(map(back, change.member))
+                assert not is_subsequence(member, apply_abstraction(witness, phi))
+
+
+def _l8_drift(abstraction: str):
+    """The L8 corridor's game, peers and abstraction (``IDENTITY`` for "identity")."""
+    game, peers, phi = build_coop_keydoor(L8_COOP)
+    return game, peers, IDENTITY if abstraction == "identity" else phi
+
+
 @pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
 def test_state_relabelling_maps_an_l8_coop_drift_back(abstraction):
-    cfg = replace(DEFAULT_COOP, corridor_length=8, key_pos=1, door_pos=4, goal_pos=6,
-                  start_pos=2, peer_start=2, horizon=16,
-                  peer_modes=("helper", "independent", "helper"))
-    game, peers, phi = build_coop_keydoor(cfg)
-    if abstraction == "identity":
-        phi = IDENTITY
+    game, peers, phi = _l8_drift(abstraction)
     perm = np.random.default_rng(8).permutation(game.num_states)
     inv = np.argsort(perm)
     seq = EpisodeSequence.from_schedule(game, peers)
@@ -114,20 +167,145 @@ def test_state_relabelling_maps_an_l8_coop_drift_back(abstraction):
     other = drift_report(relabelled, relabelled_phi, strip_terminal=True)
 
     assert base.steps and all(step.vanished or step.gained for step in base.steps)
-    assert [_map_members(c.members, inv) for c in other.episode_cores] == [
-        c.members for c in base.episode_cores]
-    assert _map_members(other.individual.members, inv) == base.individual.members
-    for step, moved in zip(base.steps, other.steps):
-        assert _map_members(moved.common_core.members, inv) == step.common_core.members
-        assert _map_members(moved.literal_intersection, inv) == step.literal_intersection
-        for changes, base_changes, witness_episode in (
-            (moved.vanished, step.vanished, step.index),  # episodes are 0-based here
-            (moved.gained, step.gained, step.index - 1),
-        ):
-            members = [change.member for change in changes]
-            assert _map_members(members, inv) == tuple(c.member for c in base_changes)
-            for change in changes:
-                witness = _map_trajectory(change.witness, inv)
-                assert is_successful(witness, seq.induced[witness_episode])
-                member = tuple(_map_symbol(x, inv) for x in change.member)
-                assert not is_subsequence(member, apply_abstraction(witness, phi))
+    _assert_maps_back(base, other, seq, phi, lambda x: _map_symbol(x, inv))
+
+
+# ---------------------------------------------------------------------------
+# Actions, schedule order and unreachable states, on small games and on L8
+# ---------------------------------------------------------------------------
+
+
+def _small_drift(kind: str, seed: int):
+    """A drawn small game with a schedule of 4 sparse peers, and the identity abstraction."""
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        game = random_game(rng, num_states=int(rng.integers(3, 6)), num_actions_2=3, horizon=5)
+    else:
+        # about two in five of these schedules have a vanished or gained member
+        game = sparse_game(rng, num_states=int(rng.integers(4, 8)),
+                           num_actions_2=int(rng.integers(2, 4)), horizon=6)
+    return game, [sparse_peer(rng, game, f"peer{i}") for i in range(4)], IDENTITY
+
+
+def _drift(game: MarkovGame, peers, phi: Abstraction, strip_terminal: bool):
+    seq = EpisodeSequence.from_schedule(game, peers)
+    return seq, drift_report(seq, phi, strip_terminal=strip_terminal)
+
+
+def _permuted_actions(game: MarkovGame, peers, focal: np.ndarray, peer: np.ndarray):
+    """The game and peers with focal action ``a`` renamed ``focal[a]``.
+
+    Peer action ``b`` is renamed ``peer[b]``.
+    """
+    inv_1, inv_2 = np.argsort(focal), np.argsort(peer)
+    rows = np.arange(game.rows.num_rows).reshape(game.rows.shape[:-1])
+    game = replace(
+        game,
+        joint_kernel=_rows_from(game.rows, rows[:, inv_1][:, :, inv_2].ravel()),
+        reward_1=game.reward_1[:, inv_1][:, :, inv_2],
+    )
+    return game, [PeerPolicy(probs=p.probs[:, inv_2], label=p.label) for p in peers]
+
+
+def _focal_relabelling(game, peers, phi, strip_terminal, seed):
+    focal = np.random.default_rng(seed).permutation(game.num_actions_1)
+    inv = np.argsort(focal)
+    seq, base = _drift(game, peers, phi, strip_terminal)
+    moved, moved_peers = _permuted_actions(game, peers, focal, np.arange(game.num_actions_2))
+    phi_moved = phi if phi.is_identity else replace(phi, mapping={
+        (s, a if a == TERMINAL else int(focal[a])): v for (s, a), v in phi.mapping.items()})
+    _, other = _drift(moved, moved_peers, phi_moved, strip_terminal)
+
+    def back(x):
+        return (x[0], int(inv[x[1]])) if isinstance(x, tuple) and x[1] != TERMINAL else x
+
+    _assert_maps_back(base, other, seq, phi, back)
+    assert other.budget == base.budget  # the fold adds over peer actions, in the same order
+
+
+def _assert_deltas_close(budget, base) -> None:
+    for name in ("kernel_deltas", "reward_deltas"):
+        assert getattr(budget, name) == pytest.approx(getattr(base, name), rel=1e-12, abs=1e-15)
+
+
+def _peer_relabelling(game, peers, phi, strip_terminal, seed):
+    peer = np.random.default_rng(seed).permutation(game.num_actions_2)
+    _, base = _drift(game, peers, phi, strip_terminal)
+    moved, moved_peers = _permuted_actions(game, peers, np.arange(game.num_actions_1), peer)
+    _, other = _drift(moved, moved_peers, phi, strip_terminal)
+    assert other.episode_cores == base.episode_cores and other.individual == base.individual
+    assert other.steps == base.steps  # members and witnesses alike
+    _assert_deltas_close(other.budget, base.budget)
+
+
+def _reversal(game, peers, phi, strip_terminal, seed):
+    _, base = _drift(game, peers, phi, strip_terminal)
+    _, back = _drift(game, peers[::-1], phi, strip_terminal)
+    assert back.episode_cores == base.episode_cores[::-1] and back.individual == base.individual
+    assert back.budget.kernel_deltas == base.budget.kernel_deltas[::-1]
+    assert back.budget.reward_deltas == base.budget.reward_deltas[::-1]
+    assert len(back.steps) == len(base.steps)
+    for step, reversed_step in zip(base.steps, back.steps[::-1]):
+        assert reversed_step == replace(
+            step, index=reversed_step.index, vanished=step.gained, gained=step.vanished)
+
+
+def _unreachable_states(game, peers, phi, strip_terminal, seed):
+    """Appends states that lead anywhere but that nothing leads to and no episode starts at."""
+    rng = np.random.default_rng(seed)
+    extra = int(rng.integers(1, 4))
+    n = game.num_states + extra
+    added_rows = extra * game.num_actions_1 * game.num_actions_2
+    rows = game.rows
+    joint = KernelRows(
+        (n, game.num_actions_1, game.num_actions_2, n),
+        np.concatenate((rows.offsets, rows.offsets[-1] + np.arange(1, added_rows + 1))),
+        np.concatenate((rows.targets, rng.integers(0, n, added_rows))),
+        np.concatenate((rows.probs, np.ones(added_rows))),
+    )
+    grown = replace(
+        game,
+        num_states=n,
+        joint_kernel=joint,
+        reward_1=np.concatenate((game.reward_1, rng.random((extra,) + game.reward_1.shape[1:]))),
+        initial=np.concatenate((game.initial, np.zeros(extra))),
+    )
+    _, base = _drift(game, peers, phi, strip_terminal)
+
+    def grow(peer, tail):
+        return PeerPolicy(probs=np.concatenate((peer.probs, tail)), label=peer.label)
+
+    def tail():
+        probs = rng.random((extra, game.num_actions_2)) + 1e-3
+        return probs / probs.sum(axis=1, keepdims=True)
+
+    _, differing = _drift(grown, [grow(p, tail()) for p in peers], phi, strip_terminal)
+    assert differing.episode_cores == base.episode_cores
+    assert differing.individual == base.individual and differing.steps == base.steps
+    same = tail()
+    _, alike = _drift(grown, [grow(p, same) for p in peers], phi, strip_terminal)
+    assert replace(alike, budget=base.budget) == base
+    # NumPy adds a row of 8 or more entries in 8 partial sums, so once the kernel is that
+    # wide, the dense L1 sum of a row with 3 or more differences may round differently
+    _assert_deltas_close(alike.budget, base.budget)
+
+
+RELATIONS = {
+    "focal-actions": _focal_relabelling,
+    "peer-actions": _peer_relabelling,
+    "reversed-schedule": _reversal,
+    "unreachable-states": _unreachable_states,
+}
+
+
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["dense", "sparse"]), seed=st.integers(0, 2**32 - 1))
+def test_relations_hold_on_small_games(relation, kind, seed):
+    RELATIONS[relation](*_small_drift(kind, seed), strip_terminal=False, seed=seed)
+
+
+@pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+def test_relations_hold_on_an_l8_coop_drift(relation, abstraction):
+    RELATIONS[relation](*_l8_drift(abstraction), strip_terminal=True, seed=8)

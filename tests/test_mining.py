@@ -13,6 +13,7 @@ from trajcore import (
     CoreSet,
     EmptySuccessSet,
     OracleScaleError,
+    SuccessSet,
     Trajectory,
     UnmappedSymbol,
     apply_abstraction,
@@ -186,6 +187,12 @@ def test_core_of_single_sequence_is_itself():
 def test_core_rejects_empty_input():
     with pytest.raises(EmptySuccessSet):
         core([])
+    with pytest.raises(EmptySuccessSet):
+        brute_force_core([])
+    with pytest.raises(EmptySuccessSet):
+        core_nonempty_witness(SuccessSet.from_iterable([]))
+    with pytest.raises(ValueError, match="need at least one sequence"):
+        common_subsequences([])
 
 
 def test_core_of_chain_is_the_short_success(chain_mdp):
@@ -215,8 +222,6 @@ def test_core_strip_terminal(chain_mdp):
 
 
 def test_core_strip_of_terminal_only_success_is_empty(chain_mdp):
-    from trajcore import SuccessSet
-
     terminal_only = SuccessSet.from_iterable([Trajectory(steps=(), terminal_state=2)])
     mined = core(terminal_only, strip_terminal=True)
     assert mined.members == ()
@@ -475,8 +480,6 @@ def test_witness_rejects_multiple_goals(chain_mdp):
     mixed = enumerate_successes(chain_mdp).trajectories + (
         Trajectory(steps=(), terminal_state=1),
     )
-    from trajcore import SuccessSet
-
     with pytest.raises(ValueError):
         core_nonempty_witness(SuccessSet.from_iterable(mixed))
 

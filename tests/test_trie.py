@@ -45,6 +45,14 @@ def test_duplicate_insertion_doubles_counts(chain_mdp):
         assert other.y == node.y
 
 
+def test_find_of_an_absent_prefix_is_none(chain_mdp):
+    trie = build_trie(enumerate_successes(chain_mdp))
+    assert trie.find(()) is trie.root
+    assert trie.find([(0, 1)]) is not None
+    assert trie.find([(0, 1), (0, 1)]) is None  # 0 -R-> 1, so no success holds (0, 1) twice
+    assert trie.find([(2, 0)]) is None
+
+
 def test_successful_leaves_round_trip(chain_mdp):
     successes = enumerate_successes(chain_mdp)
     assert successful_leaves(build_trie(successes)).as_set() == successes.as_set()
