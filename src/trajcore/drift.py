@@ -25,12 +25,14 @@ maximal-subsequence search.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, DimensionMismatch, EmptySuccessSet
+from .errors import ConsistencyError, DimensionMismatch, EmptySuccessSet, ValidationError
 from .graph import SuccessGraph, Symbols, build_graph, support_signature
 from .mdp import (
     DEFAULT_NODE_BUDGET,
@@ -177,20 +179,38 @@ def _rows_distance(kernel: KernelRows, previous: KernelRows) -> float:
 
 
 def reward_distance(reward: np.ndarray, previous: np.ndarray) -> float:
-    """Entrywise sup-norm distance between reward tables."""
+    """Entrywise sup-norm distance between reward tables.
+
+    ``inf``, with no warning, when two finite entries differ by more than
+    the float range.
+    """
     reward = np.asarray(reward, dtype=float)
     previous = np.asarray(previous, dtype=float)
     if reward.shape != previous.shape:
         raise DimensionMismatch(f"reward shapes differ: {reward.shape} vs {previous.shape}")
-    return float(np.abs(reward - previous).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        return float(np.abs(reward - previous).max(initial=0.0))
 
 
 def variation_budget(seq: EpisodeSequence) -> BudgetReport:
-    """Cumulative kernel-plus-reward drift over the induced episode sequence."""
+    """Cumulative kernel-plus-reward drift over the induced episode sequence.
+
+    Raises :class:`ValidationError`, naming the step, when a reward delta or
+    the running total leaves the float range; a kernel delta is at most 2.
+    """
     steps = list(zip(seq.induced, seq.induced[1:]))
     kernel_deltas = tuple(_rows_distance(cur.rows, prev.rows) for prev, cur in steps)
     reward_deltas = tuple(reward_distance(cur.reward, prev.reward) for prev, cur in steps)
     total = float(sum(kernel_deltas) + sum(reward_deltas))
+    if not math.isfinite(total):
+        for index, (delta, running) in enumerate(zip(reward_deltas, accumulate(reward_deltas)), 1):
+            if not math.isfinite(running):
+                break
+        if math.isfinite(delta):
+            what, why = "variation budget total", "the deltas sum past the float range"
+        else:
+            what, why = "reward delta", "two rewards differ by more than the float range"
+        raise ValidationError(f"{what} at step {index} (episode {index} to {index + 1}) is not finite: {why}")
     return BudgetReport(kernel_deltas, reward_deltas, total)
 
 

@@ -27,6 +27,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
+from itertools import chain
 from typing import Any, get_type_hints
 
 import numpy as np
@@ -159,12 +160,28 @@ _str, _list = _exact(str, "string"), _exact(list, "list")
 
 
 def _numbers(value, kinds: tuple[type, ...] = (int, float), name: str = "number") -> np.ndarray:
-    """A table as floats: JSON lists, nested to any depth, of cells whose types are in ``kinds``."""
-    cells = np.asarray(value, dtype=object)
-    if not set(map(type, cells.flat)).issubset(kinds):
-        bad = next(cell for cell in cells.flat if type(cell) not in kinds)
+    """A table as floats: JSON lists, nested to any depth, of cells whose types are in ``kinds``.
+
+    The lists are flattened one nesting level at a time, with one set of
+    item types and one of lengths per level, while every item is a list
+    and all have one length: the shape NumPy gives an object array of them.
+    Every item of the last level is a cell.  An object array is read as the
+    cells of its shape.
+    """
+    if isinstance(value, np.ndarray):
+        shape, types, cells = value.shape, set(map(type, value.flat)), value
+    else:
+        shape, cells = [], [value]
+        while (types := set(map(type, cells))) == {list}:
+            lengths = set(map(len, cells))
+            if len(lengths) != 1:
+                break
+            shape.append(lengths.pop())
+            cells = list(chain.from_iterable(cells))
+    if not types.issubset(kinds):
+        bad = next(cell for cell in getattr(cells, "flat", cells) if type(cell) not in kinds)
         raise TypeError(f"expected a JSON {name}, got {bad!r}")
-    return cells.astype(float)
+    return np.asarray(cells, dtype=float).reshape(shape)
 
 
 # how a decoded JSON value becomes a field of each annotated type

@@ -44,6 +44,15 @@ TCS 1991), generalised from one text to a DAG of texts.
 * A node without extension is kept iff no common symbol fits any of its
   inner gaps, decided by one backward pass per gap over the nodes deep
   enough to hold that gap's frontier.
+* Two dicts keep repeated work for the length of one call.  ``children``
+  maps a frontier to its undominated (symbol, child frontier) list: the
+  extensions, the dominance and the child frontiers read the frontier
+  alone, so a frontier met again gets the same list.  ``passes`` maps a
+  suffix ``word[i:]`` of a leaf to its gap pass and the least id that pass
+  covers: the pass reads the suffix alone and is exact at every node deep
+  enough to hold gap ``i``'s frontier, so a pass made for a gap no deeper
+  is read again.  Both grow with the distinct frontiers and leaf suffixes
+  that the search meets, and are dropped when it returns.
 
 Each search node is a distinct common subsequence, and the pruning reads
 only the word set, so the search visits the same tree, and its ``budget``
@@ -546,6 +555,10 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
         common &= must[root]
     before = {c: _before(edges, c) for c in _bits(common)}
     bounds = _gap_bounds(edges)
+    # frontier -> ((symbol,), (child frontier,)) of each undominated extension, in symbol order
+    children: dict[tuple[int, ...], list] = {}
+    # suffix -> (least id covered, gap pass): see _no_gap_fits
+    passes: dict[tuple[int, ...], tuple[int, list[int]]] = {}
     found: set[tuple[int, ...]] = set()
     visited = 0
     # (word, frontier after each prefix of the word)
@@ -560,23 +573,28 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
         for n in frontier:
             extensions &= must[n]
         if not extensions:
-            if _no_gap_fits(edges, must, common, word, frontiers, bounds):
+            if _no_gap_fits(edges, must, common, word, frontiers, bounds, passes):
                 found.add(word)
             continue
-        candidates = _bits(extensions)
-        dominated = 0
-        for c in candidates:
-            table, first = before[c], -1
-            for n in frontier:
-                first &= table[n]
-            dominated |= first
-        for c in candidates:
-            if not dominated >> c & 1:
-                stack.append((word + (c,), frontiers + (_advance(edges, frontier, c),)))
+        kids = children.get(frontier)
+        if kids is None:
+            candidates = _bits(extensions)
+            dominated = 0
+            for c in candidates:
+                table, first = before[c], -1
+                for n in frontier:
+                    first &= table[n]
+                dominated |= first
+            kids = children[frontier] = []
+            for c in candidates:
+                if not dominated >> c & 1:
+                    kids.append(((c,), (_advance(edges, frontier, c),)))
+        for symbol, child in kids:
+            stack.append((word + symbol, frontiers + child))
     return found
 
 
-def _no_gap_fits(edges, must, common: int, word, frontiers, bounds) -> bool:
+def _no_gap_fits(edges, must, common: int, word, frontiers, bounds, passes) -> bool:
     """True iff no symbol of ``common`` can be inserted before any ``word[i]``.
 
     ``holds[n]`` is the set of symbols ``x`` such that every path from ``n``
@@ -589,22 +607,36 @@ def _no_gap_fits(edges, must, common: int, word, frontiers, bounds) -> bool:
     symbols.  So the pass for gap ``i`` covers only the ids from ``first[i]``
     to ``last[len(word) - i + 1]`` (see :func:`_gap_bounds`); the nodes it
     reads outside that range are empty in both passes.
+
+    The pass is then exact at every node ``i`` or more edges from a root,
+    and it depends on the suffix ``word[i:]`` alone, so ``passes`` keeps it
+    under that suffix with ``first[i]``.  ``first`` grows strictly: the
+    longest root path of the least node ``i + 1`` or more edges deep runs
+    through a node ``i`` edges deep, and a parent has the smaller id.  So a
+    kept pass whose least id is at most ``first[i]`` was made for a gap no
+    deeper than ``i``, and is exact wherever gap ``i`` reads it.
     """
     first, last = bounds
     holds = must
     for i in range(len(word) - 1, -1, -1):
-        c = word[i]
-        # a path from m holds word[i:] iff c is in the previous holds[m]
-        nxt = [0] * len(edges)
-        for n in range(last[len(word) - i + 1], first[i] - 1, -1):
-            acc = -1
-            for _, m, lab in edges[n]:
-                if lab < 0:
-                    acc &= nxt[m]
-                else:
-                    bit = 1 << lab
-                    acc &= (nxt[m] & ~bit) | (bit if holds[m] >> c & 1 else 0)
-            nxt[n] = acc
+        suffix = word[i:]
+        kept = passes.get(suffix)
+        if kept is not None and kept[0] <= first[i]:
+            nxt = kept[1]
+        else:
+            c = word[i]
+            # a path from m holds word[i:] iff c is in the previous holds[m]
+            nxt = [0] * len(edges)
+            for n in range(last[len(word) - i + 1], first[i] - 1, -1):
+                acc = -1
+                for _, m, lab in edges[n]:
+                    if lab < 0:
+                        acc &= nxt[m]
+                    else:
+                        bit = 1 << lab
+                        acc &= (nxt[m] & ~bit) | (bit if holds[m] >> c & 1 else 0)
+                nxt[n] = acc
+            passes[suffix] = first[i], nxt
         fits = common
         for n in frontiers[i]:
             fits &= nxt[n]

@@ -365,6 +365,16 @@ def _set(index: int, value):
     return change
 
 
+def _nested(depth: int):
+    """A reward table of one cell inside ``depth`` lists: past NumPy's 32 or 64 dimensions."""
+    def change(payload):
+        table = 0.0
+        for _ in range(depth):
+            table = [table]
+        payload["reward_1"] = table
+    return change
+
+
 def _remove_first_row(payload):
     payload["entries"] = [e for e in payload["entries"] if e[:3] != [0, 0, 0]]
 
@@ -390,6 +400,8 @@ VERSION_2_GAME_FAULTS = {
     "unknown-version": (3, lambda p: p.__setitem__("version", 3)),
     "version-float": (3, lambda p: p.__setitem__("version", 2.0)),
     "reward-shape": (4, lambda p: p["reward_1"].pop()),
+    "reward-nested-40-deep": (4, _nested(40)),
+    "reward-nested-70-deep": (3, _nested(70)),
     "p-negative": (4, _set(4, -0.5)),
     "p-nan": (4, _set(4, float("nan"))),
     "p-inf": (4, _set(4, float("inf"))),

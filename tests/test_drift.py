@@ -1,5 +1,11 @@
+import os
+import re
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 from functools import cached_property
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,6 +26,7 @@ from trajcore import (
     MarkovGame,
     PeerPolicy,
     TabularMDP,
+    ValidationError,
     build_coop_keydoor,
     build_keydoor,
     core,
@@ -136,6 +143,40 @@ def test_reward_distance_cases():
 # ---------------------------------------------------------------------------
 # variation budget
 # ---------------------------------------------------------------------------
+
+
+# (state-0 rewards under peer actions 0 and 1, peer rows per episode, what leaves the float range)
+FLOAT_RANGE_CASES = {
+    "delta": ([1e308, -1e308], [[1.0, 0.0], [0.0, 1.0]], "reward delta at step 1 (episode 1 to 2)"),
+    "total": ([1e308, 0.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]],
+              "variation budget total at step 2 (episode 2 to 3)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLOAT_RANGE_CASES))
+def test_a_budget_past_the_float_range_is_a_validation_error(case, tmp_path):
+    rewards, rows, message = FLOAT_RANGE_CASES[case]
+    reward_1 = np.zeros((2, 1, 2))
+    reward_1[0, 0] = rewards
+    game = replace(_mixer_game(), reward_1=reward_1)
+    schedule = [_peer(row) for row in rows]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            variation_budget(EpisodeSequence.from_schedule(game, schedule))
+    formats.write_json(str(tmp_path / "game.json"), formats.game_to_payload(game))
+    formats.write_json(str(tmp_path / "schedule.json"), formats.schedule_to_payload(schedule))
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1",
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
+    for verb in ("budget", "drift"):
+        done = subprocess.run(
+            [sys.executable, "-m", "trajcore.cli", verb, "game.json", "schedule.json"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 4, done.stderr
+        assert done.stderr.startswith(f"trajcore: invalid input: {message}"), done.stderr
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
 
 def test_budget_constant_schedule_is_zero():

@@ -16,7 +16,10 @@ games and on one fixed L8 cooperative corridor.
 * Appending states that no initial state reaches changes no core or step.
   When every episode's peer plays the same rows there, the deltas agree
   too, up to the rounding of a wider row sum.
+* Reversing every word of a listed family reverses every core member, under
+  any abstraction, with or without ``collapse_runs`` and ``strip_terminal``.
 """
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -36,6 +39,7 @@ from trajcore import (
     Trajectory,
     apply_abstraction,
     build_coop_keydoor,
+    core,
     drift_report,
     is_subsequence,
     is_successful,
@@ -309,3 +313,37 @@ def test_relations_hold_on_small_games(relation, kind, seed):
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
 def test_relations_hold_on_an_l8_coop_drift(relation, abstraction):
     RELATIONS[relation](*_l8_drift(abstraction), strip_terminal=True, seed=8)
+
+
+_PAIRS = [(s, a) for s in range(3) for a in (0, 1)] + [(s, TERMINAL) for s in range(3)]
+# few names, so runs of equal names are common under collapse_runs
+_NAMES = {pair: "T" if pair[1] == TERMINAL else "xyz"[(2 * pair[0] + pair[1]) % 3] for pair in _PAIRS}
+REVERSAL_PHIS = {
+    "identity": IDENTITY,
+    "names": Abstraction(mapping=_NAMES),
+    "collapsed": Abstraction(mapping=_NAMES, collapse_runs=True),
+}
+
+
+def _assert_reversal_reverses_the_core(family, phi, strip_terminal) -> None:
+    forward = core(family, phi, strip_terminal=strip_terminal)
+    backward = core([seq[::-1] for seq in family], phi, strip_terminal=strip_terminal)
+    assert {member[::-1] for member in forward} == set(backward.members)
+
+
+@pytest.mark.parametrize("phi", sorted(REVERSAL_PHIS))
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.lists(st.lists(st.sampled_from(_PAIRS), max_size=10).map(tuple), min_size=1, max_size=5),
+    strip_terminal=st.booleans(),
+)
+def test_reversing_every_word_reverses_the_core(phi, family, strip_terminal):
+    _assert_reversal_reverses_the_core(family, REVERSAL_PHIS[phi], strip_terminal)
+
+
+def test_reversal_reverses_the_core_of_two_long_words():
+    # 2,033 members: far past what the brute-force oracle can enumerate
+    rng = random.Random(1)
+    family = ["".join(rng.choice("abcdefgh") for _ in range(40)) for _ in range(2)]
+    assert len(core(family)) == 2033
+    _assert_reversal_reverses_the_core(family, IDENTITY, strip_terminal=False)

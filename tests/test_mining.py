@@ -28,7 +28,7 @@ from trajcore import (
 )
 from trajcore.mining import canonical_member_order, maximal_elements
 
-from conftest import count_set_builds, oracle_core
+from conftest import count_calls, count_set_builds, oracle_core
 
 symbols = st.sampled_from("abcd")
 seqs = st.lists(symbols, min_size=0, max_size=8).map(tuple)
@@ -347,6 +347,29 @@ def test_core_budget_counts_visited_search_nodes():
     assert (info.value.budget, info.value.visited) == (8, 9)
     assert "visited 9" in str(info.value)
     assert core([tuple("abcdefgh")], budget=9).members == (tuple("abcdefgh"),)
+
+
+# The search over _near_identical_family(seed=5), as it ran before it reused
+# child frontiers and gap passes: the nodes it visits and the members it finds.
+PINNED_VISITS = 1667
+PINNED_MEMBERS = (
+    "cadbacbdababdcbba", "cadbacdbabbdba", "ccdbdababdcbba", "cadabababbdba", "cadabdbabbdba",
+    "cadbacdbdbdba", "caddababdbdba", "ccddababdbdba", "cadabdbdbdba", "caddabacbdba",
+    "ccdbababbdba", "ccdbdbabbdba", "ccddabacbdba", "ccdbdbdbdba", "babbabbbba", "bbababbbba",
+    "bcbbabbbba", "ccaabcbdba", "babbdbbba", "bbabdbbba", "bcbbdbbba", "ccadcbdba", "bbacbbba",
+)
+
+
+def test_reusing_frontiers_and_gap_passes_walks_the_same_search_tree(monkeypatch):
+    # three near-identical words meet each frontier and leaf suffix many times
+    family = _near_identical_family(seed=5)
+    with pytest.raises(BudgetExceeded) as info:
+        core(family, budget=PINNED_VISITS - 1)
+    assert info.value.visited == PINNED_VISITS
+    advances = count_calls(monkeypatch, "_advance")
+    assert core(family, budget=PINNED_VISITS).members == tuple(map(tuple, PINNED_MEMBERS))
+    # each child frontier is found once per distinct parent frontier, not once per node
+    assert 0 < len(advances) < PINNED_VISITS // 4
 
 
 def test_pruned_search_of_disjoint_or_empty_sequences_is_the_empty_sequence():

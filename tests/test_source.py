@@ -19,13 +19,11 @@ def test_library_has_no_bare_assert():
 
 
 def _reads_kernel_entries(node) -> bool:
-    """True iff an expression reads ``probs`` or calls ``.value(...)``, as kernel entries are read."""
+    """True iff an expression reads ``probs``, as kernel entries are read."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and sub.id == "probs":
             return True
         if isinstance(sub, ast.Attribute) and sub.attr == "probs":
-            return True
-        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.func.attr == "value":
             return True
     return False
 
