@@ -36,7 +36,7 @@ from . import __version__
 from .drift import BudgetReport, DriftReport, PrototypeChange
 from .envs import CoopKeyDoorConfig, KeyDoorConfig
 from .errors import DimensionMismatch, OutputError, ParseError
-from .mdp import KernelRows, MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory
+from .mdp import KernelRows, MarkovGame, PeerPolicy, SuccessSet, TabularMDP, Trajectory, _pair
 from .mining import Abstraction, CoreSet
 
 FORMAT_VERSION = 1
@@ -426,8 +426,9 @@ def successes_from_payload(payload: dict, path: str = "<memory>") -> SuccessSet:
 
 
 def symbol_to_json(symbol) -> Any:
+    """A pair as ``[s, a]``, any other tuple as the list of its items, a name as it is."""
     if isinstance(symbol, tuple):
-        return [int(symbol[0]), int(symbol[1])]
+        return list(_pair(symbol) or symbol)
     return symbol
 
 

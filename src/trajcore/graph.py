@@ -139,18 +139,17 @@ class Symbols:
         self._items: dict = {}
 
     def of(self, item) -> int:
-        """The id of a (state, action) pair, or of any other symbol under the identity."""
+        """The id of the symbol that ``phi`` gives ``item``."""
         if isinstance(item, list):
             item = tuple(item)
         sid = self._items.get(item)
         if sid is None:
-            phi = self.phi
-            name = item if phi.is_identity and not isinstance(item, tuple) else phi.image(item)
+            name = self.phi.image(item)
             sid = self._ids.get(name)
             if sid is None:
                 sid = self._ids[name] = len(self.names)
                 self.names.append(name)
-                self.stripped.append(self.strip_terminal and phi.is_terminal_symbol(name))
+                self.stripped.append(self.strip_terminal and self.phi.is_terminal_symbol(name))
             self._items[item] = sid
         return sid
 

@@ -34,6 +34,7 @@ that read one object at once build equal values at worst.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -298,6 +299,16 @@ class PeerPolicy:
             raise DimensionMismatch(f"policy table must be 2-d, got {self.probs.ndim}-d")
 
 
+def _pair(item) -> tuple[int, int] | None:
+    """A 2-item tuple or list of integers as a pair of Python ints; None for any other item."""
+    if isinstance(item, (tuple, list)) and len(item) == 2:
+        try:
+            return operator.index(item[0]), operator.index(item[1])
+        except TypeError:
+            pass
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class Trajectory:
     """State-action pair sequence, optionally closed by a goal pseudo-pair.
@@ -325,7 +336,9 @@ class Trajectory:
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "Trajectory":
-        pairs = tuple((int(s), int(a)) for s, a in pairs)
+        pairs = tuple(map(_pair, pairs))
+        if None in pairs:
+            raise TypeError("a trajectory is made of (state, action) pairs of integers")
         if pairs and pairs[-1][1] == TERMINAL:
             return cls(steps=pairs[:-1], terminal_state=pairs[-1][0])
         return cls(steps=pairs)

@@ -3,7 +3,11 @@
 Symbols are plain hashable values: concrete ``(state, action)`` pairs
 (including terminal pseudo-pairs) or abstract names (strings).  A sequence is
 a tuple of symbols.  Mixing the two alphabets inside one computation is never
-meaningful and is not supported.
+meaningful and is not supported.  Every item becomes a symbol through
+:meth:`Abstraction.image`.  A pair is a 2-item tuple or list of Python or
+NumPy integers, and its symbol is a tuple of Python ints; under the identity
+any other item (``(1, 2, 3)``, ``(0.5, 1)``) is its own symbol, a list read
+as a tuple.  A mapping's keys must be pairs.
 
 :func:`core` interns the listed sequences through a
 :class:`~trajcore.graph.Symbols` table, one dict pass per sequence
@@ -39,7 +43,7 @@ from .graph import (
     canonical_member_order,
     sequence_graph,
 )
-from .mdp import TERMINAL, SuccessSet, Trajectory
+from .mdp import TERMINAL, SuccessSet, Trajectory, _pair
 
 
 @dataclass(frozen=True)
@@ -57,27 +61,24 @@ class Abstraction:
 
     def __post_init__(self):
         if self.mapping is not None:
-            object.__setattr__(
-                self,
-                "mapping",
-                {(int(s), int(a)): str(v) for (s, a), v in self.mapping.items()},
-            )
+            mapping = {_pair(key): str(v) for key, v in self.mapping.items()}
+            if None in mapping:
+                raise TypeError("abstraction keys must be (state, action) pairs of integers")
+            object.__setattr__(self, "mapping", mapping)
         if not self.label:
             object.__setattr__(
                 self, "label", "identity" if self.mapping is None else "abstract"
             )
 
-    @property
-    def is_identity(self) -> bool:
-        return self.mapping is None
-
-    def image(self, pair: tuple[int, int]) -> Symbol:
+    def image(self, item) -> Symbol:
+        """The symbol of ``item`` by the pair rule; :class:`UnmappedSymbol` if a map has none."""
+        pair = _pair(item)
         if self.mapping is None:
-            return (int(pair[0]), int(pair[1]))
+            return pair or (tuple(item) if isinstance(item, list) else item)
         try:
-            return self.mapping[(int(pair[0]), int(pair[1]))]
+            return self.mapping[pair]
         except KeyError:
-            raise UnmappedSymbol(tuple(pair)) from None
+            raise UnmappedSymbol(pair or item) from None
 
     def terminal_symbols(self) -> frozenset[Symbol]:
         """Symbols that stand for goal-terminal pairs under this abstraction."""
@@ -89,8 +90,9 @@ class Abstraction:
 
     def is_terminal_symbol(self, sym: Symbol) -> bool:
         """A concrete terminal pair, or a name this map gives a ``(s, TERMINAL)`` pair."""
-        if isinstance(sym, tuple):
-            return sym[1] == TERMINAL
+        pair = _pair(sym)
+        if pair is not None:
+            return pair[1] == TERMINAL
         return sym in self.terminal_symbols()
 
 
@@ -112,17 +114,8 @@ def is_subsequence(u: Sequence, v: Sequence) -> bool:
 
 
 def apply_abstraction(traj: Trajectory | Sequence, phi: Abstraction = IDENTITY) -> SymbolSeq:
-    """Elementwise image of a trajectory (or raw pair sequence) under ``phi``."""
-    if isinstance(traj, Trajectory):
-        pairs = traj.pairs()
-    else:
-        pairs = tuple(traj)
-    if phi.is_identity:
-        out = tuple(
-            (int(p[0]), int(p[1])) if isinstance(p, (tuple, list)) else p for p in pairs
-        )
-    else:
-        out = tuple(phi.image(p) for p in pairs)
+    """Elementwise image of a trajectory (or raw symbol sequence) under ``phi``."""
+    out = tuple(map(phi.image, traj.pairs() if isinstance(traj, Trajectory) else traj))
     if phi.collapse_runs:
         out = tuple(sym for sym, _ in groupby(out))
     return out
@@ -133,7 +126,7 @@ def lcs_pair(x: Sequence, y: Sequence) -> tuple[int, SymbolSeq]:
 
     The witness is the lexicographically least among all longest common
     subsequences (canonical backtrack order).  O(|x|*|y|) table plus an
-    O(L*|x|*|y|) reconstruction.
+    O(L*k*(|x|+|y|)) reconstruction, for ``k`` symbols common to both.
     """
     x, y = tuple(x), tuple(y)
     n, m = len(x), len(y)
@@ -150,18 +143,11 @@ def lcs_pair(x: Sequence, y: Sequence) -> tuple[int, SymbolSeq]:
     i = j = 0
     remaining = length
     while remaining:
-        best = None  # (symbol, i2, j2): min symbol, then earliest positions
-        for i2 in range(i, n):
-            c = x[i2]
-            for j2 in range(j, m):
-                if y[j2] == c and table[i2 + 1][j2 + 1] >= remaining - 1:
-                    cand = (c, i2, j2)
-                    if best is None or cand < best:
-                        best = cand
-                    break
-        c, i2, j2 = best
+        # the table does not grow with i or j, so first occurrences leave the most behind
+        c = min(c for c in set(x[i:]) & set(y[j:])
+                if table[x.index(c, i) + 1][y.index(c, j) + 1] >= remaining - 1)
         out.append(c)
-        i, j = i2 + 1, j2 + 1
+        i, j = x.index(c, i) + 1, y.index(c, j) + 1
         remaining -= 1
     return length, tuple(out)
 
@@ -268,7 +254,7 @@ def core_nonempty_witness(
             f"witness requires a unique goal; successes end in {sorted(goal_states)}"
         )
     goal = goal_states.pop()
-    witness = phi.image((goal, TERMINAL)) if not phi.is_identity else (goal, TERMINAL)
+    witness = phi.image((goal, TERMINAL))
     for traj in successes:
         image = apply_abstraction(traj, phi)
         if not is_subsequence((witness,), image):

@@ -365,6 +365,14 @@ def _set(index: int, value):
     return change
 
 
+def _listed(index: int):
+    """Every entry's cell ``index`` written as a one-item list, which a column reader would flatten."""
+    def change(payload):
+        for entry in payload["entries"]:
+            entry[index] = [entry[index]]
+    return change
+
+
 def _nested(depth: int):
     """A reward table of one cell inside ``depth`` lists: past NumPy's 32 or 64 dimensions."""
     def change(payload):
@@ -390,8 +398,10 @@ VERSION_2_GAME_FAULTS = {
     "index-negative": (3, _set(0, -1)),
     "index-float": (3, _set(1, 0.0)),
     "index-bool": (3, _set(2, False)),
+    "index-list": (3, _listed(0)),
     "p-string": (3, _set(4, "0.5")),
     "p-null": (3, _set(4, None)),
+    "p-list": (3, _listed(4)),
     "duplicate": (3, lambda p: p["entries"].append(list(p["entries"][0]))),
     "arity-4": (3, lambda p: p["entries"][0].pop()),
     "arity-6": (3, lambda p: p["entries"][0].append(0)),

@@ -199,6 +199,15 @@ def test_random_mdp_rejects_degenerate_sizes():
         random_mdp(num_states=1, num_actions=1, horizon=1, seed=0)
 
 
+def test_random_mdp_gives_up_after_1000_draws(monkeypatch):
+    # at horizon 1 no goal is reachable, so every draw is rejected
+    calls = count_calls(monkeypatch, "goal_reachable")
+    message = r"could not sample .* for seed 0 \(4 states, 2 actions, horizon 1\)"
+    with pytest.raises(ConfigError, match=message):
+        random_mdp(num_states=4, num_actions=2, horizon=1, seed=0)
+    assert len(calls) == 1000
+
+
 def test_build_coop_keydoor_checks_feasibility_without_enumerating(monkeypatch):
     calls = count_calls(monkeypatch, "enumerate_successes")
     build_coop_keydoor(DEFAULT_COOP)

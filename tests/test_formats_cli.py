@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trajcore import Abstraction, CoreSet, enumerate_successes
+from trajcore import TERMINAL, Abstraction, CoreSet, core, enumerate_successes
 from trajcore import cli, formats
 from trajcore.cli import main
 from trajcore.envs import (
@@ -80,7 +80,25 @@ def test_identity_abstraction_round_trip(tmp_path):
     path = tmp_path / "id.json"
     formats.write_json(str(path), formats.abstraction_to_payload(Abstraction()))
     loaded = formats.abstraction_from_payload(formats.read_json(str(path)), str(path))
-    assert loaded.is_identity
+    assert loaded.mapping is None
+
+
+def test_symbol_to_json_writes_a_pair_as_two_ints_and_any_other_tuple_whole():
+    pair = formats.symbol_to_json((np.int64(3), np.int32(TERMINAL)))
+    assert pair == [3, -1] and {type(x) for x in pair} == {int}
+    assert formats.symbol_to_json((1, 2, 3)) == [1, 2, 3]
+    assert formats.symbol_to_json(("a", "b")) == ["a", "b"]
+    assert formats.symbol_to_json("key") == "key"
+
+
+def test_numpy_integer_pairs_mine_to_the_members_and_digest_of_python_ints():
+    family = [((0, 1), (1, 0), (2, TERMINAL)), ((0, 1), (2, 0), (1, 0), (2, TERMINAL))]
+    numpy_family = [tuple((np.int64(s), np.int32(a)) for s, a in seq) for seq in family]
+    mined, expected = core(numpy_family), core(family)
+    assert mined.members == expected.members == (((0, 1), (1, 0), (2, TERMINAL)),)
+    digest = formats.digest(formats.core_to_payload(mined))
+    assert digest == formats.digest(formats.core_to_payload(expected))
+    assert digest[:16] == "04a568cd96395b12"
 
 
 def test_successes_round_trip(tmp_path, keydoor):

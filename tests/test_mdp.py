@@ -250,6 +250,12 @@ def test_induce_deterministic_peer_slices():
     assert np.allclose(induced.kernel, game.joint_kernel[:, :, 1, :], atol=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(2,), (2, 2, 2)])
+def test_a_peer_table_that_is_not_2_d_is_a_dimension_mismatch(shape):
+    with pytest.raises(DimensionMismatch, match=f"policy table must be 2-d, got {len(shape)}-d"):
+        PeerPolicy(probs=np.full(shape, 0.5))
+
+
 def test_induce_rejects_dimension_mismatch():
     game = _two_row_game()
     with pytest.raises(DimensionMismatch):
@@ -529,6 +535,15 @@ def test_a_trajectory_that_starts_outside_the_initial_support_is_not_successful(
     assert not is_successful(Trajectory(steps=((1, 1),), terminal_state=2), chain_mdp)
 
 
+def test_from_pairs_reads_integer_pairs_and_rejects_any_other_item():
+    traj = Trajectory.from_pairs([(np.int64(0), np.int32(1)), [1, 1], (2, TERMINAL)])
+    assert traj == Trajectory(steps=((0, 1), (1, 1)), terminal_state=2)
+    assert {type(x) for pair in traj.pairs() for x in pair} == {int}
+    for items in [[(1.5, 0), (2, TERMINAL)], [(0, 1, 2)], [("a", "b")], ["ab"]]:
+        with pytest.raises(TypeError, match="pairs of integers"):
+            Trajectory.from_pairs(items)
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_success_set_is_exactly_the_passing_trajectories(seed):
@@ -578,7 +593,7 @@ def test_rollout_same_seed_identical(chain_mdp):
     policy = np.full((3, 2), 0.5)
     a = rollout(chain_mdp, policy, n=50, seed=123)
     b = rollout(chain_mdp, policy, n=50, seed=123)
-    assert a.trajectories == b.trajectories
+    assert a.trajectories == b.trajectories and len(a) == 50
     c = rollout(chain_mdp, policy, n=50, seed=124)
     assert a.trajectories != c.trajectories
 

@@ -18,6 +18,11 @@ games and on one fixed L8 cooperative corridor.
   too, up to the rounding of a wider row sum.
 * Reversing every word of a listed family reverses every core member, under
   any abstraction, with or without ``collapse_runs`` and ``strip_terminal``.
+* Appending a copy of a focal action, under an abstraction that gives the
+  copy the original's names, changes no core: of a drawn MDP, with or
+  without ``collapse_runs`` and ``strip_terminal``, and no episode, common
+  or individual core and no vanished or gained member of a drift.  The
+  witnesses may differ, since a success may take the copy.
 """
 import random
 from dataclasses import replace
@@ -56,12 +61,12 @@ L8_COOP = replace(DEFAULT_COOP, corridor_length=8, key_pos=1, door_pos=4, goal_p
                   peer_modes=("helper", "independent", "helper"))
 
 
-def _rows_from(rows: KernelRows, old: np.ndarray) -> KernelRows:
-    """The kernel ``rows`` with its rows reordered: row ``r`` is row ``old[r]`` of ``rows``."""
+def _rows_from(rows: KernelRows, old: np.ndarray, shape: tuple | None = None) -> KernelRows:
+    """Rows of ``shape`` (that of ``rows`` by default) whose row ``r`` is row ``old[r]`` of ``rows``."""
     counts = rows.offsets[old + 1] - rows.offsets[old]
     at = np.repeat(rows.offsets[old] - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    return KernelRows(rows.shape, offsets, rows.targets[at], rows.probs[at])
+    return KernelRows(shape or rows.shape, offsets, rows.targets[at], rows.probs[at])
 
 
 def _permuted_rows(rows: KernelRows, perm: np.ndarray) -> KernelRows:
@@ -115,7 +120,7 @@ def _permuted_drift(game: MarkovGame, peers, phi: Abstraction, perm: np.ndarray)
         initial=game.initial[inv],
     )
     peers = [PeerPolicy(probs=p.probs[inv], label=p.label) for p in peers]
-    if not phi.is_identity:
+    if phi.mapping is not None:
         phi = replace(phi, mapping={_map_symbol(k, perm): v for k, v in phi.mapping.items()})
     return EpisodeSequence.from_schedule(game, peers), phi
 
@@ -216,7 +221,7 @@ def _focal_relabelling(game, peers, phi, strip_terminal, seed):
     inv = np.argsort(focal)
     seq, base = _drift(game, peers, phi, strip_terminal)
     moved, moved_peers = _permuted_actions(game, peers, focal, np.arange(game.num_actions_2))
-    phi_moved = phi if phi.is_identity else replace(phi, mapping={
+    phi_moved = phi if phi.mapping is None else replace(phi, mapping={
         (s, a if a == TERMINAL else int(focal[a])): v for (s, a), v in phi.mapping.items()})
     _, other = _drift(moved, moved_peers, phi_moved, strip_terminal)
 
@@ -347,3 +352,86 @@ def test_reversal_reverses_the_core_of_two_long_words():
     family = ["".join(rng.choice("abcdefgh") for _ in range(40)) for _ in range(2)]
     assert len(core(family)) == 2033
     _assert_reversal_reverses_the_core(family, IDENTITY, strip_terminal=False)
+
+
+# ---------------------------------------------------------------------------
+# A copied focal action under an abstraction that names it as the original
+# ---------------------------------------------------------------------------
+
+
+def _copied_action(rows: KernelRows, num_actions: int, action: int) -> tuple[KernelRows, list]:
+    """``rows`` over (s, a, ...) with a copy of ``action`` appended as action ``num_actions``.
+
+    Also returns the action of the original that each new action reads.
+    """
+    actions = [*range(num_actions), action]
+    per_state = rows.num_rows // (rows.shape[0] * num_actions)
+    old = np.arange(rows.shape[0])[:, None, None] * num_actions + np.array(actions)[:, None]
+    shape = (rows.shape[0], num_actions + 1, *rows.shape[2:])
+    return _rows_from(rows, (old * per_state + np.arange(per_state)).ravel(), shape), actions
+
+
+def _names_with_copy(phi: Abstraction, num_actions: int, action: int) -> Abstraction:
+    copies = {(s, num_actions): v for (s, a), v in phi.mapping.items() if a == action}
+    return replace(phi, mapping={**phi.mapping, **copies})
+
+
+def _three_names(num_states: int, num_actions: int, goals) -> dict:
+    names = {(s, a): "xyz"[(2 * s + a) % 3] for s in range(num_states) for a in range(num_actions)}
+    return names | {(g, TERMINAL): "T" for g in goals}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    num_states=st.integers(3, 6),
+    num_actions=st.integers(1, 3),
+    horizon=st.integers(2, 6),
+    collapse_runs=st.booleans(),
+    strip_terminal=st.booleans(),
+)
+def test_a_copied_action_named_as_the_original_changes_no_mdp_core(
+    seed, num_states, num_actions, horizon, collapse_runs, strip_terminal
+):
+    mdp = random_mdp(num_states, num_actions, horizon, seed=seed)
+    action = seed % num_actions
+    rows, actions = _copied_action(mdp.rows, num_actions, action)
+    copied = replace(mdp, num_actions=num_actions + 1, kernel=rows, reward=mdp.reward[:, actions])
+    phi = Abstraction(mapping=_three_names(num_states, num_actions, mdp.goals),
+                      collapse_runs=collapse_runs)
+    cores = [
+        build_graph(model, Symbols(names, strip_terminal)).core().members
+        for model, names in ((mdp, phi), (copied, _names_with_copy(phi, num_actions, action)))
+    ]
+    assert cores[0] == cores[1]
+
+
+def _cores_and_members(report) -> tuple:
+    """What a copied action must not change: every core, and each step's common core and members."""
+    steps = [
+        (_members(step.common_core), [c.member for c in step.vanished], [c.member for c in step.gained])
+        for step in report.steps
+    ]
+    return [_members(c) for c in report.episode_cores], _members(report.individual), steps
+
+
+def _assert_copied_action_changes_no_drift_core(game, peers, phi, strip_terminal, action) -> None:
+    rows, actions = _copied_action(game.rows, game.num_actions_1, action)
+    copied = replace(game, num_actions_1=game.num_actions_1 + 1, joint_kernel=rows,
+                     reward_1=game.reward_1[:, actions])
+    _, base = _drift(game, peers, phi, strip_terminal)
+    _, other = _drift(copied, peers, _names_with_copy(phi, game.num_actions_1, action), strip_terminal)
+    assert _cores_and_members(other) == _cores_and_members(base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["dense", "sparse"]), seed=st.integers(0, 2**32 - 1))
+def test_a_copied_focal_action_changes_no_drift_core_of_a_small_game(kind, seed):
+    game, peers, _ = _small_drift(kind, seed)
+    phi = Abstraction(mapping=_three_names(game.num_states, game.num_actions_1, game.goals))
+    _assert_copied_action_changes_no_drift_core(game, peers, phi, False, seed % game.num_actions_1)
+
+
+def test_a_copied_focal_action_changes_no_drift_core_of_an_l8_coop_drift():
+    game, peers, phi = _l8_drift("coop-keydoor")
+    _assert_copied_action_changes_no_drift_core(game, peers, phi, True, action=1)

@@ -98,6 +98,44 @@ def test_unmapped_pair_raises():
 
 
 # ---------------------------------------------------------------------------
+# the pair rule: a 2-item tuple or list of integers is a pair, nothing else is
+# ---------------------------------------------------------------------------
+
+# families whose items look like pairs but are not, so they share no symbol
+NOT_PAIRS = {
+    "3-tuples": [((1, 2, 3),), ((1, 2, 4),)],
+    "float-pairs": [((0.5, 1),), ((0.9, 1),)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(NOT_PAIRS))
+@pytest.mark.parametrize("mine", [core, brute_force_core], ids=["core", "oracle"])
+def test_an_item_that_is_not_an_integer_pair_is_never_cut_down_to_one(family, mine):
+    assert mine(NOT_PAIRS[family]).members == ()
+
+
+@pytest.mark.parametrize("mine", [core, brute_force_core], ids=["core", "oracle"])
+def test_tuples_of_names_are_symbols_of_their_own(mine):
+    family = [(("a", "b"), ("c", "d")), (("c", "d"), ("a", "b"), ("c", "d"))]
+    assert mine(family).members == ((("a", "b"), ("c", "d")),)
+
+
+@pytest.mark.parametrize("key", [(1.5, 0), (1, 2, 3), ("a", "b"), "ab"])
+def test_abstraction_keys_must_be_integer_pairs(key):
+    with pytest.raises(TypeError, match="pairs of integers"):
+        Abstraction(mapping={(0, 0): "x", key: "y"})
+
+
+def test_an_item_is_mapped_only_if_it_is_a_key():
+    phi = Abstraction(mapping={(np.int64(1), 0): "x"})
+    assert list(phi.mapping) == [(1, 0)] and type(next(iter(phi.mapping))[0]) is int
+    assert [phi.image(item) for item in [(1, 0), [1, 0], (np.int32(1), np.int64(0))]] == ["x"] * 3
+    for item in [(1.7, 0), (1, 0, 0), "x"]:
+        with pytest.raises(UnmappedSymbol):
+            phi.image(item)
+
+
+# ---------------------------------------------------------------------------
 # lcs_pair
 # ---------------------------------------------------------------------------
 
