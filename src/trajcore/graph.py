@@ -13,7 +13,9 @@ is all that the core, the drift witnesses, the success count
 (:meth:`SuccessGraph.successes`), depend on.  A listed family of sequences
 is held by its sequence graph (:func:`sequence_graph`): the minimal DAG
 whose root-to-accept paths spell its distinct words, which
-:meth:`Symbols.words` prepares with one dict pass per sequence.
+:meth:`Symbols.words` prepares with one dict pass per sequence.  It is
+built top-down, one expansion per distinct suffix set, each held as a
+range of the sorted words.
 
 Edges carry small int symbol ids from a :class:`Symbols` table, which puts
 each distinct pair through the abstraction once.  Under ``collapse_runs`` a
@@ -60,9 +62,11 @@ trips at the same count, on any graph of the same words.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Iterator, Union
 
 from .errors import BudgetExceeded, EmptySuccessSet, ExplosionGuard
@@ -162,23 +166,24 @@ class Symbols:
 
         A word is the symbol ids of a sequence (a trajectory's steps, then
         its terminal pair) with the ids that :meth:`label` makes ε dropped.
-        A sequence whose items are all known is mapped by one dict pass; any
-        other goes through :meth:`of` item by item, so each distinct item
-        meets ``phi`` once, in iteration order.
+        A sequence whose items are all known, a trajectory's terminal pair
+        among them, is mapped by one dict pass; any other goes through
+        :meth:`of` item by item, so each distinct item meets ``phi`` once, in
+        iteration order.
         """
         known = self._items.__getitem__
         raw = set()
         for item in items:
-            seq, end = item, None
+            seq = item
             if isinstance(item, Trajectory):
-                seq, end = item.steps, item.terminal_state
+                end = item.terminal_state
+                seq = item.steps if end is None else item.steps + ((end, TERMINAL),)
             elif not isinstance(item, tuple):
                 seq = tuple(item)  # a failed pass must not have consumed it
             try:
-                ids = tuple(map(known, seq))
+                raw.add(tuple(map(known, seq)))
             except (KeyError, TypeError):  # an item not seen yet, or a list
-                ids = tuple(map(self.of, seq))
-            raw.add(ids if end is None else ids + (self.of((end, TERMINAL)),))
+                raw.add(tuple(map(self.of, seq)))
         if self.phi.collapse_runs or any(self.stripped):
             raw = {self._drop_eps(ids) for ids in raw}
         return sorted(raw)
@@ -283,55 +288,126 @@ def build_graph(
 def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGraph":
     """The minimal DAG whose root-to-accept paths spell ``words``, sorted and distinct.
 
-    One pass over the words (Daciuk et al., Computational Linguistics
-    2000): the nodes on the path of the previous word stay open on a stack,
-    and a node that no later word extends is closed and merged with an
-    equal closed node, if any.  A word that ends at a node with children
-    leaves it by an ε-edge to accept.  Node ids then follow the longest
-    path from the root, as :func:`_no_gap_fits` needs.  An edge's action is
-    its label, and no node has a state.
+    Its nodes are the distinct right languages (suffix sets) of the words'
+    prefixes, built top-down.  A language is held as a range of the words,
+    those that start with one prefix, read from the prefix's length on.  Its
+    first word and its last share a run of symbols, read in one slice; the
+    node that ends the run has an ε-edge to accept if a word ends there, and
+    a child for each next symbol, its range found by bisection.  A child is
+    looked up by its size and three of its suffixes, and, if an unequal
+    language has these too, by the hash of all its suffixes; each hit is
+    confirmed by comparing contents.  A child of one word that misses is a
+    run to accept, and one of more words is expanded in turn.  The unary
+    nodes of a run are made bottom-up, and every node is merged with an
+    equal one by its (label, child) row, so the graph is minimal whatever
+    the lookups find.  So a language met again as a range is not expanded
+    again, the build holds ranges, not copies of suffixes, and a family of
+    a few near-identical long words costs one step per symbol.  Node ids
+    then follow the longest path from the root, as :func:`_no_gap_fits`
+    needs.  An edge's action is its label, and no node has a state.
     """
     if not words:
         return SuccessGraph(symbols, [-1], [()], ())
-    closed = {((EPS, ACCEPT),): ACCEPT}  # the (label, child) rows of closed nodes
+    closed = {((EPS, ACCEPT),): ACCEPT}  # the (label, child) row of each node
     rows: list[tuple[tuple[int, int], ...]] = [()]
-    path: list[list[tuple[int, int]]] = [[]]  # rows of the open nodes
-    last: tuple[int, ...] = ()
+    # the key of a language (see find) -> (the index of its first word, its prefix length, its node)
+    seen: dict[tuple, list[tuple[int, int, int]]] = {}
 
-    def close(keep: int) -> int:
-        n = ACCEPT
-        while len(path) > keep:
-            row = tuple(path.pop())
-            n = closed.get(row)
-            if n is None:
-                n = closed[row] = len(rows)
+    def close(row: tuple, run: tuple[int, ...]) -> int:
+        """The node that reads ``run`` down to a node with ``row``, made bottom-up."""
+        n = closed.setdefault(row, len(rows))
+        if n == len(rows):
+            rows.append(row)
+        for c in reversed(run):
+            row = ((c, n),)
+            n = closed.setdefault(row, len(rows))
+            if n == len(rows):
                 rows.append(row)
-            if path:
-                path[-1].append((last[len(path) - 1], n))
         return n
 
-    for word in words:
-        shared = 0
-        for a, b in zip(last, word):
+    def find(i: int, j: int, start: int) -> tuple[tuple, int | None]:
+        """The key of the language of ``words[i:j]`` from ``start`` on, and its node if any.
+
+        The key is the size and the hashes of the first, middle and last
+        suffix; if an unequal language has that key, the hash of all the
+        suffixes is added to it.
+        """
+        cut = itemgetter(slice(start, None))
+        key = (j - i, hash(cut(words[i])), hash(cut(words[(i + j) // 2])), hash(cut(words[j - 1])))
+        kept = seen.get(key)
+        if kept is not None:
+            lo, depth, n = kept[0]
+            if _equal_suffixes(words, i, j, start, lo, depth):
+                return key, n
+            key += (hash(tuple(map(hash, map(cut, words[i:j])))),)
+            for lo, depth, n in seen.get(key, ()):
+                if _equal_suffixes(words, i, j, start, lo, depth):
+                    return key, n
+        return key, None
+
+    def expand(lo: int, hi: int, start: int, key: tuple) -> list:
+        """A frame for ``words[lo:hi]`` read from ``start`` on.
+
+        It holds ``lo`` and ``start``, the key, the end of the run, the row
+        so far and the child ranges.
+        """
+        first, end = words[lo], start
+        for a, b in zip(first[start:], words[hi - 1][start:]):
             if a != b:
                 break
-            shared += 1
-        close(shared + 1)
-        path.extend([] for _ in word[shared:])
-        path[-1].append((EPS, ACCEPT))
-        last = word
-    root = close(0)
+            end += 1
+        row = [(EPS, ACCEPT)] if len(first) == end else []
+        kids, i, symbol = [], lo + len(row), itemgetter(end)
+        while i < hi:
+            j = bisect_left(words, words[i][end] + 1, i + 1, hi, key=symbol)
+            kids.append((i, j))
+            i = j
+        kids.reverse()
+        return [lo, start, key, end, row, kids]
+
+    stack = [expand(0, len(words), 0, ())]
+    while stack:
+        lo, start, key, end, row, kids = stack[-1]
+        while kids:
+            i, j = kids[-1]
+            child, n = find(i, j, end + 1)
+            if n is None:
+                if j > i + 1:
+                    break
+                n = close(((EPS, ACCEPT),), words[i][end + 1 :])
+                seen.setdefault(child, []).append((i, end + 1, n))
+            row.append((words[i][end], n))
+            kids.pop()
+        if kids:  # a language not met before: build it first
+            stack.append(expand(i, j, end + 1, child))
+            continue
+        n = close(tuple(row), words[lo][start:end])
+        stack.pop()
+        if stack:
+            seen.setdefault(key, []).append((lo, start, n))
+            _, _, _, end, row, kids = stack[-1]
+            row.append((words[lo][end], n))
+            kids.pop()
+    root = n
     # a node is closed after its children; number them by longest depth instead
     depth = [0] * len(rows)
     for n in range(len(rows) - 1, 0, -1):
+        below = depth[n] + 1
         for _, m in rows[n]:
-            depth[m] = max(depth[m], depth[n] + 1)
+            if depth[m] < below:
+                depth[m] = below
     order = sorted(range(1, len(rows)), key=depth.__getitem__)
     ids = [ACCEPT] * len(rows)
     for new, n in enumerate(order, start=1):
         ids[n] = new
-    edges = [()] + [tuple((lab, ids[m], lab) for lab, m in rows[n]) for n in order]
+    edges = [()] + [tuple([(lab, ids[m], lab) for lab, m in rows[n]]) for n in order]
     return SuccessGraph(symbols, [-1] * len(edges), edges, (ids[root],))
+
+
+def _equal_suffixes(words, i: int, j: int, start: int, lo: int, depth: int) -> bool:
+    """Whether ``words[i:j]`` from ``start`` on equal as many words from ``lo``, from ``depth`` on."""
+    return all(map(eq, map(itemgetter(slice(start, None)), words[i:j]),
+                   map(itemgetter(slice(depth, None)), words[lo : lo + j - i])))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,8 +12,9 @@ as a tuple.  A mapping's keys must be pairs.
 :func:`core` interns the listed sequences through a
 :class:`~trajcore.graph.Symbols` table, one dict pass per sequence
 (:meth:`~trajcore.graph.Symbols.words`), builds the minimal DAG of their
-distinct words (:func:`~trajcore.graph.sequence_graph`) and mines it with
-the same maximal-subsequence search as the support graph of an MDP (see
+distinct words top-down, one expansion per distinct suffix set
+(:func:`~trajcore.graph.sequence_graph`), and mines it with the same
+maximal-subsequence search as the support graph of an MDP (see
 :mod:`trajcore.graph`).  :func:`common_subsequences` (every common
 subsequence) and :func:`maximal_elements` are the exhaustive reference, and
 :func:`brute_force_core` is a deliberately independent oracle built on raw

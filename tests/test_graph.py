@@ -3,6 +3,7 @@ import json
 import time
 import tracemalloc
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from trajcore import (
 )
 from trajcore.cli import main
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor
-from trajcore.graph import Symbols, build_graph
+from trajcore.graph import ACCEPT, EPS, Symbols, build_graph, sequence_graph
 from trajcore.mdp import DEFAULT_NODE_BUDGET
 
 from conftest import (
@@ -130,6 +131,76 @@ def test_drift_report_equals_the_list_oracle(seed, kind, strip, episodes):
     phi = Abstraction(mapping=mapping, collapse_runs=kind == "map-collapse")
     seq = EpisodeSequence.from_schedule(game, schedule)
     assert drift_report(seq, phi, strip) == oracle_drift_report(seq, phi, strip)
+
+
+_ITEMS = [(s, a) for s in range(3) for a in (0, 1)] + [(s, TERMINAL) for s in range(2)]
+# three names; the terminal pairs share "z" with (2, 0), so stripping drops every "z"
+_THREE_NAMES = {pair: "xyz"[2 if pair[1] == TERMINAL else (pair[0] + pair[1]) % 3] for pair in _ITEMS}
+SEQUENCE_GRAPH_PHIS = {
+    "identity": IDENTITY,
+    "names": Abstraction(mapping=_THREE_NAMES),
+    "collapsed": Abstraction(mapping=_THREE_NAMES, collapse_runs=True),
+}
+
+
+@st.composite
+def _with_prefixes(draw, items):
+    """A family of words over ``items`` plus some prefixes of them; the empty word may be among them."""
+    family = draw(st.lists(st.lists(st.sampled_from(items), max_size=7).map(tuple), min_size=1, max_size=8))
+    cuts = draw(st.lists(st.tuples(st.integers(0, len(family) - 1), st.integers(0, 7)), max_size=4))
+    return family + [family[i][:k] for i, k in cuts]
+
+
+def _expected_words(family, phi: Abstraction, strip_terminal: bool) -> set:
+    """The distinct words of ``family`` as names, read straight from the map."""
+    terminal = {name for item, name in (phi.mapping or {item: item for item in _ITEMS}).items()
+                if item[1] == TERMINAL}
+    words = set()
+    for seq in family:
+        names = [phi.mapping[item] if phi.mapping else item for item in seq]
+        if phi.collapse_runs:
+            names = [name for name, _ in groupby(names)]
+        words.add(tuple(name for name in names if not (strip_terminal and name in terminal)))
+    return words
+
+
+def _spelled(graph) -> list:
+    """The label sequence of every root-to-accept path, decoded."""
+    spelled, stack = [], [(root, ()) for root in graph.roots]
+    while stack:
+        n, word = stack.pop()
+        if n == ACCEPT:
+            spelled.append(graph.symbols.decode(word))
+        for _, m, lab in graph.edges[n]:
+            stack.append((m, word if lab == EPS else word + (lab,)))
+    return spelled
+
+
+def _right_languages(words) -> int:
+    """The distinct sets ``{v[k:] : v starts with w[:k]}`` over every prefix ``w[:k]``."""
+    return len({frozenset(v[k:] for v in words if v[:k] == w[:k]) for w in words for k in range(len(w) + 1)})
+
+
+def _assert_minimal_dag_of(family, phi: Abstraction, strip_terminal: bool) -> None:
+    symbols = Symbols(phi, strip_terminal)
+    graph = sequence_graph(symbols.words(family), symbols)
+    spelled, expected = _spelled(graph), _expected_words(family, phi, strip_terminal)
+    assert len(spelled) == len(expected) and set(spelled) == expected
+    assert all(m == ACCEPT or m > n for n, row in enumerate(graph.edges) for _, m, _ in row)
+    assert len(graph.edges) == _right_languages(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=_with_prefixes(list("abc")))
+def test_sequence_graph_of_strings_is_their_minimal_dag(family):
+    _assert_minimal_dag_of(["".join(word) for word in family], IDENTITY, strip_terminal=False)
+
+
+@pytest.mark.parametrize("phi", sorted(SEQUENCE_GRAPH_PHIS))
+@settings(max_examples=60, deadline=None)
+@given(family=_with_prefixes(_ITEMS), strip_terminal=st.booleans())
+def test_sequence_graph_of_pairs_is_their_minimal_dag(phi, family, strip_terminal):
+    _assert_minimal_dag_of(family, SEQUENCE_GRAPH_PHIS[phi], strip_terminal)
 
 
 def test_unmapped_pair_raises_exactly_when_it_lies_on_a_success():

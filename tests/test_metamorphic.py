@@ -18,6 +18,9 @@ games and on one fixed L8 cooperative corridor.
   too, up to the rounding of a wider row sum.
 * Reversing every word of a listed family reverses every core member, under
   any abstraction, with or without ``collapse_runs`` and ``strip_terminal``.
+* Adding to a listed family a copy of one of its words with symbols
+  inserted changes no core: every common subsequence embeds in that word,
+  so also in the copy.
 * Appending a copy of a focal action, under an abstraction that gives the
   copy the original's names, changes no core: of a drawn MDP, with or
   without ``collapse_runs`` and ``strip_terminal``, and no episode, common
@@ -352,6 +355,27 @@ def test_reversal_reverses_the_core_of_two_long_words():
     family = ["".join(rng.choice("abcdefgh") for _ in range(40)) for _ in range(2)]
     assert len(core(family)) == 2033
     _assert_reversal_reverses_the_core(family, IDENTITY, strip_terminal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.one_of(
+        st.lists(st.text("abc", max_size=10), min_size=1, max_size=5),
+        st.lists(st.lists(st.sampled_from(_PAIRS), max_size=10).map(tuple), min_size=1, max_size=5),
+    ),
+    data=st.data(),
+)
+def test_a_copy_of_a_word_with_symbols_inserted_changes_no_core(family, data):
+    word = list(data.draw(st.sampled_from(family)))
+    strings = isinstance(family[0], str)
+    inserted = data.draw(st.lists(
+        st.tuples(st.integers(0, 20), st.sampled_from(list("abcd") if strings else [*_PAIRS, (3, 0)])),
+        min_size=1, max_size=4,
+    ))
+    for at, symbol in inserted:
+        word.insert(at % (len(word) + 1), symbol)
+    copy = "".join(word) if strings else tuple(word)
+    assert core([*family, copy]).members == core(family).members
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trajcore import (
+    IDENTITY,
     TERMINAL,
     Abstraction,
     BudgetExceeded,
@@ -26,6 +28,7 @@ from trajcore import (
     lcs_pair,
     random_mdp,
 )
+from trajcore.graph import Symbols, sequence_graph
 from trajcore.mining import canonical_member_order, maximal_elements
 
 from conftest import count_calls, count_set_builds, oracle_core
@@ -510,6 +513,28 @@ def test_core_of_a_long_family_is_built_without_recursion():
     rng = random.Random(3)
     seq = tuple(rng.choice("abcd") for _ in range(1200))
     assert core([seq, seq]).members == (seq,)
+
+
+@pytest.mark.parametrize("length, copies, edges", [(5000, 3, 7461), (20000, 2, 27514)])
+def test_long_near_identical_words_build_their_sequence_graph_quickly(length, copies, edges):
+    # the run that every word of a suffix set shares is read in one slice;
+    # read symbol by symbol, each unary node would hash all the suffixes below
+    # it, quadratic in the word length
+    rng = random.Random(length * copies)
+    base = [rng.choice("abcd") for _ in range(length)]
+    family = []
+    for _ in range(copies):
+        word = list(base)
+        for _ in range(2):
+            word[rng.randrange(length)] = rng.choice("abcd")
+        family.append(tuple(word))
+    symbols = Symbols(IDENTITY, False)
+    words = symbols.words(family)
+    start = time.perf_counter()
+    graph = sequence_graph(words, symbols)
+    assert time.perf_counter() - start < 5.0
+    assert len(graph.edges) == edges
+    assert graph.count_paths()[0] == copies
 
 
 def test_leaf_check_rejects_a_leaf_with_an_open_inner_gap():
