@@ -44,17 +44,15 @@ TCS 1991), generalised from one text to a DAG of texts.
   pass per symbol); ``c`` then fits in front of ``d`` in any continuation,
   so no node below that child is maximal.
 * A node without extension is kept iff no common symbol fits any of its
-  inner gaps, decided by one backward pass per gap over the nodes deep
-  enough to hold that gap's frontier.
+  inner gaps, decided by one backward pass per gap over the whole graph.
 * Two dicts keep repeated work for the length of one call.  ``children``
   maps a frontier to its undominated (symbol, child frontier) list: the
   extensions, the dominance and the child frontiers read the frontier
   alone, so a frontier met again gets the same list.  ``passes`` maps a
-  suffix ``word[i:]`` of a leaf to its gap pass and the least id that pass
-  covers: the pass reads the suffix alone and is exact at every node deep
-  enough to hold gap ``i``'s frontier, so a pass made for a gap no deeper
-  is read again.  Both grow with the distinct frontiers and leaf suffixes
-  that the search meets, and are dropped when it returns.
+  suffix ``word[i:]`` of a leaf to its gap pass, which reads the suffix
+  alone, so each distinct suffix gets one pass.  Both grow with the
+  distinct frontiers and leaf suffixes that the search meets, and are
+  dropped when it returns.
 
 Each search node is a distinct common subsequence, and the pruning reads
 only the word set, so the search visits the same tree, and its ``budget``
@@ -65,7 +63,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Iterator, Union
 
@@ -303,8 +300,9 @@ def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGr
     the lookups find.  So a language met again as a range is not expanded
     again, the build holds ranges, not copies of suffixes, and a family of
     a few near-identical long words costs one step per symbol.  Node ids
-    then follow the longest path from the root, as :func:`_no_gap_fits`
-    needs.  An edge's action is its label, and no node has a state.
+    are in reversed closing order, which puts parents first, since a node
+    is closed after its children.  An edge's action is its label, and no
+    node has a state.
     """
     if not words:
         return SuccessGraph(symbols, [-1], [()], ())
@@ -388,20 +386,10 @@ def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGr
             _, _, _, end, row, kids = stack[-1]
             row.append((words[lo][end], n))
             kids.pop()
-    root = n
-    # a node is closed after its children; number them by longest depth instead
-    depth = [0] * len(rows)
-    for n in range(len(rows) - 1, 0, -1):
-        below = depth[n] + 1
-        for _, m in rows[n]:
-            if depth[m] < below:
-                depth[m] = below
-    order = sorted(range(1, len(rows)), key=depth.__getitem__)
-    ids = [ACCEPT] * len(rows)
-    for new, n in enumerate(order, start=1):
-        ids[n] = new
-    edges = [()] + [tuple([(lab, ids[m], lab) for lab, m in rows[n]]) for n in order]
-    return SuccessGraph(symbols, [-1] * len(edges), edges, (ids[root],))
+    root, last = n, len(rows)
+    edges = [()] + [tuple([(lab, last - m if m else ACCEPT, lab) for lab, m in rows[n]])
+                    for n in range(last - 1, 0, -1)]
+    return SuccessGraph(symbols, [-1] * len(edges), edges, (last - root if root else ACCEPT,))
 
 
 def _equal_suffixes(words, i: int, j: int, start: int, lo: int, depth: int) -> bool:
@@ -594,30 +582,6 @@ def _advance(edges, frontier: tuple[int, ...], c: int) -> tuple[int, ...]:
     return tuple(sorted(found))
 
 
-def _gap_bounds(edges) -> tuple[list[int], list[int]]:
-    """The id ranges that the gap passes of :func:`_no_gap_fits` need.
-
-    ``first[i]`` is the least id of a node whose longest path from a root
-    has ``i`` or more edges; ``last[k]`` is the greatest id of a node each
-    of whose paths to accept carries ``k`` or more symbols (0 if none).
-    """
-    size = len(edges)
-    depth, fewest = [0] * size, [0] * size
-    for n in range(1, size):
-        for _, m, _ in edges[n]:
-            if depth[m] <= depth[n]:
-                depth[m] = depth[n] + 1
-    for n in range(size - 1, 0, -1):
-        fewest[n] = min(fewest[m] + (lab >= 0) for _, m, lab in edges[n])
-    first = [size] * (max(depth[1:], default=0) + 1)
-    # read up to len(word) + 1, and no common word is longer than fewest[root]
-    last = [0] * (max(fewest) + 2)
-    for n in range(1, size):
-        first[depth[n]] = min(first[depth[n]], n)
-        last[fewest[n]] = n
-    return list(accumulate(first[::-1], min))[::-1], list(accumulate(last[::-1], max))[::-1]
-
-
 def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int, ...]]:
     """Maximal common subsequences of the label sequences of all root-to-accept paths.
 
@@ -629,11 +593,10 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
     for root in roots:
         common &= must[root]
     before = {c: _before(edges, c) for c in _bits(common)}
-    bounds = _gap_bounds(edges)
     # frontier -> ((symbol,), (child frontier,)) of each undominated extension, in symbol order
     children: dict[tuple[int, ...], list] = {}
-    # suffix -> (least id covered, gap pass): see _no_gap_fits
-    passes: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+    # suffix -> its gap pass: see _no_gap_fits
+    passes: dict[tuple[int, ...], list[int]] = {}
     found: set[tuple[int, ...]] = set()
     visited = 0
     # (word, frontier after each prefix of the word)
@@ -648,7 +611,7 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
         for n in frontier:
             extensions &= must[n]
         if not extensions:
-            if _no_gap_fits(edges, must, common, word, frontiers, bounds, passes):
+            if _no_gap_fits(edges, must, common, word, frontiers, passes):
                 found.add(word)
             continue
         kids = children.get(frontier)
@@ -669,40 +632,25 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
     return found
 
 
-def _no_gap_fits(edges, must, common: int, word, frontiers, bounds, passes) -> bool:
+def _no_gap_fits(edges, must, common: int, word, frontiers, passes) -> bool:
     """True iff no symbol of ``common`` can be inserted before any ``word[i]``.
 
     ``holds[n]`` is the set of symbols ``x`` such that every path from ``n``
     holds ``(x,) + word[i:]``; for ``i = len(word)`` that is ``must``.  The
     insertion before ``word[i]`` is common iff ``x`` is in ``holds`` of every
-    node of the frontier after ``word[:i]``.
-
-    That frontier lies ``i`` or more edges from a root, and ``holds`` is
-    empty at a node with a path to accept of fewer than ``len(word) - i + 1``
-    symbols.  So the pass for gap ``i`` covers only the ids from ``first[i]``
-    to ``last[len(word) - i + 1]`` (see :func:`_gap_bounds`); the nodes it
-    reads outside that range are empty in both passes.
-
-    The pass is then exact at every node ``i`` or more edges from a root,
-    and it depends on the suffix ``word[i:]`` alone, so ``passes`` keeps it
-    under that suffix with ``first[i]``.  ``first`` grows strictly: the
-    longest root path of the least node ``i + 1`` or more edges deep runs
-    through a node ``i`` edges deep, and a parent has the smaller id.  So a
-    kept pass whose least id is at most ``first[i]`` was made for a gap no
-    deeper than ``i``, and is exact wherever gap ``i`` reads it.
+    node of the frontier after ``word[:i]``.  The pass for gap ``i`` covers
+    every node, so it depends on the suffix ``word[i:]`` alone, and
+    ``passes`` keeps it under that suffix.
     """
-    first, last = bounds
     holds = must
     for i in range(len(word) - 1, -1, -1):
         suffix = word[i:]
-        kept = passes.get(suffix)
-        if kept is not None and kept[0] <= first[i]:
-            nxt = kept[1]
-        else:
+        nxt = passes.get(suffix)
+        if nxt is None:
             c = word[i]
             # a path from m holds word[i:] iff c is in the previous holds[m]
             nxt = [0] * len(edges)
-            for n in range(last[len(word) - i + 1], first[i] - 1, -1):
+            for n in range(len(edges) - 1, 0, -1):
                 acc = -1
                 for _, m, lab in edges[n]:
                     if lab < 0:
@@ -711,7 +659,7 @@ def _no_gap_fits(edges, must, common: int, word, frontiers, bounds, passes) -> b
                         bit = 1 << lab
                         acc &= (nxt[m] & ~bit) | (bit if holds[m] >> c & 1 else 0)
                 nxt[n] = acc
-            passes[suffix] = first[i], nxt
+            passes[suffix] = nxt
         fits = common
         for n in frontiers[i]:
             fits &= nxt[n]

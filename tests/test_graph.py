@@ -33,7 +33,7 @@ from trajcore import (
 )
 from trajcore.cli import main
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor
-from trajcore.graph import ACCEPT, EPS, Symbols, build_graph, sequence_graph
+from trajcore.graph import ACCEPT, EPS, SuccessGraph, Symbols, build_graph, sequence_graph
 from trajcore.mdp import DEFAULT_NODE_BUDGET
 
 from conftest import (
@@ -201,6 +201,59 @@ def test_sequence_graph_of_strings_is_their_minimal_dag(family):
 @given(family=_with_prefixes(_ITEMS), strip_terminal=st.booleans())
 def test_sequence_graph_of_pairs_is_their_minimal_dag(phi, family, strip_terminal):
     _assert_minimal_dag_of(family, SEQUENCE_GRAPH_PHIS[phi], strip_terminal)
+
+
+def _renumbered(graph, rng) -> SuccessGraph:
+    """``graph`` with its nodes renumbered in a random order; accept stays 0 and parents come first."""
+    waiting = [0] * len(graph.edges)  # the edges into each node from nodes not yet numbered
+    for row in graph.edges:
+        for _, m, _ in row:
+            waiting[m] += 1
+    ready = [n for n in range(1, len(graph.edges)) if not waiting[n]]
+    order = [ACCEPT]  # the old node at each new id
+    while ready:
+        n = ready.pop(rng.randrange(len(ready)))
+        order.append(n)
+        for _, m, _ in graph.edges[n]:
+            waiting[m] -= 1
+            if m != ACCEPT and not waiting[m]:
+                ready.append(m)
+    assert sorted(order) == list(range(len(graph.edges)))
+    ids = [0] * len(order)
+    for new, n in enumerate(order):
+        ids[n] = new
+    edges = [tuple((a, ids[m], lab) for a, m, lab in graph.edges[n]) for n in order]
+    assert all(m == ACCEPT or m > n for n, row in enumerate(edges) for _, m, _ in row)
+    roots = tuple(sorted(ids[root] for root in graph.roots))
+    return SuccessGraph(graph.symbols, [graph.state[n] for n in order], edges, roots)
+
+
+def _assert_numbering_free(graph, rng) -> None:
+    """The core and the node count of the search are the same under any topological renumbering."""
+    renumbered = _renumbered(graph, rng)
+    assert renumbered.core() == graph.core()
+    size = _search_size(graph.core)
+    with pytest.raises(BudgetExceeded) as tripped:
+        renumbered.core(budget=size - 1)
+    assert tripped.value.visited == size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.lists(st.text("abcd", max_size=12), min_size=1, max_size=6),
+    rng=st.randoms(use_true_random=False),
+)
+def test_the_search_of_a_sequence_graph_does_not_depend_on_node_numbering(family, rng):
+    symbols = Symbols(IDENTITY, False)
+    _assert_numbering_free(sequence_graph(symbols.words(family), symbols), rng)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rng=st.randoms(use_true_random=False))
+def test_the_search_of_a_support_graph_does_not_depend_on_node_numbering(seed, rng):
+    mdp = random_mdp(6, 2, 7, seed=seed)
+    for phi in _abstractions(mdp, np.random.default_rng(seed)):
+        _assert_numbering_free(build_graph(mdp, Symbols(phi, False)), rng)
 
 
 def test_unmapped_pair_raises_exactly_when_it_lies_on_a_success():

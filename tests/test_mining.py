@@ -413,6 +413,26 @@ def test_reusing_frontiers_and_gap_passes_walks_the_same_search_tree(monkeypatch
     assert 0 < len(advances) < PINNED_VISITS // 4
 
 
+def test_each_leaf_suffix_gets_its_gap_pass_once(monkeypatch):
+    # a kept gap pass holds at every node, so no later leaf replaces it
+    from trajcore import graph as graph_module
+
+    checked = []
+
+    def no_gap_fits(*args, _original=graph_module._no_gap_fits):
+        passes = args[-1]  # suffix -> its gap pass
+        kept = {suffix: id(nxt) for suffix, nxt in passes.items()}
+        result = _original(*args)
+        assert all(id(passes[suffix]) == made for suffix, made in kept.items())
+        checked.append(result)
+        return result
+
+    monkeypatch.setattr(graph_module, "_no_gap_fits", no_gap_fits)
+    for seed in range(10):
+        core(_near_identical_family(seed))
+    assert len(checked) > 10
+
+
 def test_pruned_search_of_disjoint_or_empty_sequences_is_the_empty_sequence():
     assert core([tuple("ab"), tuple("cd")]).members == ()
     assert core([tuple("ab"), ()]).members == ()

@@ -55,3 +55,25 @@ def test_every_traced_function_exists():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert tracer.TARGETS and missing == []
+
+
+def test_every_private_function_is_used_outside_its_own_def():
+    # a mechanism taken out must not leave its helpers behind as dead code
+    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SOURCE.rglob("*.py"))]
+    uses: dict[str, list[int]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(id(node))
+    unused = []
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                inside = set(map(id, ast.walk(node)))
+                if all(use in inside for use in uses.get(node.name, [])):
+                    unused.append(f"{node.name}:{node.lineno}")
+    assert unused == []
