@@ -92,6 +92,16 @@ class BudgetExceeded(GuardError):
         )
 
 
+class SymbolLimitExceeded(GuardError):
+    """A symbol table was asked for more symbols than there are Unicode code points."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        super().__init__(
+            f"a symbol table holds at most {limit} distinct symbols, one per Unicode code point"
+        )
+
+
 class ConsistencyError(TrajcoreError):
     """Two results that must agree do not: a defect in the package, not bad input."""
 

@@ -13,9 +13,10 @@ is all that the core, the drift witnesses, the success count
 (:meth:`SuccessGraph.successes`), depend on.  A listed family of sequences
 is held by its sequence graph (:func:`sequence_graph`): the minimal DAG
 whose root-to-accept paths spell its distinct words, which
-:meth:`Symbols.words` prepares with one dict pass per sequence.  It is
-built top-down, one expansion per distinct suffix set, each held as a
-range of the sorted words.
+:meth:`Symbols.words` prepares with one dict pass per sequence, each word a
+string with one character, ``chr(id)``, per symbol id.  The graph is built
+top-down, one expansion per distinct suffix set, each held as a range of
+the sorted words.
 
 Edges carry small int symbol ids from a :class:`Symbols` table, which puts
 each distinct pair through the abstraction once.  Under ``collapse_runs`` a
@@ -60,19 +61,20 @@ trips at the same count, on any graph of the same words.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Iterator, Union
 
-from .errors import BudgetExceeded, EmptySuccessSet, ExplosionGuard
+from .errors import BudgetExceeded, EmptySuccessSet, ExplosionGuard, SymbolLimitExceeded
 from .mdp import (
     DEFAULT_NODE_BUDGET,
     TERMINAL,
     TabularMDP,
     Trajectory,
     _goal_distances,
+    _pair,
 )
 
 if TYPE_CHECKING:
@@ -86,6 +88,7 @@ DEFAULT_SEQ_BUDGET = 1_000_000
 EPS = -1  # the label of an ε-edge
 ACCEPT = 0  # the accept node; every other node has a larger id than its parents
 _ABSENT = -2  # the id of a symbol that no edge carries
+_CODE_POINTS = 0x110000  # a listed word holds each symbol as the character chr(id)
 
 
 @dataclass(frozen=True)
@@ -125,10 +128,14 @@ def canonical_member_order(members) -> tuple[SymbolSeq, ...]:
 class Symbols:
     """Symbol ids shared by the graphs of one analysis.
 
-    Each distinct pair goes through ``phi`` once, so an unmapped pair raises
+    Each distinct item goes through ``phi`` once, so an unmapped pair raises
     :class:`~trajcore.errors.UnmappedSymbol` when the first graph that holds
     it is built, or, for listed sequences, when :meth:`words` reaches it.
-    ``stripped[i]`` tells whether ``strip_terminal`` removes symbol ``i``.
+    The table keeps each item as the one-character string ``chr(id)`` of its
+    symbol, so it holds at most 0x110000 symbols
+    (:class:`~trajcore.errors.SymbolLimitExceeded` past that, before the
+    table changes).  ``stripped[i]`` tells whether
+    ``strip_terminal`` removes symbol ``i``.
     """
 
     def __init__(self, phi: Abstraction, strip_terminal: bool):
@@ -137,38 +144,47 @@ class Symbols:
         self.names: list[Symbol] = []
         self.stripped: list[bool] = []
         self._ids: dict[Symbol, int] = {}
-        self._items: dict = {}
+        self._items: dict = {}  # item -> chr(the id of its symbol)
 
     def of(self, item) -> int:
-        """The id of the symbol that ``phi`` gives ``item``."""
+        """The id of the symbol that ``phi`` gives ``item``, a pair under a mapping."""
         if isinstance(item, list):
             item = tuple(item)
-        sid = self._items.get(item)
-        if sid is None:
+        code = self._items.get(item)
+        if code is None:
             name = self.phi.image(item)
             sid = self._ids.get(name)
             if sid is None:
-                sid = self._ids[name] = len(self.names)
+                sid = len(self.names)
+                if sid == _CODE_POINTS:
+                    raise SymbolLimitExceeded(_CODE_POINTS)
+                self._ids[name] = sid
                 self.names.append(name)
                 self.stripped.append(self.strip_terminal and self.phi.is_terminal_symbol(name))
-            self._items[item] = sid
-        return sid
+            code = self._items[item] = chr(sid)
+        return ord(code)
 
     def label(self, sid: int, last: int | None) -> int:
         """The label of an edge with symbol ``sid`` leaving a node entered by ``last``."""
         return EPS if self.stripped[sid] or sid == last else sid
 
-    def words(self, items) -> list[tuple[int, ...]]:
+    def words(self, items) -> list[str]:
         """The sorted distinct words of listed sequences or trajectories.
 
-        A word is the symbol ids of a sequence (a trajectory's steps, then
-        its terminal pair) with the ids that :meth:`label` makes ε dropped.
-        A sequence whose items are all known, a trajectory's terminal pair
-        among them, is mapped by one dict pass; any other goes through
-        :meth:`of` item by item, so each distinct item meets ``phi`` once, in
-        iteration order.
+        A word is a string whose characters are ``chr`` of the symbol ids of
+        a sequence (a trajectory's steps, then its terminal pair), with the
+        ids that :meth:`label` makes ε dropped.  Code-point order is the
+        order of the id tuples, and a string caches its hash, so the words
+        are deduplicated in a set and sorted at C speed.  A sequence whose
+        items are all known, a trajectory's terminal pair among them, is
+        mapped by one dict pass; any other goes through :meth:`of` item by
+        item, so each distinct item meets ``phi`` once, in iteration order.
+        Under a mapping, a sequence that holds an item that is not a pair,
+        such as ``(1.0, 2)``, raises :class:`~trajcore.errors.UnmappedSymbol`
+        at its first unmapped item, even where that item equals a known pair.
         """
         known = self._items.__getitem__
+        pairs_only = self.phi.mapping is not None
         raw = set()
         for item in items:
             seq = item
@@ -177,23 +193,30 @@ class Symbols:
                 seq = item.steps if end is None else item.steps + ((end, TERMINAL),)
             elif not isinstance(item, tuple):
                 seq = tuple(item)  # a failed pass must not have consumed it
+            if pairs_only and None in map(_pair, seq):
+                # an item that is not a pair has no image, even one equal to a known pair
+                for x in seq:  # phi meets the items before it in order
+                    if _pair(x) is None:
+                        self.phi.image(x)  # raises UnmappedSymbol
+                    self.of(x)
             try:
-                raw.add(tuple(map(known, seq)))
+                raw.add("".join(map(known, seq)))
             except (KeyError, TypeError):  # an item not seen yet, or a list
-                raw.add(tuple(map(self.of, seq)))
+                raw.add("".join(map(chr, map(self.of, seq))))
         if self.phi.collapse_runs or any(self.stripped):
-            raw = {self._drop_eps(ids) for ids in raw}
+            raw = {self._drop_eps(word) for word in raw}
         return sorted(raw)
 
-    def _drop_eps(self, ids: tuple[int, ...]) -> tuple[int, ...]:
+    def _drop_eps(self, word: str) -> str:
         collapse = self.phi.collapse_runs
         out, last = [], None
-        for sid in ids:
+        for c in word:
+            sid = ord(c)
             if self.label(sid, last) != EPS:
-                out.append(sid)
+                out.append(c)
             if collapse:
                 last = sid
-        return tuple(out)
+        return "".join(out)
 
     def encode(self, seq: SymbolSeq) -> list[int]:
         return [self._ids.get(name, _ABSENT) for name in seq]
@@ -282,9 +305,12 @@ def build_graph(
     return SuccessGraph(symbols, state, edges, tuple(range(1, len(seeds) + 1)))
 
 
-def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGraph":
+def sequence_graph(words: list[str], symbols: Symbols) -> "SuccessGraph":
     """The minimal DAG whose root-to-accept paths spell ``words``, sorted and distinct.
 
+    A word is a string of symbol ids, one character ``chr(id)`` per symbol,
+    as :meth:`Symbols.words` makes it, so its suffixes are sliced, hashed
+    and compared as strings, and an edge's label is ``ord`` of a character.
     Its nodes are the distinct right languages (suffix sets) of the words'
     prefixes, built top-down.  A language is held as a range of the words,
     those that start with one prefix, read from the prefix's length on.  Its
@@ -311,13 +337,13 @@ def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGr
     # the key of a language (see find) -> (the index of its first word, its prefix length, its node)
     seen: dict[tuple, list[tuple[int, int, int]]] = {}
 
-    def close(row: tuple, run: tuple[int, ...]) -> int:
+    def close(row: tuple, run: str) -> int:
         """The node that reads ``run`` down to a node with ``row``, made bottom-up."""
         n = closed.setdefault(row, len(rows))
         if n == len(rows):
             rows.append(row)
         for c in reversed(run):
-            row = ((c, n),)
+            row = ((ord(c), n),)
             n = closed.setdefault(row, len(rows))
             if n == len(rows):
                 rows.append(row)
@@ -357,7 +383,8 @@ def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGr
         row = [(EPS, ACCEPT)] if len(first) == end else []
         kids, i, symbol = [], lo + len(row), itemgetter(end)
         while i < hi:
-            j = bisect_left(words, words[i][end] + 1, i + 1, hi, key=symbol)
+            # past the words with this symbol: the last code point has no successor to bisect for
+            j = bisect_right(words, words[i][end], i + 1, hi, key=symbol)
             kids.append((i, j))
             i = j
         kids.reverse()
@@ -374,7 +401,7 @@ def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGr
                     break
                 n = close(((EPS, ACCEPT),), words[i][end + 1 :])
                 seen.setdefault(child, []).append((i, end + 1, n))
-            row.append((words[i][end], n))
+            row.append((ord(words[i][end]), n))
             kids.pop()
         if kids:  # a language not met before: build it first
             stack.append(expand(i, j, end + 1, child))
@@ -384,7 +411,7 @@ def sequence_graph(words: list[tuple[int, ...]], symbols: Symbols) -> "SuccessGr
         if stack:
             seen.setdefault(key, []).append((lo, start, n))
             _, _, _, end, row, kids = stack[-1]
-            row.append((words[lo][end], n))
+            row.append((ord(words[lo][end]), n))
             kids.pop()
     root, last = n, len(rows)
     edges = [()] + [tuple([(lab, last - m if m else ACCEPT, lab) for lab, m in rows[n]])

@@ -11,8 +11,10 @@ as a tuple.  A mapping's keys must be pairs.
 
 :func:`core` interns the listed sequences through a
 :class:`~trajcore.graph.Symbols` table, one dict pass per sequence
-(:meth:`~trajcore.graph.Symbols.words`), builds the minimal DAG of their
-distinct words top-down, one expansion per distinct suffix set
+(:meth:`~trajcore.graph.Symbols.words`), into words held as strings of
+code points, one character per symbol id, which are deduplicated and
+sorted as strings; it builds the minimal DAG of the distinct words
+top-down, one expansion per distinct suffix set
 (:func:`~trajcore.graph.sequence_graph`), and mines it with the same
 maximal-subsequence search as the support graph of an MDP (see
 :mod:`trajcore.graph`).  :func:`common_subsequences` (every common

@@ -1,5 +1,6 @@
 """The support graph against the list path and the oracles: cores, counts, budgets, witnesses, drift."""
 import json
+import random
 import time
 import tracemalloc
 from dataclasses import replace
@@ -17,9 +18,12 @@ from trajcore import (
     BudgetExceeded,
     EpisodeSequence,
     ExplosionGuard,
+    GuardError,
+    SymbolLimitExceeded,
     TabularMDP,
     UnmappedSymbol,
     apply_abstraction,
+    brute_force_core,
     build_coop_keydoor,
     core,
     drift_report,
@@ -201,6 +205,69 @@ def test_sequence_graph_of_strings_is_their_minimal_dag(family):
 @given(family=_with_prefixes(_ITEMS), strip_terminal=st.booleans())
 def test_sequence_graph_of_pairs_is_their_minimal_dag(phi, family, strip_terminal):
     _assert_minimal_dag_of(family, SEQUENCE_GRAPH_PHIS[phi], strip_terminal)
+
+
+WORD_PHIS = {**SEQUENCE_GRAPH_PHIS, "identity-collapsed": Abstraction(collapse_runs=True)}
+
+
+def _id_words(family, phi: Abstraction, strip_terminal: bool) -> list:
+    """The sorted distinct id words of ``family``, by :meth:`Symbols.of` and the label rule."""
+    symbols = Symbols(phi, strip_terminal)
+    ids = [[symbols.of(item) for item in seq] for seq in family]
+    words = set()
+    for seq in ids:
+        word, last = [], None
+        for sid in seq:
+            if symbols.label(sid, last) != EPS:
+                word.append(sid)
+            if phi.collapse_runs:
+                last = sid
+        words.add(tuple(word))
+    return sorted(words)
+
+
+@pytest.mark.parametrize("phi", sorted(WORD_PHIS))
+@settings(max_examples=60, deadline=None)
+@given(family=_with_prefixes(_ITEMS), strip_terminal=st.booleans())
+def test_a_listed_word_spells_its_symbol_ids_as_code_points(phi, family, strip_terminal):
+    words = Symbols(WORD_PHIS[phi], strip_terminal).words(family)
+    assert all(type(word) is str for word in words)
+    assert [tuple(map(ord, word)) for word in words] == _id_words(family, WORD_PHIS[phi], strip_terminal)
+
+
+def _filled(count: int, marks: dict) -> Symbols:
+    """An identity table of ``count`` filler ints, with each name of ``marks`` interned at its id."""
+    symbols = Symbols(IDENTITY, False)
+    for sid in range(count):
+        symbols.of(marks.get(sid, -1 - sid))
+    return symbols
+
+
+def test_symbol_ids_past_one_byte_in_the_surrogates_and_past_the_bmp_mine_as_the_oracle():
+    # a word holds symbol ids as code points: one byte, lone surrogates, and
+    # past 0xFFFF (a string of four bytes per character) must all sort and mine alike
+    marks = {0x41: "a", 0x1F0: "b", 0xD800: "c", 0xDBFF: "d", 0xDFFF: "e", 0x10000: "f", 0x10205: "g"}
+    symbols = _filled(0x10206, marks)
+    assert [symbols.of(name) for name in marks.values()] == list(marks)
+    rng = random.Random(0x10FFFF)
+    for _ in range(200):
+        family = [tuple(rng.choices("abcdefg", k=rng.randint(0, 7))) for _ in range(rng.randint(1, 5))]
+        mined = sequence_graph(symbols.words(family), symbols).core()
+        assert mined == brute_force_core(family)
+    assert len(symbols.names) == 0x10206  # every name was interned beforehand
+
+
+def test_a_symbol_past_the_last_code_point_raises_before_the_table_changes():
+    symbols = _filled(0x110000, {0x10FFFE: "y", 0x10FFFF: "z"})
+    names, stripped, items = list(symbols.names), list(symbols.stripped), len(symbols._items)
+    with pytest.raises(SymbolLimitExceeded) as info:
+        symbols.of("past")
+    assert isinstance(info.value, GuardError) and info.value.limit == 0x110000
+    assert symbols.names == names and symbols.stripped == stripped
+    assert len(symbols._items) == items and "past" not in symbols._items
+    # the last code point still bounds its own range of words
+    family = [tuple("zyz"), tuple("yzz"), tuple("zy")]
+    assert sequence_graph(symbols.words(family), symbols).core() == brute_force_core(family)
 
 
 def _renumbered(graph, rng) -> SuccessGraph:

@@ -169,17 +169,10 @@ def _l8_drift(abstraction: str):
 
 
 @pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
-def test_state_relabelling_maps_an_l8_coop_drift_back(abstraction):
-    game, peers, phi = _l8_drift(abstraction)
-    perm = np.random.default_rng(8).permutation(game.num_states)
-    inv = np.argsort(perm)
-    seq = EpisodeSequence.from_schedule(game, peers)
-    relabelled, relabelled_phi = _permuted_drift(game, peers, phi, perm)
-    base = drift_report(seq, phi, strip_terminal=True)
-    other = drift_report(relabelled, relabelled_phi, strip_terminal=True)
-
+def test_every_step_of_the_l8_coop_drift_changes_a_member(abstraction):
+    # so each relation on it compares vanished and gained members and their witnesses
+    _, base = _drift(*_l8_drift(abstraction), strip_terminal=True)
     assert base.steps and all(step.vanished or step.gained for step in base.steps)
-    _assert_maps_back(base, other, seq, phi, lambda x: _map_symbol(x, inv))
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +210,16 @@ def _permuted_actions(game: MarkovGame, peers, focal: np.ndarray, peer: np.ndarr
         reward_1=game.reward_1[:, inv_1][:, :, inv_2],
     )
     return game, [PeerPolicy(probs=p.probs[:, inv_2], label=p.label) for p in peers]
+
+
+def _state_relabelling(game, peers, phi, strip_terminal, seed):
+    perm = np.random.default_rng(seed).permutation(game.num_states)
+    inv = np.argsort(perm)
+    seq, base = _drift(game, peers, phi, strip_terminal)
+    moved, moved_phi = _permuted_drift(game, peers, phi, perm)
+    other = drift_report(moved, moved_phi, strip_terminal=strip_terminal)
+    _assert_maps_back(base, other, seq, phi, lambda x: _map_symbol(x, inv))
+    _assert_deltas_close(other.budget, base.budget)  # a row's entries are added in a new order
 
 
 def _focal_relabelling(game, peers, phi, strip_terminal, seed):
@@ -303,6 +306,7 @@ def _unreachable_states(game, peers, phi, strip_terminal, seed):
 
 
 RELATIONS = {
+    "permuted-states": _state_relabelling,
     "focal-actions": _focal_relabelling,
     "peer-actions": _peer_relabelling,
     "reversed-schedule": _reversal,

@@ -138,6 +138,21 @@ def test_an_item_is_mapped_only_if_it_is_a_key():
             phi.image(item)
 
 
+def test_an_item_equal_to_a_mapped_pair_but_not_a_pair_stays_unmapped():
+    # (1.0, 2) == (1, 2) and both hash alike, so a table keyed by the item
+    # would give the float item the pair's name once the pair came first
+    phi = Abstraction(mapping={(1, 2): "x"})
+    for family in ([((1, 2),), ((1.0, 2),)], [((1.0, 2),)]):
+        for mine in (core, brute_force_core):
+            with pytest.raises(UnmappedSymbol) as info:
+                mine(family, phi)
+            assert info.value.pair == (1.0, 2)
+    with pytest.raises(UnmappedSymbol) as info:  # phi still meets the items in order
+        core([((1, 2),), ((5, 5), (1.0, 2))], phi)
+    assert info.value.pair == (5, 5)
+    assert core([((1, 2),), [[1, 2]]], phi).members == (("x",),)
+
+
 # ---------------------------------------------------------------------------
 # lcs_pair
 # ---------------------------------------------------------------------------
