@@ -42,18 +42,6 @@ USE = 2  # peer pick-or-open action
 HELPER = "helper"
 INDEPENDENT = "independent"
 
-SYMBOLS = (
-    "move",
-    "find_key",
-    "reach_door",
-    "open_door",
-    "drop_key_for_peer",
-    "peer_reaches_door",
-    "peer_opens_door",
-    "terminal",
-)
-
-
 @dataclass(frozen=True)
 class KeyDoorConfig:
     corridor_length: int

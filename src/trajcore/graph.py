@@ -41,19 +41,24 @@ TCS 1991), generalised from one text to a DAG of texts.
   ``must`` of every frontier node; its frontier is the set of targets of the
   first ``c``-edges reachable from the frontier over other edges.
 * Dominance: the child for ``d`` is skipped when some other extension ``c``
-  comes first on every path from the frontier (``before[c]``, one backward
-  pass per symbol); ``c`` then fits in front of ``d`` in any continuation,
-  so no node below that child is maximal.
+  comes first on every path from the frontier; ``c`` then fits in front of
+  ``d`` in any continuation, so no node below that child is maximal.  The
+  walk that finds the child frontier for ``c`` crosses every label that
+  some path holds before its first ``c``, so the symbols it does not cross
+  are those ``c`` dominates.  The extensions are walked in the order of
+  their first edges along one path from the frontier, which puts every
+  dominator before the symbols it dominates, so an extension is walked iff
+  no extension walked before it dominates it.
 * A node without extension is kept iff no common symbol fits any of its
   inner gaps, decided by one backward pass per gap over the whole graph.
 * Two dicts keep repeated work for the length of one call.  ``children``
   maps a frontier to its undominated (symbol, child frontier) list: the
-  extensions, the dominance and the child frontiers read the frontier
-  alone, so a frontier met again gets the same list.  ``passes`` maps a
-  suffix ``word[i:]`` of a leaf to its gap pass, which reads the suffix
-  alone, so each distinct suffix gets one pass.  Both grow with the
-  distinct frontiers and leaf suffixes that the search meets, and are
-  dropped when it returns.
+  extensions, and the walks that give the dominance and the child
+  frontiers, read the frontier alone, so a frontier met again gets the
+  same list.  ``passes`` maps a suffix ``word[i:]`` of a leaf to its gap
+  pass, which reads the suffix alone, so each distinct suffix gets one
+  pass.  Both grow with the distinct frontiers and leaf suffixes that the
+  search meets, and are dropped when it returns.
 
 Each search node is a distinct common subsequence, and the pruning reads
 only the word set, so the search visits the same tree, and its ``budget``
@@ -554,15 +559,6 @@ class SuccessGraph:
         return Trajectory(steps=tuple(steps), terminal_state=goal)
 
 
-def _bits(x: int) -> list[int]:
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
-
-
 def _must(edges) -> list[int]:
     """``must[n]``: the symbols on every path from ``n`` to accept, as a bitset."""
     must = [0] * len(edges)
@@ -574,39 +570,29 @@ def _must(edges) -> list[int]:
     return must
 
 
-def _before(edges, c: int) -> list[int]:
-    """``table[n]``: symbols ``d != c`` that no path from ``n`` holds before its first ``c``.
+def _advance(edges, frontier: tuple[int, ...], c: int) -> tuple[tuple[int, ...], int]:
+    """Targets of the first ``c``-edges on the paths from ``frontier``, and the labels met before them.
 
-    Empty where some path from ``n`` holds no ``c``.
+    The labels met are a bitset of the labels of the other edges the walk
+    crosses; ε-edges add nothing.  Every edge lies on a path to accept, so
+    no path from the frontier holds a symbol ``d != c`` outside it before
+    its first ``c``.
     """
-    bit = 1 << c
-    table = [0] * len(edges)
-    for n in range(len(edges) - 1, 0, -1):
-        acc = -1
-        for _, m, lab in edges[n]:
-            if lab == c:
-                acc &= ~bit
-            elif lab < 0:
-                acc &= table[m]
-            else:
-                acc &= table[m] & ~(1 << lab)
-        table[n] = acc
-    return table
-
-
-def _advance(edges, frontier: tuple[int, ...], c: int) -> tuple[int, ...]:
-    """Targets of the first ``c``-edges on the paths from ``frontier``."""
     found: set[int] = set()
+    met = 0
     seen = set(frontier)
     todo = list(frontier)
     while todo:
         for _, m, lab in edges[todo.pop()]:
             if lab == c:
                 found.add(m)
-            elif m not in seen:
+                continue
+            if lab >= 0:
+                met |= 1 << lab
+            if m not in seen:
                 seen.add(m)
                 todo.append(m)
-    return tuple(sorted(found))
+    return tuple(sorted(found)), met
 
 
 def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int, ...]]:
@@ -619,8 +605,8 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
     common = -1
     for root in roots:
         common &= must[root]
-    before = {c: _before(edges, c) for c in _bits(common)}
-    # frontier -> ((symbol,), (child frontier,)) of each undominated extension, in symbol order
+    # frontier -> ((symbol,), (child frontier,)) of each undominated extension, in symbol
+    # order; the walks to the child frontiers tell which extensions are dominated
     children: dict[tuple[int, ...], list] = {}
     # suffix -> its gap pass: see _no_gap_fits
     passes: dict[tuple[int, ...], list[int]] = {}
@@ -643,17 +629,23 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
             continue
         kids = children.get(frontier)
         if kids is None:
-            candidates = _bits(extensions)
-            dominated = 0
-            for c in candidates:
-                table, first = before[c], -1
-                for n in frontier:
-                    first &= table[n]
-                dominated |= first
+            # the extensions in the order of their first edges on one path, which holds
+            # them all, up to the last one left: each comes after those that dominate it
+            order, left, n = [], extensions, frontier[0]
+            while left & (left - 1):
+                _, n, lab = edges[n][0]
+                if lab >= 0 and left >> lab & 1:
+                    order.append(lab)
+                    left ^= 1 << lab
+            order.append(left.bit_length() - 1)
             kids = children[frontier] = []
-            for c in candidates:
+            dominated = 0
+            for c in order:
                 if not dominated >> c & 1:
-                    kids.append(((c,), (_advance(edges, frontier, c),)))
+                    child, met = _advance(edges, frontier, c)
+                    dominated |= ~(met | 1 << c)
+                    kids.append(((c,), (child,)))
+            kids.sort()
         for symbol, child in kids:
             stack.append((word + symbol, frontiers + child))
     return found

@@ -323,6 +323,58 @@ def test_the_search_of_a_support_graph_does_not_depend_on_node_numbering(seed, r
         _assert_numbering_free(build_graph(mdp, Symbols(phi, False)), rng)
 
 
+def _label_paths(edges, n: int, memo: dict) -> set:
+    """The label sequences, ε-edges dropped, of every path from node ``n`` to accept."""
+    if n == ACCEPT:
+        return {()}
+    if n not in memo:
+        memo[n] = {(() if lab == EPS else (lab,)) + rest
+                   for _, m, lab in edges[n] for rest in _label_paths(edges, m, memo)}
+    return memo[n]
+
+
+def _undominated(paths: set) -> set:
+    """The symbols on every path whose first occurrence no other such symbol precedes on every path."""
+    extensions = set.intersection(*map(set, paths))
+    firsts = [{c: path.index(c) for c in extensions} for path in paths]
+    return {d for d in extensions
+            if not any(all(first[c] < first[d] for first in firsts) for c in extensions - {d})}
+
+
+def _assert_walks_are_the_undominated_extensions(graph) -> None:
+    """Each frontier of the search walks to exactly its undominated extensions."""
+    from trajcore import graph as graph_module
+
+    walked: dict[tuple, set] = {}
+
+    def advance(edges, frontier, c, _original=graph_module._advance):
+        walked.setdefault(frontier, set()).add(c)
+        return _original(edges, frontier, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph_module, "_advance", advance)
+        graph.core()
+    memo: dict = {}
+    for frontier, symbols in walked.items():
+        paths = set().union(*(_label_paths(graph.edges, n, memo) for n in frontier))
+        assert symbols == _undominated(paths), frontier
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.lists(st.text("abcd", max_size=10), min_size=1, max_size=5))
+def test_the_search_walks_the_undominated_extensions_of_a_sequence_graph(family):
+    symbols = Symbols(IDENTITY, False)
+    _assert_walks_are_the_undominated_extensions(sequence_graph(symbols.words(family), symbols))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), strip=st.booleans())
+def test_the_search_walks_the_undominated_extensions_of_a_support_graph(seed, strip):
+    mdp = random_mdp(6, 2, 7, seed=seed)
+    for phi in _abstractions(mdp, np.random.default_rng(seed)):
+        _assert_walks_are_the_undominated_extensions(build_graph(mdp, Symbols(phi, strip)))
+
+
 def test_unmapped_pair_raises_exactly_when_it_lies_on_a_success():
     mdp = random_mdp(6, 2, 6, seed=5, support_size=2)
     on_success = {pair for traj in enumerate_successes(mdp) for pair in traj.pairs()}

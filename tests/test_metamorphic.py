@@ -2,7 +2,7 @@
 
 A relation compares a result with the result on a transformed input, so it
 checks at sizes no oracle reaches.  Each runs on hypothesis-drawn small
-games and on one fixed L8 cooperative corridor.
+games and on two fixed cooperative corridors, L8 and L12.
 
 * Permuting states or focal actions: every core, success count and drift
   member maps back exactly, and every witness, mapped back, is a success of
@@ -62,6 +62,9 @@ from conftest import random_game, sparse_game, sparse_peer
 L8_COOP = replace(DEFAULT_COOP, corridor_length=8, key_pos=1, door_pos=4, goal_pos=6,
                   start_pos=2, peer_start=2, horizon=16,
                   peer_modes=("helper", "independent", "helper"))
+L12_COOP = replace(DEFAULT_COOP, corridor_length=12, key_pos=1, door_pos=6, goal_pos=9,
+                   start_pos=2, peer_start=2, horizon=20,
+                   peer_modes=("helper", "independent", "helper"))
 
 
 def _rows_from(rows: KernelRows, old: np.ndarray, shape: tuple | None = None) -> KernelRows:
@@ -162,17 +165,26 @@ def _assert_maps_back(base, other, seq: EpisodeSequence, phi: Abstraction, back)
                 assert not is_subsequence(member, apply_abstraction(witness, phi))
 
 
-def _l8_drift(abstraction: str):
-    """The L8 corridor's game, peers and abstraction (``IDENTITY`` for "identity")."""
-    game, peers, phi = build_coop_keydoor(L8_COOP)
+def _coop_drift(config, abstraction: str):
+    """A corridor's game, peers and abstraction (``IDENTITY`` for "identity")."""
+    game, peers, phi = build_coop_keydoor(config)
     return game, peers, IDENTITY if abstraction == "identity" else phi
+
+
+def _assert_every_step_changes_a_member(config, abstraction: str) -> None:
+    # so each relation on the corridor compares vanished and gained members and their witnesses
+    _, base = _drift(*_coop_drift(config, abstraction), strip_terminal=True)
+    assert base.steps and all(step.vanished or step.gained for step in base.steps)
 
 
 @pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
 def test_every_step_of_the_l8_coop_drift_changes_a_member(abstraction):
-    # so each relation on it compares vanished and gained members and their witnesses
-    _, base = _drift(*_l8_drift(abstraction), strip_terminal=True)
-    assert base.steps and all(step.vanished or step.gained for step in base.steps)
+    _assert_every_step_changes_a_member(L8_COOP, abstraction)
+
+
+@pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
+def test_every_step_of_the_l12_coop_drift_changes_a_member(abstraction):
+    _assert_every_step_changes_a_member(L12_COOP, abstraction)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +336,13 @@ def test_relations_hold_on_small_games(relation, kind, seed):
 @pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
 def test_relations_hold_on_an_l8_coop_drift(relation, abstraction):
-    RELATIONS[relation](*_l8_drift(abstraction), strip_terminal=True, seed=8)
+    RELATIONS[relation](*_coop_drift(L8_COOP, abstraction), strip_terminal=True, seed=8)
+
+
+@pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
+@pytest.mark.parametrize("relation", sorted(RELATIONS))
+def test_relations_hold_on_an_l12_coop_drift(relation, abstraction):
+    RELATIONS[relation](*_coop_drift(L12_COOP, abstraction), strip_terminal=True, seed=12)
 
 
 _PAIRS = [(s, a) for s in range(3) for a in (0, 1)] + [(s, TERMINAL) for s in range(3)]
@@ -461,5 +479,5 @@ def test_a_copied_focal_action_changes_no_drift_core_of_a_small_game(kind, seed)
 
 
 def test_a_copied_focal_action_changes_no_drift_core_of_an_l8_coop_drift():
-    game, peers, phi = _l8_drift("coop-keydoor")
+    game, peers, phi = _coop_drift(L8_COOP, "coop-keydoor")
     _assert_copied_action_changes_no_drift_core(game, peers, phi, True, action=1)

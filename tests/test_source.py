@@ -77,3 +77,44 @@ def test_every_private_function_is_used_outside_its_own_def():
                 if all(use in inside for use in uses.get(node.name, [])):
                     unused.append(f"{node.name}:{node.lineno}")
     assert unused == []
+
+
+def test_every_module_level_name_is_used_outside_its_own_definition():
+    # a name that nothing reads, not even a test or a script, is dead code
+    root = Path(__file__).resolve().parents[1]
+    paths = [*SOURCE.rglob("*.py"), *(p for folder in ("tests", "scripts", "perfbench")
+                                      for p in (root / folder).rglob("*.py"))]
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    uses: dict[str, list[int]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.asname or node.name.rpartition(".")[2]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value  # an __all__ entry, or a name looked up by string
+            else:
+                continue
+            uses.setdefault(name, []).append(id(node))
+    unused = []
+    for path, tree in trees.items():
+        if SOURCE not in path.parents:
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            inside = set(map(id, ast.walk(stmt)))
+            unused += [
+                f"{path.name}:{stmt.lineno}:{name}"
+                for name in names
+                if not name.startswith("__") and all(use in inside for use in uses.get(name, []))
+            ]
+    assert unused == []
