@@ -12,9 +12,11 @@ is all that the core, the drift witnesses, the success count
 :func:`~trajcore.mdp.enumerate_successes`, which lists its paths
 (:meth:`SuccessGraph.successes`), depend on.  A listed family of sequences
 is held by its sequence graph (:func:`sequence_graph`): the minimal DAG
-whose root-to-accept paths spell its distinct words, which
-:meth:`Symbols.words` prepares with one dict pass per sequence, each word a
-string with one character, ``chr(id)``, per symbol id.  The graph is built
+whose root-to-accept paths spell its distinct words, each a string with one
+character, ``chr(id)``, per symbol id.  :meth:`Symbols.words` makes them
+with one dict pass per sequence, or, for a
+:class:`~trajcore.mdp.SuccessSet` under an abstraction without a mapping,
+with one translation of the set's encoding.  The graph is built
 top-down, one expansion per distinct suffix set, each held as a range of
 the sorted words.
 
@@ -76,6 +78,7 @@ from .errors import BudgetExceeded, EmptySuccessSet, ExplosionGuard, SymbolLimit
 from .mdp import (
     DEFAULT_NODE_BUDGET,
     TERMINAL,
+    SuccessSet,
     TabularMDP,
     Trajectory,
     _goal_distances,
@@ -180,14 +183,31 @@ class Symbols:
         a sequence (a trajectory's steps, then its terminal pair), with the
         ids that :meth:`label` makes ε dropped.  Code-point order is the
         order of the id tuples, and a string caches its hash, so the words
-        are deduplicated in a set and sorted at C speed.  A sequence whose
-        items are all known, a trajectory's terminal pair among them, is
-        mapped by one dict pass; any other goes through :meth:`of` item by
-        item, so each distinct item meets ``phi`` once, in iteration order.
-        Under a mapping, a sequence that holds an item that is not a pair,
-        such as ``(1.0, 2)``, raises :class:`~trajcore.errors.UnmappedSymbol`
-        at its first unmapped item, even where that item equals a known pair.
+        are deduplicated in a set and sorted at C speed.  A
+        :class:`~trajcore.mdp.SuccessSet` under an abstraction without a
+        mapping makes them from its encoding, if it keeps one
+        (:meth:`~trajcore.mdp.SuccessSet._words`), which puts each item
+        through :meth:`of` once, in the order the per-item path meets them.
+        Listed sequences, and every mapping, take the per-item path: a
+        sequence whose items are all known, a trajectory's terminal pair
+        among them, is mapped by one dict pass; any other goes through
+        :meth:`of` item by item, so each distinct item meets ``phi`` once,
+        in iteration order.  Under a mapping, a sequence that holds an item
+        that is not a pair, such as ``(1.0, 2)``, raises
+        :class:`~trajcore.errors.UnmappedSymbol` at its first unmapped item,
+        even where that item equals a known pair.
         """
+        raw = None
+        if isinstance(items, SuccessSet) and self.phi.mapping is None:
+            raw = items._words(self.of)
+        if raw is None:
+            raw = self._listed(items)
+        if self.phi.collapse_runs or any(self.stripped):
+            raw = {self._drop_eps(word) for word in raw}
+        return sorted(raw)
+
+    def _listed(self, items) -> set[str]:
+        """The raw words of ``items``, sequence by sequence: the per-item path of :meth:`words`."""
         known = self._items.__getitem__
         pairs_only = self.phi.mapping is not None
         raw = set()
@@ -208,9 +228,7 @@ class Symbols:
                 raw.add("".join(map(known, seq)))
             except (KeyError, TypeError):  # an item not seen yet, or a list
                 raw.add("".join(map(chr, map(self.of, seq))))
-        if self.phi.collapse_runs or any(self.stripped):
-            raw = {self._drop_eps(word) for word in raw}
-        return sorted(raw)
+        return raw
 
     def _drop_eps(self, word: str) -> str:
         collapse = self.phi.collapse_runs

@@ -26,10 +26,13 @@ Conventions used throughout the package:
 
 All container types are immutable after construction (arrays are marked
 read-only) and safe to share between threads.  A game keeps the plan of its
-first peer fold (:func:`_plan_fold`), an MDP its kernel support and a success
-set its frozenset, each on first use.  Each is read-only and built from the
-read-only fields alone, so no value the object reports changes, and threads
-that read one object at once build equal values at worst.
+first peer fold (:func:`_plan_fold`), an MDP its kernel support, and a
+success set its frozenset and its encoding (:func:`_encode`: the distinct
+items and one code-point string of every trajectory's items), each on first
+use; :meth:`SuccessSet.from_iterable` makes the encoding while it sorts.
+Each is read-only and built from the read-only fields alone, so no value the
+object reports changes, and threads that read one object at once build equal
+values at worst.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -344,16 +347,108 @@ class Trajectory:
         return cls(steps=pairs)
 
 
+_ENCODED_ITEMS = 0x10FFFF  # item codes from chr(0) up, and one code point more for the separator
+
+
+def _encode(trajectories) -> tuple[tuple, str] | None:
+    """The distinct items of ``trajectories`` and one string of their codes, or None.
+
+    A trajectory's items are its steps, then its terminal pair if it has
+    one.  The items are listed in the order first met, item ``i`` coded as
+    ``chr(i)``, and the string holds each trajectory's codes in the given
+    order, with ``chr(len(items))`` between trajectories.  Each step is
+    hashed once to find its code, and each terminal pair is made once per
+    goal state.  None when a trajectory is not a :class:`Trajectory`, an
+    item is unhashable, or there are more than ``_ENCODED_ITEMS`` items.
+    """
+    codes: dict = {}
+    ends: dict = {}  # goal state -> the code of its terminal pair
+
+    def code(item) -> str:
+        found = codes.get(item)
+        if found is None:
+            if len(codes) == _ENCODED_ITEMS:
+                raise OverflowError
+            found = codes[item] = chr(len(codes))
+        return found
+
+    known, words = codes.__getitem__, []
+    try:
+        for traj in trajectories:
+            if not isinstance(traj, Trajectory):
+                return None
+            try:
+                word = "".join(map(known, traj.steps))
+            except KeyError:  # a step not met before
+                word = "".join(map(code, traj.steps))
+            goal = traj.terminal_state
+            if goal is not None:
+                end = ends.get(goal)
+                if end is None:
+                    end = ends[goal] = code((goal, TERMINAL))
+                word += end
+            words.append(word)
+    except (TypeError, OverflowError):
+        return None
+    return tuple(codes), chr(len(codes)).join(words)
+
+
+def _ranked(items: tuple) -> list[int] | None:
+    """The indices of ``items`` in ascending item order; None unless ``<`` ranks them strictly."""
+    try:
+        ranked = sorted(range(len(items)), key=items.__getitem__)
+        ordered = [items[i] for i in ranked]
+        if all(map(operator.lt, ordered, ordered[1:])):
+            return ranked
+    except TypeError:
+        pass
+    return None
+
+
 @dataclass(frozen=True)
 class SuccessSet:
-    """Deduplicated set of successful trajectories in canonical order."""
+    """Deduplicated set of successful trajectories in canonical order.
+
+    A set keeps their encoding (:func:`_encode`), from which :meth:`_words`
+    makes their words for :meth:`~trajcore.graph.Symbols.words`.
+    """
 
     trajectories: tuple[Trajectory, ...]
 
     @classmethod
     def from_iterable(cls, trajectories: Iterable[Trajectory]) -> "SuccessSet":
-        unique = sorted(set(trajectories), key=lambda t: t.pairs())
-        return cls(trajectories=tuple(unique))
+        """The distinct trajectories, in the order of their ``pairs()`` as tuples.
+
+        Two trajectories with equal ``pairs()``, one that ends in a step
+        whose action is ``TERMINAL`` and one that ends in that terminal
+        pair, keep the order in which a set of both iterates.  The
+        trajectories are deduplicated in a set and encoded, then sorted by
+        their code strings with each code replaced by the rank of its item,
+        which orders them as their ``pairs()`` would.  The encoding is then
+        renumbered in the order the items are first met along the sorted
+        trajectories, and kept.  When the items cannot be encoded, or
+        ``<`` does not rank them strictly, the set is sorted by ``pairs()``
+        and keeps no encoding.
+        """
+        unique = list(set(trajectories))
+        encoding = _encode(unique)
+        ranked = None if encoding is None else _ranked(encoding[0])
+        if ranked is None:
+            made = cls(tuple(sorted(unique, key=Trajectory.pairs)))
+            object.__setattr__(made, "_encoding", None)
+            return made
+        items, text = encoding
+        gap = chr(len(items))  # the separator, which no renumbering moves
+        keys = text.translate(dict(zip(ranked, range(len(items))))).split(gap)
+        order = sorted(range(len(unique)), key=keys.__getitem__)
+        text = gap.join(map(keys.__getitem__, order))
+        met = [ord(c) for c in dict.fromkeys(text) if c != gap]  # ranks in the order first met
+        made = cls(tuple(map(unique.__getitem__, order)))
+        object.__setattr__(made, "_encoding", (
+            tuple(items[ranked[r]] for r in met),
+            text.translate(dict(zip(met, range(len(met))))),
+        ))
+        return made
 
     def __iter__(self) -> Iterator[Trajectory]:
         return iter(self.trajectories)
@@ -370,6 +465,31 @@ class SuccessSet:
     @cached_property
     def _set(self) -> frozenset[Trajectory]:
         return frozenset(self.trajectories)
+
+    @cached_property
+    def _encoding(self) -> tuple[tuple, str] | None:
+        """The :func:`_encode` of ``trajectories``; :meth:`from_iterable` sets it instead."""
+        return _encode(self.trajectories)
+
+    def _words(self, intern: Callable[[Any], int]) -> set[str] | None:
+        """The distinct words of the set from its encoding; None if it keeps none.
+
+        ``intern`` gives each item of the encoding an id, once each and in
+        the encoding's order, which is the order the items are first met
+        along the set.  A word holds ``chr`` of the id of each of a
+        trajectory's items.  One ``str.translate`` writes them all, with the
+        least id that no item has as the separator, and one split cuts them
+        apart.
+        """
+        if self._encoding is None:
+            return None
+        if not self.trajectories:  # "" is also the string of one empty trajectory
+            return set()
+        items, text = self._encoding
+        table = list(map(intern, items))
+        gap = min(set(range(len(table) + 1)).difference(table))
+        table.append(gap)
+        return set(text.translate(table).split(chr(gap)))
 
 
 @dataclass(frozen=True)

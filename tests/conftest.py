@@ -3,9 +3,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from trajcore import (
     IDENTITY,
+    TERMINAL,
     CoreSet,
     DriftReport,
     DriftStep,
@@ -74,6 +76,32 @@ def oracle_enumerate(mdp: TabularMDP) -> SuccessSet:
                     continue
                 successes.append(Trajectory(steps=steps, terminal_state=goal))
     return SuccessSet.from_iterable(successes)
+
+
+def oracle_canonical(trajectories) -> tuple[Trajectory, ...]:
+    """``SuccessSet.from_iterable`` by the rule it had before sets kept an encoding.
+
+    Deduplicate in a set, then sort by ``pairs()`` as tuples; trajectories
+    with equal pairs keep the order in which the set iterates.
+    """
+    return tuple(sorted(set(trajectories), key=Trajectory.pairs))
+
+
+def _int_forms(value: int):
+    """``value`` as a Python int, a NumPy int64 and, for 0 and 1, a bool: equal, hashed alike."""
+    return st.sampled_from([value, np.int64(value)] + ([bool(value)] if value in (0, 1) else []))
+
+
+# states 0-2 and actions 0, 1 and TERMINAL, each drawn in any of its integer types, so a
+# step may be (s, TERMINAL) and two distinct trajectories may share pairs()
+_states = st.sampled_from([0, 1, 2]).flatmap(_int_forms)
+_actions = st.sampled_from([0, 1, TERMINAL]).flatmap(_int_forms)
+trajectories = st.builds(
+    Trajectory,
+    st.lists(st.tuples(_states, _actions), max_size=4).map(tuple),
+    st.none() | _states,
+)
+trajectory_families = st.lists(trajectories, max_size=8)
 
 
 def oracle_core(successes, phi=IDENTITY, strip_terminal: bool = False) -> CoreSet:

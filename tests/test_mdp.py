@@ -1,3 +1,4 @@
+import operator
 import sys
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from trajcore import (
     MarkovGame,
     PeerPolicy,
     RowSumError,
+    SuccessSet,
     TabularMDP,
     Trajectory,
     ValidationError,
@@ -31,15 +33,17 @@ from trajcore import (
     validate_peer,
 )
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor, random_mdp
-from trajcore.mdp import _draw, _plan_fold, goal_reachable
+from trajcore.mdp import _draw, _encode, _plan_fold, goal_reachable
 
 from conftest import (
     count_set_builds,
     dense_rollout,
+    oracle_canonical,
     oracle_enumerate,
     random_game,
     random_peer,
     reweight_support,
+    trajectory_families,
 )
 
 CHAIN_SUCCESSES = {
@@ -563,6 +567,28 @@ def test_success_set_membership_reads_one_kept_set(monkeypatch):
     assert Trajectory(steps=((0, 0),) * 5) not in successes
     assert successes.as_set() is successes.as_set() == set(successes.trajectories)
     assert built == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(trajectory_families)
+def test_from_iterable_orders_as_sorting_by_pairs(family):
+    made = SuccessSet.from_iterable(family)
+    expected = oracle_canonical(family)
+    # the same objects: of equal items such as True and 1, the set keeps the same one
+    assert len(made) == len(expected) and all(map(operator.is_, made, expected))
+    # the encoding kept after sorting is the one the sorted set makes on first use
+    assert made._encoding is not None and made._encoding == _encode(made.trajectories)
+
+
+def test_from_iterable_keeps_both_trajectories_that_share_their_pairs():
+    closed = Trajectory(steps=((0, 1),), terminal_state=2)
+    unclosed = Trajectory(steps=((0, 1), (2, TERMINAL)))
+    assert closed.pairs() == unclosed.pairs() and closed != unclosed
+    between = Trajectory(steps=((0, 1), (2, 0)), terminal_state=1)  # sorts after both
+    for family in ([closed, unclosed, between], [between, unclosed, closed, unclosed]):
+        made = SuccessSet.from_iterable(family)
+        assert made.trajectories == oracle_canonical(family)
+        assert set(made.trajectories[:2]) == {closed, unclosed} and made.trajectories[2] == between
 
 
 # ---------------------------------------------------------------------------

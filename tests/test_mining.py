@@ -28,10 +28,17 @@ from trajcore import (
     lcs_pair,
     random_mdp,
 )
+from trajcore import mdp as mdp_module
 from trajcore.graph import Symbols, sequence_graph
 from trajcore.mining import canonical_member_order, maximal_elements
 
-from conftest import count_calls, count_set_builds, oracle_core
+from conftest import (
+    count_calls,
+    count_set_builds,
+    oracle_canonical,
+    oracle_core,
+    trajectory_families,
+)
 
 symbols = st.sampled_from("abcd")
 seqs = st.lists(symbols, min_size=0, max_size=8).map(tuple)
@@ -247,6 +254,10 @@ def test_core_rejects_empty_input():
         brute_force_core([])
     with pytest.raises(EmptySuccessSet):
         core_nonempty_witness(SuccessSet.from_iterable([]))
+    for empty in (SuccessSet.from_iterable([]), SuccessSet(())):
+        for phi in (IDENTITY, Abstraction(collapse_runs=True)):
+            with pytest.raises(EmptySuccessSet):
+                core(empty, phi)
     with pytest.raises(ValueError, match="need at least one sequence"):
         common_subsequences([])
 
@@ -474,7 +485,95 @@ def test_core_of_a_success_set_never_builds_pairs(monkeypatch):
         raise AssertionError("Trajectory.pairs called")
 
     monkeypatch.setattr(Trajectory, "pairs", refused)
-    assert [core(successes, strip_terminal=strip) for strip in (False, True)] == expected
+    listed = SuccessSet.from_iterable(reversed(successes.trajectories))
+    assert listed == successes
+    for made in (successes, listed):
+        assert [core(made, strip_terminal=strip) for strip in (False, True)] == expected
+
+
+class _EncodedOnly(Symbols):
+    """A table whose per-item path fails, so a success set's words must come from its encoding."""
+
+    def _listed(self, items):
+        raise AssertionError("a success set took the per-item path")
+
+
+MAPLESS = [IDENTITY, Abstraction(collapse_runs=True, label="collapsed")]
+
+
+def _assert_words_of_its_list(made: SuccessSet, phi: Abstraction, strip: bool, known=()) -> None:
+    listed, encoded = Symbols(phi, strip), _EncodedOnly(phi, strip)
+    for table in (listed, encoded):  # a table shared with earlier work holds their ids first
+        for item in known:
+            table.of(item)
+    assert encoded.words(made) == listed.words(list(made))
+    # phi met the items in the same order, so every symbol has the same id
+    assert encoded.names == listed.names and encoded.stripped == listed.stripped
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    trajectory_families,
+    st.booleans(),
+    st.sampled_from(MAPLESS),
+    st.booleans(),
+    st.lists(st.sampled_from(["u", "v", "w", (1, 0), (2, TERMINAL)]), max_size=4),
+)
+def test_the_words_of_a_success_set_are_those_of_its_list(family, direct, phi, strip, known):
+    made = SuccessSet(tuple(family)) if direct else SuccessSet.from_iterable(family)
+    _assert_words_of_its_list(made, phi, strip, known)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000), st.sampled_from(MAPLESS), st.booleans())
+def test_the_words_of_an_enumerated_success_set_are_those_of_its_list(seed, phi, strip):
+    successes = enumerate_successes(random_mdp(num_states=5, num_actions=2, horizon=5, seed=seed))
+    _assert_words_of_its_list(successes, phi, strip)
+
+
+def _assert_mined_as_listed(made: SuccessSet) -> None:
+    listed = [traj.steps + ((traj.terminal_state, TERMINAL),) for traj in made]
+    for phi in MAPLESS:
+        for strip in (False, True):
+            assert core(made, phi, strip) == core(listed, phi, strip)
+
+
+def test_a_set_of_more_items_than_code_points_keeps_no_encoding(monkeypatch):
+    successes = enumerate_successes(random_mdp(num_states=7, num_actions=3, horizon=6, seed=2))
+    family = list(reversed(successes.trajectories))
+    items = len({pair for traj in family for pair in traj.pairs()})
+    monkeypatch.setattr(mdp_module, "_ENCODED_ITEMS", items)
+    assert SuccessSet.from_iterable(family)._encoding is not None
+    assert SuccessSet(successes.trajectories)._encoding is not None
+    monkeypatch.setattr(mdp_module, "_ENCODED_ITEMS", items - 1)
+    made = SuccessSet.from_iterable(family)
+    assert made._encoding is None and made.trajectories == oracle_canonical(family)
+    direct = SuccessSet(successes.trajectories)
+    assert direct._encoding is None
+    for kept in (made, direct):
+        _assert_mined_as_listed(kept)
+
+
+def test_a_direct_set_with_an_unhashable_item_keeps_no_encoding():
+    made = SuccessSet((
+        Trajectory(steps=([0, 1], (1, 0)), terminal_state=2),
+        Trajectory(steps=((0, 1), (1, 1)), terminal_state=2),
+    ))
+    assert made._encoding is None
+    _assert_mined_as_listed(made)
+
+
+@pytest.mark.parametrize("family", [
+    # 1 < "a" raises, but the sort by pairs() never compares these two items
+    [Trajectory(((0, 0), (1, "a")), 5), Trajectory(((0, 1), (1, 2)), 5)],
+    # neither (nan, 0) nor (0, 0) is below the other
+    [Trajectory(((float("nan"), 0),), 5), Trajectory(((0, 0),), 5)],
+], ids=["incomparable", "nan"])
+def test_items_that_tuple_comparison_cannot_rank_keep_no_encoding(family):
+    made = SuccessSet.from_iterable(family)
+    expected = oracle_canonical(family)
+    assert made._encoding is None and all(a is b for a, b in zip(made, expected, strict=True))
+    _assert_mined_as_listed(made)
 
 
 # Every way a listed family may hold a sequence of pairs; each call makes
