@@ -38,10 +38,14 @@ TCS 1991), generalised from one text to a DAG of texts.
   the graph nodes at which the leftmost embedding of ``u`` ends, over all
   words.  Two words that reach the same graph node share all their
   futures, so the frontier stands for every suffix left after ``u``.
-* ``must[n]`` is the set of symbols on every path from ``n`` to accept, one
-  backward pass for all nodes.  ``u + (c,)`` is common iff ``c`` is in
-  ``must`` of every frontier node; its frontier is the set of targets of the
-  first ``c``-edges reachable from the frontier over other edges.
+* The pass of a suffix ``s`` (:func:`_pass`) gives every node ``n`` the
+  symbols ``x`` such that every path from ``n`` holds ``(x,) + s``, as one
+  backward sweep.  ``must``, the pass of the empty suffix, holds the
+  symbols on every path: ``u + (c,)`` is common iff ``c`` is in ``must`` of
+  every frontier node, and its frontier is the set of targets of the first
+  ``c``-edges reachable from the frontier over other edges.  A node without
+  extension is kept iff no ``x`` fits any inner gap: ``x`` fits before
+  ``u[i]`` iff the pass of ``u[i:]`` admits it on the frontier of ``u[:i]``.
 * Dominance: the child for ``d`` is skipped when some other extension ``c``
   comes first on every path from the frontier; ``c`` then fits in front of
   ``d`` in any continuation, so no node below that child is maximal.  The
@@ -51,16 +55,14 @@ TCS 1991), generalised from one text to a DAG of texts.
   their first edges along one path from the frontier, which puts every
   dominator before the symbols it dominates, so an extension is walked iff
   no extension walked before it dominates it.
-* A node without extension is kept iff no common symbol fits any of its
-  inner gaps, decided by one backward pass per gap over the whole graph.
 * Two dicts keep repeated work for the length of one call.  ``children``
   maps a frontier to its undominated (symbol, child frontier) list: the
   extensions, and the walks that give the dominance and the child
   frontiers, read the frontier alone, so a frontier met again gets the
-  same list.  ``passes`` maps a suffix ``word[i:]`` of a leaf to its gap
-  pass, which reads the suffix alone, so each distinct suffix gets one
-  pass.  Both grow with the distinct frontiers and leaf suffixes that the
-  search meets, and are dropped when it returns.
+  same list.  ``passes`` maps the empty suffix and each suffix ``word[i:]``
+  of a leaf to its pass, which reads the suffix alone, so each distinct
+  suffix gets one pass.  Both grow with the distinct frontiers and leaf
+  suffixes that the search meets, and are dropped when it returns.
 
 Each search node is a distinct common subsequence, and the pruning reads
 only the word set, so the search visits the same tree, and its ``budget``
@@ -577,17 +579,6 @@ class SuccessGraph:
         return Trajectory(steps=tuple(steps), terminal_state=goal)
 
 
-def _must(edges) -> list[int]:
-    """``must[n]``: the symbols on every path from ``n`` to accept, as a bitset."""
-    must = [0] * len(edges)
-    for n in range(len(edges) - 1, 0, -1):
-        acc = -1
-        for _, m, lab in edges[n]:
-            acc &= must[m] | (1 << lab if lab >= 0 else 0)
-        must[n] = acc
-    return must
-
-
 def _advance(edges, frontier: tuple[int, ...], c: int) -> tuple[tuple[int, ...], int]:
     """Targets of the first ``c``-edges on the paths from ``frontier``, and the labels met before them.
 
@@ -619,15 +610,12 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
     The search of the module docstring; raises :class:`BudgetExceeded` once
     it visits more than ``budget`` nodes.
     """
-    must = _must(edges)
-    common = -1
-    for root in roots:
-        common &= must[root]
+    must = _pass(edges, [-1] * len(edges), 0)  # every path holds the empty suffix
     # frontier -> ((symbol,), (child frontier,)) of each undominated extension, in symbol
     # order; the walks to the child frontiers tell which extensions are dominated
     children: dict[tuple[int, ...], list] = {}
-    # suffix -> its gap pass: see _no_gap_fits
-    passes: dict[tuple[int, ...], list[int]] = {}
+    # suffix -> its pass: see _no_gap_fits
+    passes: dict[tuple[int, ...], list[int]] = {(): must}
     found: set[tuple[int, ...]] = set()
     visited = 0
     # (word, frontier after each prefix of the word)
@@ -638,11 +626,11 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
         if visited > budget:
             raise BudgetExceeded(budget, visited)
         frontier = frontiers[-1]
-        extensions = common
+        extensions = -1
         for n in frontier:
             extensions &= must[n]
         if not extensions:
-            if _no_gap_fits(edges, must, common, word, frontiers, passes):
+            if _no_gap_fits(edges, word, frontiers, passes):
                 found.add(word)
             continue
         kids = children.get(frontier)
@@ -669,35 +657,42 @@ def _maximal_words(edges, roots: tuple[int, ...], budget: int) -> set[tuple[int,
     return found
 
 
-def _no_gap_fits(edges, must, common: int, word, frontiers, passes) -> bool:
-    """True iff no symbol of ``common`` can be inserted before any ``word[i]``.
+def _pass(edges, holds: list[int], c: int) -> list[int]:
+    """The pass of a suffix ``s``: ``nxt[n]``, the ``x`` whose ``(x,) + s`` every path from ``n`` holds.
 
-    ``holds[n]`` is the set of symbols ``x`` such that every path from ``n``
-    holds ``(x,) + word[i:]``; for ``i = len(word)`` that is ``must``.  The
-    insertion before ``word[i]`` is common iff ``x`` is in ``holds`` of every
-    node of the frontier after ``word[:i]``.  The pass for gap ``i`` covers
-    every node, so it depends on the suffix ``word[i:]`` alone, and
-    ``passes`` keeps it under that suffix.
+    Each ``nxt[n]`` is a bitset.  ``c`` is ``s[0]`` and ``holds`` the pass
+    of ``s[1:]``, so a path from ``m`` holds ``s`` iff ``c`` is in
+    ``holds[m]``.  A path over an edge labelled ``x`` holds ``(x,) + s``
+    iff the rest of it holds ``s``; over any other edge, ε-edges too, iff
+    the rest holds ``(x,) + s``, which implies that it holds ``s``.  So an
+    edge into ``m`` admits ``nxt[m]``, plus its label if every path from
+    ``m`` holds ``s``.
     """
-    holds = must
+    nxt = [0] * len(edges)
+    for n in range(len(edges) - 1, 0, -1):
+        acc = -1
+        for _, m, lab in edges[n]:
+            acc &= nxt[m] | (1 << lab if lab >= 0 and holds[m] >> c & 1 else 0)
+        nxt[n] = acc
+    return nxt
+
+
+def _no_gap_fits(edges, word, frontiers, passes) -> bool:
+    """True iff no symbol can be inserted before any ``word[i]``.
+
+    The insertion of ``x`` before ``word[i]`` is common iff the pass of
+    ``word[i:]`` admits ``x`` at every node of the frontier after
+    ``word[:i]``: each word passes that frontier, and ``x`` is on every
+    path from it.  A pass covers every node, so it depends on its suffix
+    alone, and ``passes`` keeps it under that suffix.
+    """
+    holds = passes[()]
     for i in range(len(word) - 1, -1, -1):
         suffix = word[i:]
         nxt = passes.get(suffix)
         if nxt is None:
-            c = word[i]
-            # a path from m holds word[i:] iff c is in the previous holds[m]
-            nxt = [0] * len(edges)
-            for n in range(len(edges) - 1, 0, -1):
-                acc = -1
-                for _, m, lab in edges[n]:
-                    if lab < 0:
-                        acc &= nxt[m]
-                    else:
-                        bit = 1 << lab
-                        acc &= (nxt[m] & ~bit) | (bit if holds[m] >> c & 1 else 0)
-                nxt[n] = acc
-            passes[suffix] = nxt
-        fits = common
+            nxt = passes[suffix] = _pass(edges, holds, word[i])
+        fits = -1
         for n in frontiers[i]:
             fits &= nxt[n]
         if fits:

@@ -419,18 +419,19 @@ class SuccessSet:
     def from_iterable(cls, trajectories: Iterable[Trajectory]) -> "SuccessSet":
         """The distinct trajectories, in the order of their ``pairs()`` as tuples.
 
-        Two trajectories with equal ``pairs()``, one that ends in a step
+        Of two trajectories with equal ``pairs()``, one that ends in a step
         whose action is ``TERMINAL`` and one that ends in that terminal
-        pair, keep the order in which a set of both iterates.  The
-        trajectories are deduplicated in a set and encoded, then sorted by
-        their code strings with each code replaced by the rank of its item,
-        which orders them as their ``pairs()`` would.  The encoding is then
-        renumbered in the order the items are first met along the sorted
-        trajectories, and kept.  When the items cannot be encoded, or
-        ``<`` does not rank them strictly, the set is sorted by ``pairs()``
-        and keeps no encoding.
+        pair, the terminated one comes first.  The trajectories are
+        deduplicated in a set, the terminated ones put first (a stable
+        partition, whose tie order each stable sort below keeps), and
+        encoded, then sorted by their code strings with each code replaced
+        by the rank of its item, which orders them as their ``pairs()``
+        would.  The encoding is then renumbered in the order the items are
+        first met along the sorted trajectories, and kept.  When the items
+        cannot be encoded, or ``<`` does not rank them strictly, the set is
+        sorted by ``pairs()`` and keeps no encoding.
         """
-        unique = list(set(trajectories))
+        unique = sorted(set(trajectories), key=operator.attrgetter("terminated"), reverse=True)
         encoding = _encode(unique)
         ranked = None if encoding is None else _ranked(encoding[0])
         if ranked is None:

@@ -79,12 +79,12 @@ def oracle_enumerate(mdp: TabularMDP) -> SuccessSet:
 
 
 def oracle_canonical(trajectories) -> tuple[Trajectory, ...]:
-    """``SuccessSet.from_iterable`` by the rule it had before sets kept an encoding.
+    """The order of ``SuccessSet.from_iterable`` by one plain sort, with no encoding.
 
-    Deduplicate in a set, then sort by ``pairs()`` as tuples; trajectories
-    with equal pairs keep the order in which the set iterates.
+    Deduplicate in a set, then sort by ``pairs()`` as tuples; of two
+    trajectories with equal pairs, the terminated one comes first.
     """
-    return tuple(sorted(set(trajectories), key=Trajectory.pairs))
+    return tuple(sorted(set(trajectories), key=lambda traj: (traj.pairs(), not traj.terminated)))
 
 
 def _int_forms(value: int):

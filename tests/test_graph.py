@@ -37,7 +37,7 @@ from trajcore import (
 )
 from trajcore.cli import main
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor
-from trajcore.graph import ACCEPT, EPS, SuccessGraph, Symbols, build_graph, sequence_graph
+from trajcore.graph import ACCEPT, EPS, SuccessGraph, Symbols, _pass, build_graph, sequence_graph
 from trajcore.mdp import DEFAULT_NODE_BUDGET
 
 from conftest import (
@@ -373,6 +373,49 @@ def test_the_search_walks_the_undominated_extensions_of_a_support_graph(seed, st
     mdp = random_mdp(6, 2, 7, seed=seed)
     for phi in _abstractions(mdp, np.random.default_rng(seed)):
         _assert_walks_are_the_undominated_extensions(build_graph(mdp, Symbols(phi, strip)))
+
+
+def _holds(word: tuple, path: tuple) -> bool:
+    """Whether ``path`` holds ``word`` as a subsequence."""
+    rest = iter(path)
+    return all(x in rest for x in word)
+
+
+def _assert_passes_are_brute_force(graph) -> None:
+    """The pass of every suffix ``s`` (length up to 3) of a path word, chained from the empty suffix.
+
+    At every node ``n`` it must be ``{x : every path word from n holds (x,) + s}``;
+    for the empty suffix, the symbols on every path from ``n``.
+    """
+    memo: dict = {}
+    paths = [_label_paths(graph.edges, n, memo) for n in range(len(graph.edges))]
+    alphabet = {lab for row in graph.edges for _, _, lab in row if lab != EPS}
+    passes = {(): _pass(graph.edges, [-1] * len(graph.edges), 0)}
+    words = set().union(*(paths[root] for root in graph.roots))
+    for suffix in sorted({word[len(word) - k:] for word in words for k in range(min(len(word), 3) + 1)},
+                         key=len):
+        if suffix not in passes:
+            passes[suffix] = _pass(graph.edges, passes[suffix[1:]], suffix[0])
+        for n, held in enumerate(paths):
+            expected = {x for x in alphabet if all(_holds((x,) + suffix, path) for path in held)}
+            assert passes[suffix][n] == sum(1 << x for x in expected), (suffix, n)
+    for n, held in enumerate(paths):
+        assert passes[()][n] == sum(1 << x for x in set.intersection(*map(set, held))), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.lists(st.text("abcd", max_size=8), min_size=1, max_size=5))
+def test_each_pass_of_a_sequence_graph_is_the_brute_force_set(family):
+    symbols = Symbols(IDENTITY, False)
+    _assert_passes_are_brute_force(sequence_graph(symbols.words(family), symbols))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), strip=st.booleans())
+def test_each_pass_of_a_support_graph_is_the_brute_force_set(seed, strip):
+    mdp = random_mdp(6, 2, 6, seed=seed)
+    for phi in _abstractions(mdp, np.random.default_rng(seed)):
+        _assert_passes_are_brute_force(build_graph(mdp, Symbols(phi, strip)))
 
 
 def test_unmapped_pair_raises_exactly_when_it_lies_on_a_success():

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import operator
+import os
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,8 +592,35 @@ def test_from_iterable_keeps_both_trajectories_that_share_their_pairs():
     between = Trajectory(steps=((0, 1), (2, 0)), terminal_state=1)  # sorts after both
     for family in ([closed, unclosed, between], [between, unclosed, closed, unclosed]):
         made = SuccessSet.from_iterable(family)
-        assert made.trajectories == oracle_canonical(family)
-        assert set(made.trajectories[:2]) == {closed, unclosed} and made.trajectories[2] == between
+        assert made.trajectories == oracle_canonical(family) == (closed, unclosed, between)
+
+
+# Two trajectories with equal pairs(), each family in both input orders; the
+# second family holds items that < cannot rank, so it is sorted by pairs().
+# Trajectory's hash reads hash(None), which Python takes from an address, so a
+# set of the two iterates in an order that may change from process to process.
+_TIE_ORDER = """
+from trajcore.mdp import TERMINAL, SuccessSet, Trajectory
+closed, unclosed = Trajectory(((0, 2),), 3), Trajectory(((0, 2), (3, TERMINAL)))
+unranked = [Trajectory(((0, 0), (1, "a")), 5), Trajectory(((0, 1), (1, 2)), 5)]
+for family in ([closed, unclosed], [closed, unclosed] + unranked):
+    for listed in (family, family[::-1]):
+        made = SuccessSet.from_iterable(listed)
+        print(made._encoding is None, [traj.terminal_state for traj in made])
+"""
+
+
+def test_from_iterable_puts_the_terminated_of_two_equal_pair_trajectories_first():
+    expected = "False [3, None]\n" * 2 + "True [5, 5, 3, None]\n" * 2
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(_TIE_ORDER, {})
+    assert printed.getvalue() == expected
+    root = Path(__file__).resolve().parents[1]
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run([sys.executable, "-c", _TIE_ORDER], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (0, expected), done.stderr
 
 
 # ---------------------------------------------------------------------------
