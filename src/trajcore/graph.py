@@ -187,9 +187,11 @@ class Symbols:
         order of the id tuples, and a string caches its hash, so the words
         are deduplicated in a set and sorted at C speed.  A
         :class:`~trajcore.mdp.SuccessSet` under an abstraction without a
-        mapping makes them from its encoding, if it keeps one
-        (:meth:`~trajcore.mdp.SuccessSet._words`), which puts each item
-        through :meth:`of` once, in the order the per-item path meets them.
+        mapping has them made from its encoding, if it keeps one: each of
+        its items goes through :meth:`of` once, in the order the per-item
+        path meets them, and one ``str.translate`` and one split make every
+        word, with the least id that no item has, safe in a shared table, as
+        the separator.
         Listed sequences, and every mapping, take the per-item path: a
         sequence whose items are all known, a trajectory's terminal pair
         among them, is mapped by one dict pass; any other goes through
@@ -199,11 +201,18 @@ class Symbols:
         :class:`~trajcore.errors.UnmappedSymbol` at its first unmapped item,
         even where that item equals a known pair.
         """
-        raw = None
+        encoding = None
         if isinstance(items, SuccessSet) and self.phi.mapping is None:
-            raw = items._words(self.of)
-        if raw is None:
+            encoding = items._encoding
+        if encoding is None:
             raw = self._listed(items)
+        elif not items.trajectories:  # "" is also the string of one empty trajectory
+            raw = set()
+        else:
+            table = list(map(self.of, encoding[0]))
+            gap = min(set(range(len(table) + 1)).difference(table))
+            table.append(gap)
+            raw = set(encoding[1].translate(table).split(chr(gap)))
         if self.phi.collapse_runs or any(self.stripped):
             raw = {self._drop_eps(word) for word in raw}
         return sorted(raw)

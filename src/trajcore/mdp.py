@@ -40,7 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -114,12 +114,8 @@ class KernelRows:
     @classmethod
     def from_dense(cls, table: np.ndarray) -> "KernelRows":
         """Rows of a dense table of at least one axis."""
-        flat = table.reshape(math.prod(table.shape[:-1]), table.shape[-1])
-        present = flat != 0
-        offsets = np.zeros(len(flat) + 1, dtype=np.int64)
-        np.cumsum(np.count_nonzero(present, axis=1), out=offsets[1:])
-        # nonzero runs row-major, so targets come grouped by row, ascending
-        return cls(table.shape, offsets, np.nonzero(present)[1], flat[present])
+        keys = np.flatnonzero(table)  # row-major, so ascending row * shape[-1] + target
+        return cls.from_keys(table.shape, keys, table.ravel()[keys])
 
     @classmethod
     def from_keys(cls, shape: tuple[int, ...], keys: np.ndarray, probs: np.ndarray) -> "KernelRows":
@@ -409,8 +405,8 @@ def _ranked(items: tuple) -> list[int] | None:
 class SuccessSet:
     """Deduplicated set of successful trajectories in canonical order.
 
-    A set keeps their encoding (:func:`_encode`), from which :meth:`_words`
-    makes their words for :meth:`~trajcore.graph.Symbols.words`.
+    A set keeps their encoding (:func:`_encode`), which
+    :meth:`~trajcore.graph.Symbols.words` reads to make their words.
     """
 
     trajectories: tuple[Trajectory, ...]
@@ -471,26 +467,6 @@ class SuccessSet:
     def _encoding(self) -> tuple[tuple, str] | None:
         """The :func:`_encode` of ``trajectories``; :meth:`from_iterable` sets it instead."""
         return _encode(self.trajectories)
-
-    def _words(self, intern: Callable[[Any], int]) -> set[str] | None:
-        """The distinct words of the set from its encoding; None if it keeps none.
-
-        ``intern`` gives each item of the encoding an id, once each and in
-        the encoding's order, which is the order the items are first met
-        along the set.  A word holds ``chr`` of the id of each of a
-        trajectory's items.  One ``str.translate`` writes them all, with the
-        least id that no item has as the separator, and one split cuts them
-        apart.
-        """
-        if self._encoding is None:
-            return None
-        if not self.trajectories:  # "" is also the string of one empty trajectory
-            return set()
-        items, text = self._encoding
-        table = list(map(intern, items))
-        gap = min(set(range(len(table) + 1)).difference(table))
-        table.append(gap)
-        return set(text.translate(table).split(chr(gap)))
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,14 @@ any other item (``(1, 2, 3)``, ``(0.5, 1)``) is its own symbol, a list read
 as a tuple.  A mapping's keys must be pairs.
 
 :func:`core` interns the listed sequences through a
-:class:`~trajcore.graph.Symbols` table, one dict pass per sequence
-(:meth:`~trajcore.graph.Symbols.words`), into words held as strings of
-code points, one character per symbol id, which are deduplicated and
-sorted as strings; it builds the minimal DAG of the distinct words
-top-down, one expansion per distinct suffix set
-(:func:`~trajcore.graph.sequence_graph`), and mines it with the same
-maximal-subsequence search as the support graph of an MDP (see
+:class:`~trajcore.graph.Symbols` table (:meth:`~trajcore.graph.Symbols.words`),
+one dict pass per sequence, or, for a :class:`~trajcore.mdp.SuccessSet`
+under an abstraction without a mapping, one translation of the set's
+encoding.  The words are strings of code points, one character per symbol
+id, which are deduplicated and sorted as strings.  :func:`core` builds
+the minimal DAG of the distinct words top-down, one expansion per distinct
+suffix set (:func:`~trajcore.graph.sequence_graph`), and mines it with the
+same maximal-subsequence search as the support graph of an MDP (see
 :mod:`trajcore.graph`).  :func:`common_subsequences` (every common
 subsequence) and :func:`maximal_elements` are the exhaustive reference, and
 :func:`brute_force_core` is a deliberately independent oracle built on raw

@@ -457,6 +457,15 @@ def test_cli_malformed_peer_and_schedule_are_parse_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.count("parse error") == 2
 
+    for policies in ([], {}):  # not a nonempty list
+        formats.write_json(
+            str(bad_schedule), {"format": "peer_schedule", "version": 1, "policies": policies}
+        )
+        for command in ("budget", "drift"):
+            assert main([command, str(game_file), str(bad_schedule)]) == 3
+            err = capsys.readouterr().err
+            assert "Traceback" not in err and "field 'policies' must be a nonempty list" in err
+
 
 def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"

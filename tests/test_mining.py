@@ -563,6 +563,44 @@ def test_a_direct_set_with_an_unhashable_item_keeps_no_encoding():
     _assert_mined_as_listed(made)
 
 
+def test_a_direct_set_that_holds_a_raw_sequence_keeps_no_encoding():
+    made = SuccessSet((
+        ((0, 1), (1, 0), (2, TERMINAL)),
+        Trajectory(steps=((0, 1), (1, 1)), terminal_state=2),
+    ))
+    assert made._encoding is None
+    for phi in MAPLESS:
+        for strip in (False, True):
+            assert Symbols(phi, strip).words(made) == Symbols(phi, strip).words(list(made))
+            assert core(made, phi, strip) == core(list(made), phi, strip)
+
+
+# pairs at ids in the surrogates and past 0xFFFF, so an encoding's translation
+# writes two- and four-byte-wide strings
+_HIGH_PAIRS = {0xD800: (0, 1), 0xDBFF: (1, 0), 0xDFFF: (1, 1), 0x10000: (2, 0), 0x10205: (3, TERMINAL)}
+
+
+def test_success_sets_whose_items_have_high_symbol_ids_mine_as_the_oracle():
+    steps = [pair for pair in _HIGH_PAIRS.values() if pair[1] != TERMINAL]
+    rng = random.Random(0x10205)
+    for phi in MAPLESS:
+        for strip in (False, True):
+            table = _EncodedOnly(phi, strip)
+            for sid in range(0x10206):
+                table.of(_HIGH_PAIRS.get(sid, -1 - sid))
+            assert [table.of(pair) for pair in _HIGH_PAIRS.values()] == list(_HIGH_PAIRS)
+            for _ in range(200):
+                family = [
+                    Trajectory(tuple(rng.choices(steps, k=rng.randint(0, 6))), rng.choice((3, None)))
+                    for _ in range(rng.randint(1, 5))
+                ]
+                # no item has id 0, which a filler holds, so the separator lands there
+                expected = brute_force_core(family, phi, strip)
+                for made in (SuccessSet.from_iterable(family), SuccessSet(tuple(family))):
+                    assert sequence_graph(table.words(made), table).core() == expected
+            assert len(table.names) == 0x10206  # every symbol was interned beforehand
+
+
 @pytest.mark.parametrize("family", [
     # 1 < "a" raises, but the sort by pairs() never compares these two items
     [Trajectory(((0, 0), (1, "a")), 5), Trajectory(((0, 1), (1, 2)), 5)],
