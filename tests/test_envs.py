@@ -14,6 +14,7 @@ from trajcore import (
     core,
     enumerate_successes,
     episode_cores,
+    formats,
     is_subsequence,
     validate_game,
     validate_mdp,
@@ -169,6 +170,108 @@ def test_coop_abstraction_is_total_over_states_and_terminals():
             assert (state, a1) in phi.mapping
     for goal in game.goals:
         assert phi.mapping[(goal, -1)] == "terminal"
+
+
+# ---------------------------------------------------------------------------
+# pinned payloads: every row and every symbol, reachable or not
+# ---------------------------------------------------------------------------
+
+# layout -> sha256 of the canonical mdp and abstraction payloads
+KEYDOOR_PAYLOADS = {
+    DEFAULT_KEYDOOR: (
+        "5edde29bf8fd9f73e36b3a810a2815eb79477ebb9313a02329fd82710b87defe",
+        "c9e5d9e61644e37354555bdcdfa0e50d10f97e1e5736bcc1e8528eb9157a1246",
+    ),
+    # mirrored: the goal lies left of the door
+    KeyDoorConfig(corridor_length=6, key_pos=5, door_pos=3, goal_pos=0, start_pos=4, horizon=12): (
+        "51ec15515b50f6f5eb8c8a857ddad1283251c0827f574c8147c371bf60003ceb",
+        "7abcb4ea14aa8811990ed79bfdcafe31d9b3ada49518cce5a2c32f3a54a8face",
+    ),
+    KeyDoorConfig(corridor_length=3, key_pos=0, door_pos=1, goal_pos=2, start_pos=0, horizon=5): (
+        "8bfb0e4c070582e12d27b7ea45af81eea877a312aa53804aaff6e6d541cfbeee",
+        "2173550935ec5641d6bbe401d27a73086442d5dc8500231c8f599217bd7e0b85",
+    ),
+    KeyDoorConfig(corridor_length=7, key_pos=2, door_pos=4, goal_pos=6, start_pos=0, horizon=11): (
+        "3712d5e15a3b587754142fe9850e646a42efb4972ef87cb9b19e54e64a36e064",
+        "84ba789cebf30e910f45d7bb31e0e7a336f50e49c4c6f9a68960b6e3d0e2ddd1",
+    ),
+    KeyDoorConfig(corridor_length=5, key_pos=3, door_pos=2, goal_pos=0, start_pos=4, horizon=8): (
+        "6751a6e3b4802d557294e7607bb28ea5e27cd7ebde39361cbcdcfc02403bade1",
+        "2c339cf8ad925fd06dfb02d737f10f41319b41c993f7adca504f9884e4d9d483",
+    ),
+}
+
+# layout -> sha256 of the canonical game, peer_schedule and abstraction payloads
+COOP_PAYLOADS = {
+    DEFAULT_COOP: (
+        "cf38b8462ad0657d4fd40547f20d608a21f138eda60f1b07491aa0280e812235",
+        "b724bc1714437a4cb43f47f2ab2339b20bf930560ffdc2f7bf46ff5aeda0cd1b",
+        "2c379c66d4b4e7c270d128f444b24a770620d8486a931c87618daee2265b595f",
+    ),
+    CoopKeyDoorConfig(
+        corridor_length=5, key_pos=0, door_pos=2, goal_pos=3, start_pos=0, peer_start=1,
+        horizon=9, peer_modes=("helper", "independent", "helper"),
+    ): (
+        "284ed925b5ec734e7c2996a713439b198f49e0ee4381401924d28246221b3043",
+        "96bc221ae6f74bc128b51d105c0c0cdf30dd953fb1e3fc167cd5e2a9abed5337",
+        "a5a5914a26be1473f91865049112b80697d7a4c0ece92ad8f3605ec4e186befe",
+    ),
+    CoopKeyDoorConfig(
+        corridor_length=6, key_pos=0, door_pos=3, goal_pos=5, start_pos=1, peer_start=2,
+        horizon=12, peer_modes=("independent", "helper", "helper"),
+    ): (
+        "53f51d5409267492f9d05dc81f9753c00a5b00399c1dbaaad8ecea40153f7f64",
+        "94671f6600da28dcda287c502c5019a59524c93db37173dea50eee084140a5d8",
+        "3c282619587ff2555b3c1d151819332a1b75844f42cf989d32063f426fa7edf9",
+    ),
+    # the focal agent starts left of the key, and the peer on the door cell
+    CoopKeyDoorConfig(
+        corridor_length=6, key_pos=2, door_pos=3, goal_pos=4, start_pos=0, peer_start=3, horizon=10,
+    ): (
+        "5243b7671fc466ca967bcec8fed33aa7cbcc9bf8f4859052232a6c41984b8d81",
+        "72f9f12b1c8ab6d3c31a066fa3f9f24d0003309fe525828a1409dca36f34ed80",
+        "5c4d892824db11d855900c56493928fb7dcc30ace5ed9daa1f1ebb9b587ed6f5",
+    ),
+    CoopKeyDoorConfig(
+        corridor_length=7, key_pos=1, door_pos=4, goal_pos=6, start_pos=3, peer_start=1,
+        horizon=12, peer_modes=("independent", "helper"),
+    ): (
+        "283da94b877111a587b6831eaf2943c7af2f7d265445c1d1d1001dd43341e3c2",
+        "6b4bbb073f871871cb62c05ce62278237bb83882611757f0e3eac9bdc86a531e",
+        "bc068b06a9ea5ea3ec0fc3a23f5344afb223688a483e50099cba3320224f68fd",
+    ),
+    CoopKeyDoorConfig(
+        corridor_length=8, key_pos=1, door_pos=5, goal_pos=7, start_pos=3, peer_start=2, horizon=14,
+    ): (
+        "bc587dc535b35138300ec349f1617f5b8ba1e468eb5ab2d7f86489046f6730a9",
+        "3d1f459e75922864272f3140c30c7e966ceb760b75804e0929ba25ec3433e150",
+        "7dd6fb2c6e8c85d133c6f4618dff4427d45dfa17047565787af029385b75dfd3",
+    ),
+}
+
+
+def _layout_id(cfg) -> str:
+    peer = f"p{cfg.peer_start}-{'-'.join(cfg.peer_modes)}" if hasattr(cfg, "peer_start") else ""
+    return (f"L{cfg.corridor_length}k{cfg.key_pos}d{cfg.door_pos}g{cfg.goal_pos}"
+            f"s{cfg.start_pos}{peer}H{cfg.horizon}")
+
+
+@pytest.mark.parametrize("cfg", KEYDOOR_PAYLOADS, ids=_layout_id)
+def test_keydoor_payloads_are_pinned(cfg):
+    mdp, phi = build_keydoor(cfg)
+    got = (formats.digest(formats.mdp_to_payload(mdp)), formats.digest(formats.abstraction_to_payload(phi)))
+    assert got == KEYDOOR_PAYLOADS[cfg]
+
+
+@pytest.mark.parametrize("cfg", COOP_PAYLOADS, ids=_layout_id)
+def test_coop_payloads_are_pinned(cfg):
+    game, schedule, phi = build_coop_keydoor(cfg)
+    got = (
+        formats.digest(formats.game_to_payload(game)),
+        formats.digest(formats.schedule_to_payload(schedule)),
+        formats.digest(formats.abstraction_to_payload(phi)),
+    )
+    assert got == COOP_PAYLOADS[cfg]
 
 
 # ---------------------------------------------------------------------------
