@@ -200,10 +200,13 @@ def cmd_gen(args, inputs):
         }
     payloads["phi"] = formats.abstraction_to_payload(phi)
     prefix = args.prefix or args.env_kind.replace("-", "_")
-    written = []
-    for name, file_payload in payloads.items():
-        written.append(os.path.join(args.out_dir or ".", f"{prefix}.{name}.json"))
-        formats.write_json(written[-1], file_payload)
+    written = [os.path.join(args.out_dir or ".", f"{prefix}.{name}.json") for name in payloads]
+    # a target that is a directory fails before any file is written
+    for path in written:
+        if os.path.isdir(path):
+            raise OutputError(path, f"cannot write: Is a directory: {path}")
+    for path, file_payload in zip(written, payloads.values()):
+        formats.write_json(path, file_payload)
     payload = {
         "format": "gen",
         "version": formats.FORMAT_VERSION,

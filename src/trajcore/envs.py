@@ -12,11 +12,20 @@ open the door from the door cell.  While the door is closed the focal agent
 cannot enter the door cell, so it cannot hand the key over directly; it must
 leave it on the floor.  Whether the peer fetches the untouched key itself or
 only ever collects keys dropped by the focal agent is purely a property of
-the peer's policy, which is exactly what the episode schedules vary.
+the peer's policy, which is exactly what the episode schedules vary; the two
+scripted peers, helper and independent, differ in that one decision.
+
+Each option symbol names the change its step makes: find_key picks up the
+untouched key, reach_door enters the closed door cell with the key,
+open_door opens the door, and drop_key_for_peer drops the held key.  A
+cooperative focal step that changes no key is named by where the
+key-carrying peer stands (peer_reaches_door, peer_opens_door); any other
+step is move.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -36,7 +45,6 @@ from .mdp import (
 from .mining import Abstraction
 
 LEFT, RIGHT, INTERACT = 0, 1, 2
-SWAP = 2  # focal pick-or-drop action in the cooperative game
 USE = 2  # peer pick-or-open action
 
 HELPER = "helper"
@@ -121,7 +129,7 @@ def shortest_solution_actions(cfg: KeyDoorConfig) -> int:
     )
 
 
-def keydoor_state(cfg: KeyDoorConfig, pos: int, has_key: bool, door_open: bool) -> int:
+def keydoor_state(pos: int, has_key: bool, door_open: bool) -> int:
     return (pos * 2 + int(has_key)) * 2 + int(door_open)
 
 
@@ -133,8 +141,9 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
     """Deterministic corridor MDP plus its option-level abstraction.
 
     State is (position, has_key, door_open); actions are LEFT, RIGHT,
-    INTERACT.  Every successful trajectory's abstraction embeds
-    find_key -> reach_door -> open_door in order.
+    INTERACT.  Each pair is named by the change its step makes, and every
+    successful trajectory's abstraction embeds find_key -> reach_door ->
+    open_door in order.
     """
     direction = _check_keydoor(cfg)
     min_actions = shortest_solution_actions(cfg)
@@ -147,7 +156,7 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
     length = cfg.corridor_length
     num_states = length * 4
     num_actions = 3
-    goal_state = keydoor_state(cfg, cfg.goal_pos, True, True)
+    goal_state = keydoor_state(cfg.goal_pos, True, True)
 
     def step(pos: int, has_key: bool, door_open: bool, action: int):
         if action in (LEFT, RIGHT):
@@ -170,19 +179,32 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
 
     kernel = _zeros((num_states, num_actions, num_states))
     reward = np.zeros((num_states, num_actions))
+    mapping: dict[tuple[int, int], str] = {}
     for state in range(num_states):
         pos, has_key, door_open = keydoor_decode(state)
         for action in range(num_actions):
             if state == goal_state:
-                nxt_state = state
+                nxt = pos, has_key, door_open
             else:
-                nxt_state = keydoor_state(cfg, *step(pos, has_key, door_open, action))
+                nxt = step(pos, has_key, door_open, action)
+            nxt_state = keydoor_state(*nxt)
             kernel[state, action, nxt_state] = 1.0
             if state != goal_state and nxt_state == goal_state:
                 reward[state, action] = 1.0
+            nxt_pos, nxt_key, nxt_open = nxt
+            symbol = "move"
+            if nxt_key and not has_key:
+                symbol = "find_key"
+            elif nxt_open and not door_open:
+                symbol = "open_door"
+            elif has_key and not door_open and nxt_pos == cfg.door_pos and pos != cfg.door_pos:
+                symbol = "reach_door"
+            mapping[(state, action)] = symbol
+    mapping[(goal_state, TERMINAL)] = "terminal"
+    phi = Abstraction(mapping=mapping, label="keydoor")
 
     initial = np.zeros(num_states)
-    initial[keydoor_state(cfg, cfg.start_pos, False, False)] = 1.0
+    initial[keydoor_state(cfg.start_pos, False, False)] = 1.0
     mdp = TabularMDP(
         num_states=num_states,
         num_actions=num_actions,
@@ -194,26 +216,6 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
         goal_absorbing=True,
     )
     validate_mdp(mdp)
-
-    mapping: dict[tuple[int, int], str] = {}
-    for state in range(num_states):
-        pos, has_key, door_open = keydoor_decode(state)
-        for action in range(num_actions):
-            symbol = "move"
-            if action == INTERACT and pos == cfg.key_pos and not has_key:
-                symbol = "find_key"
-            elif action == INTERACT and pos == cfg.door_pos and has_key and not door_open:
-                symbol = "open_door"
-            elif (
-                has_key
-                and not door_open
-                and pos == cfg.door_pos - direction
-                and action == (RIGHT if direction == 1 else LEFT)
-            ):
-                symbol = "reach_door"
-            mapping[(state, action)] = symbol
-    mapping[(goal_state, TERMINAL)] = "terminal"
-    phi = Abstraction(mapping=mapping, label="keydoor")
     return mdp, phi
 
 
@@ -223,7 +225,7 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
 
 
 class _CoopLayout:
-    """Index arithmetic and joint dynamics for one cooperative layout.
+    """Index arithmetic and each agent's effect for one cooperative layout.
 
     Key location encoding: 0..L-1 means "dropped on the floor at that cell",
     L means the untouched original spot (at key_pos), L+1 held by the focal
@@ -245,13 +247,6 @@ class _CoopLayout:
     def encode(self, f: int, p: int, k: int, d: int) -> int:
         return ((f * self.length + p) * self.num_key_locs + k) * 2 + d
 
-    def decode(self, state: int) -> tuple[int, int, int, int]:
-        d = state % 2
-        state //= 2
-        k = state % self.num_key_locs
-        state //= self.num_key_locs
-        return state // self.length, state % self.length, k, d
-
     def floor_cell(self, k: int) -> int | None:
         """Cell index of a key lying on the floor, or None if carried."""
         if k < self.length:
@@ -260,77 +255,53 @@ class _CoopLayout:
             return self.cfg.key_pos
         return None
 
-    def focal_effect(self, f: int, p: int, k: int, d: int, a1: int):
-        cfg = self.cfg
+    def focal_effect(self, f: int, k: int, d: int, a1: int) -> tuple[int, int]:
+        """The focal cell and key location after the focal action ``a1``."""
         if a1 in (LEFT, RIGHT):
             nxt = f + (1 if a1 == RIGHT else -1)
             if not 0 <= nxt < self.length:
                 nxt = f
-            if not d and nxt == cfg.door_pos:
+            if not d and nxt == self.cfg.door_pos:
                 nxt = f
-            return nxt, p, k, d
-        # SWAP: pick up a floor key here, else drop a held key here
-        cell = self.floor_cell(k)
-        if cell is not None and cell == f:
-            return f, p, self.held_focal, d
+            return nxt, k
+        # the third action: pick up a floor key here, else drop a held key here
+        if self.floor_cell(k) == f:
+            return f, self.held_focal
         if k == self.held_focal:
-            return f, p, f, d
-        return f, p, k, d
+            return f, f
+        return f, k
 
-    def peer_effect(self, f: int, p: int, k: int, d: int, a2: int):
-        cfg = self.cfg
+    def peer_effect(self, p: int, k: int, d: int, a2: int) -> tuple[int, int, int]:
+        """The peer cell, key location and door after the peer action ``a2``."""
         if a2 in (LEFT, RIGHT):
             nxt = p + (1 if a2 == RIGHT else -1)
             nxt = min(max(nxt, self.peer_lo), self.peer_hi)
-            return f, nxt, k, d
+            return nxt, k, d
         # USE: pick up a floor key here, else open the door
-        cell = self.floor_cell(k)
-        if cell is not None and cell == p:
-            return f, p, self.held_peer, d
-        if k == self.held_peer and p == cfg.door_pos and not d:
-            return f, p, k, 1
-        return f, p, k, d
+        if self.floor_cell(k) == p:
+            return p, self.held_peer, d
+        if k == self.held_peer and p == self.cfg.door_pos and not d:
+            return p, k, 1
+        return p, k, d
 
-    def joint_step(self, state: int, a1: int, a2: int) -> int:
-        f, p, k, d = self.decode(state)
-        if f == self.cfg.goal_pos:
-            return state
-        f, p, k, d = self.focal_effect(f, p, k, d, a1)
-        f, p, k, d = self.peer_effect(f, p, k, d, a2)
-        return self.encode(f, p, k, d)
+    def peer_action(self, p: int, k: int, fetches: bool) -> int:
+        """The scripted peer: carry a held key to the door and open it, else fetch a floor key.
 
-    def is_goal(self, state: int) -> bool:
-        return self.decode(state)[0] == self.cfg.goal_pos
-
-    def helper_action(self, state: int) -> int:
-        """Scripted peer that only ever collects keys dropped by the focal agent."""
-        _f, p, k, d = self.decode(state)
+        Its one switch: only a peer that ``fetches`` (independent) goes for the
+        untouched key; the helper instead waits while the focal agent holds it.
+        """
         if k == self.held_peer:
             if p < self.cfg.door_pos:
                 return RIGHT
             return USE
-        if k < self.length and self.peer_lo <= k <= self.peer_hi:
-            if p == k:
-                return USE
-            return RIGHT if k > p else LEFT
-        if k == self.held_focal:
-            # hands ready: catches a key dropped at this cell in the same step
-            return USE
-        return LEFT  # wait near the range floor
-
-    def independent_action(self, state: int) -> int:
-        """Scripted peer that fetches the key itself, wherever it lies."""
-        _f, p, k, d = self.decode(state)
-        if k == self.held_peer:
-            if p < self.cfg.door_pos:
-                return RIGHT
-            return USE
-        cell = self.floor_cell(k)
+        cell = self.floor_cell(k) if fetches or k != self.orig else None
         if cell is not None and self.peer_lo <= cell <= self.peer_hi:
             if p == cell:
                 return USE
             return RIGHT if cell > p else LEFT
-        return LEFT
+        if k == self.held_focal and not fetches:
+            return USE  # hands ready: catches a key dropped at this cell in the same step
+        return LEFT  # wait near the range floor
 
 
 def _check_coop(cfg: CoopKeyDoorConfig) -> None:
@@ -355,8 +326,8 @@ def build_coop_keydoor(
     """Cooperative corridor game, scripted peer schedule, and abstraction.
 
     Under the helper peer every success requires the focal agent to leave the
-    key on the floor and the peer to carry it to the door and open it; under
-    the independent peer the door still gets opened but successes that skip
+    key on the floor and the peer to carry it to the door and open it; the
+    independent peer also fetches the untouched key, so successes that skip
     the hand-off exist.  Raises :class:`ConfigError` if any scheduled episode
     admits no success within the horizon.
     """
@@ -367,20 +338,43 @@ def build_coop_keydoor(
     # deterministic dynamics: each (state, a1, a2) row holds one entry, 1.0
     successors = _zeros((num_states, 3, 3), np.int64)
     reward = np.zeros((num_states, 3, 3))
-    goals = frozenset(s for s in range(num_states) if layout.is_goal(s))
-    for state in range(num_states):
+    policies = {mode: np.zeros((num_states, 3)) for mode in cfg.peer_modes}
+    mapping: dict[tuple[int, int], str] = {}
+    goals = []
+    states = product(range(layout.length), range(layout.length), range(layout.num_key_locs), (0, 1))
+    for state, (f, p, k, d) in enumerate(states):  # ascending, as encode numbers them
+        for mode, probs in policies.items():
+            probs[state, layout.peer_action(p, k, fetches=mode == INDEPENDENT)] = 1.0
+        if f == cfg.goal_pos:
+            goals.append(state)
+            successors[state] = state
+            mapping.update({(state, a1): "move" for a1 in range(3)})
+            mapping[(state, TERMINAL)] = "terminal"
+            continue
+        peer_symbol = "move"
+        if k == layout.held_peer and not d and p == cfg.door_pos - 1:
+            peer_symbol = "peer_reaches_door"
+        elif k == layout.held_peer and not d and p == cfg.door_pos:
+            peer_symbol = "peer_opens_door"
         for a1 in range(3):
+            f1, k1 = layout.focal_effect(f, k, d, a1)
+            symbol = peer_symbol
+            if k == layout.orig and k1 == layout.held_focal:
+                symbol = "find_key"
+            elif k == layout.held_focal and k1 != layout.held_focal:
+                symbol = "drop_key_for_peer"
+            mapping[(state, a1)] = symbol
+            if f1 == cfg.goal_pos:
+                reward[state, a1] = 1.0
             for a2 in range(3):
-                nxt = layout.joint_step(state, a1, a2)
-                successors[state, a1, a2] = nxt
-                if state not in goals and nxt in goals:
-                    reward[state, a1, a2] = 1.0
+                successors[state, a1, a2] = layout.encode(f1, *layout.peer_effect(p, k1, d, a2))
     kernel = KernelRows(
         (num_states, 3, 3, num_states),
         offsets=np.arange(successors.size + 1),
         targets=successors.ravel(),
         probs=np.ones(successors.size),
     )
+    phi = Abstraction(mapping=mapping, label="coop-keydoor")
 
     initial = np.zeros(num_states)
     initial[layout.encode(cfg.start_pos, cfg.peer_start, layout.orig, 0)] = 1.0
@@ -391,39 +385,15 @@ def build_coop_keydoor(
         joint_kernel=kernel,
         reward_1=reward,
         horizon=cfg.horizon,
-        goals=goals,
+        goals=frozenset(goals),
         initial=initial,
     )
     validate_game(game)
 
-    scripts = {HELPER: layout.helper_action, INDEPENDENT: layout.independent_action}
-    schedule = []
-    for episode, mode in enumerate(cfg.peer_modes, start=1):
-        probs = np.zeros((num_states, 3))
-        script = scripts[mode]
-        for state in range(num_states):
-            probs[state, script(state)] = 1.0
-        schedule.append(PeerPolicy(probs=probs, label=f"{mode}-e{episode}"))
-
-    mapping: dict[tuple[int, int], str] = {}
-    for state in range(num_states):
-        f, p, k, d = layout.decode(state)
-        for a1 in range(3):
-            symbol = "move"
-            if f != cfg.goal_pos:
-                if k == layout.orig and f == cfg.key_pos and a1 == SWAP:
-                    symbol = "find_key"
-                elif k == layout.held_focal and a1 == SWAP:
-                    symbol = "drop_key_for_peer"
-                elif k == layout.held_peer and not d and p == cfg.door_pos - 1:
-                    symbol = "peer_reaches_door"
-                elif k == layout.held_peer and not d and p == cfg.door_pos:
-                    symbol = "peer_opens_door"
-            mapping[(state, a1)] = symbol
-    for goal in goals:
-        mapping[(goal, TERMINAL)] = "terminal"
-    phi = Abstraction(mapping=mapping, label="coop-keydoor")
-
+    schedule = [
+        PeerPolicy(probs=policies[mode], label=f"{mode}-e{episode}")
+        for episode, mode in enumerate(cfg.peer_modes, start=1)
+    ]
     for mode, peer in zip(cfg.peer_modes, schedule):
         if not goal_reachable(_fold_peer(game, peer)):
             raise ConfigError(

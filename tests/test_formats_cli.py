@@ -565,6 +565,23 @@ def test_cli_output_that_cannot_be_written_exits_7(tmp_path, capsys, keydoor, ar
     assert sorted(os.listdir(tmp_path)) == before and os.listdir(paths["dir"]) == []
 
 
+
+def test_gen_that_cannot_write_a_target_writes_no_file(tmp_path, capsys):
+    # the phi target is a directory, so no payload may be written, not even the mdp before it
+    cfg = tmp_path / "cfg.json"
+    formats.write_json(str(cfg), formats.keydoor_config_to_payload(DEFAULT_KEYDOOR))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "kd.phi.json").mkdir()
+    (out_dir / "kd.mdp.json").write_bytes(b"known bytes\n")
+    assert main(["gen", "keydoor", str(cfg), "--out-dir", str(out_dir), "--prefix", "kd"]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("trajcore: output error: ") and "Traceback" not in err
+    assert str(out_dir / "kd.phi.json") in err
+    assert (out_dir / "kd.mdp.json").read_bytes() == b"known bytes\n"
+    assert sorted(os.listdir(out_dir)) == ["kd.mdp.json", "kd.phi.json"]
+    assert os.listdir(out_dir / "kd.phi.json") == []
+
 def test_cli_env_budget_override(tmp_path, capsys, monkeypatch):
     mdp, _ = build_keydoor(DEFAULT_KEYDOOR)
     good = tmp_path / "good.json"

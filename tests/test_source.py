@@ -79,6 +79,27 @@ def test_every_private_function_is_used_outside_its_own_def():
     assert unused == []
 
 
+def test_every_function_parameter_is_read():
+    # a parameter that nothing reads is dead API; dunder methods and the cmd_* handlers
+    # take the signatures that the descriptor protocol and the dispatcher fix
+    unread = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if (name.startswith("__") and name.endswith("__")) or name.startswith("cmd_"):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+            read = {sub.id for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno}:{name}({arg.arg})"
+                       for arg in params if arg is not None and arg.arg not in read]
+    assert unread == []
+
+
 def test_every_module_level_name_is_used_outside_its_own_definition():
     # a name that nothing reads, not even a test or a script, is dead code
     root = Path(__file__).resolve().parents[1]
