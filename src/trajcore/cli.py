@@ -201,10 +201,9 @@ def cmd_gen(args, inputs):
     payloads["phi"] = formats.abstraction_to_payload(phi)
     prefix = args.prefix or args.env_kind.replace("-", "_")
     written = [os.path.join(args.out_dir or ".", f"{prefix}.{name}.json") for name in payloads]
-    # a target that is a directory fails before any file is written
+    # a target that is a directory, a FIFO or a device fails before any file is written
     for path in written:
-        if os.path.isdir(path):
-            raise OutputError(path, f"cannot write: Is a directory: {path}")
+        formats.output_target(path)
     for path, file_payload in zip(written, payloads.values()):
         formats.write_json(path, file_payload)
     payload = {
@@ -393,7 +392,14 @@ def main(argv=None) -> int:
     except (AssertionError, TrajcoreError) as exc:
         print(f"trajcore: internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe, a full device
+        # what is left in stdout's buffer goes to the null device at exit, not to a second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"trajcore: output error: {exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     return EXIT_OK
 
 

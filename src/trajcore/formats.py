@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import stat
 import tempfile
 from contextlib import contextmanager
 from dataclasses import MISSING, fields
@@ -56,15 +57,35 @@ def file_digest(path: str) -> str:
         return hashlib.sha256(handle.read()).hexdigest()
 
 
+def output_target(path: str) -> str:
+    """The file that a write to ``path`` replaces: ``path`` with its links resolved.
+
+    An existing target that is not a regular file, such as a directory, a
+    FIFO or a device, is an :class:`OutputError`, so no write replaces it.
+    """
+    target = os.path.realpath(path)
+    try:
+        mode = os.stat(target).st_mode
+    except OSError:  # no file there yet, or none can be: the write says why
+        return target
+    if not stat.S_ISREG(mode):
+        kind = "Is a directory" if stat.S_ISDIR(mode) else "not a regular file"
+        raise OutputError(path, f"cannot write: {kind}: {path}")
+    return target
+
+
 def write_json(path: str, payload: Any) -> None:
     """Atomic canonical write: temp file in the target directory, then rename.
 
-    The file gets mode ``0o666 & ~umask``, as ``open`` would give it.  Any
-    ``OSError`` on the way is an :class:`OutputError` that names the path.
+    The target is :func:`output_target`, so a symbolic link keeps its place
+    and its target gets the new bytes.  The file gets mode
+    ``0o666 & ~umask``, as ``open`` would give it.  Any ``OSError`` on the
+    way is an :class:`OutputError` that names the path.
     """
-    directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
+        target = output_target(path)
+        directory = os.path.dirname(target)
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
@@ -72,7 +93,7 @@ def write_json(path: str, payload: Any) -> None:
         umask = os.umask(0)  # the only way to read it; put back at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)

@@ -185,7 +185,9 @@ class Symbols:
         a sequence (a trajectory's steps, then its terminal pair), with the
         ids that :meth:`label` makes ε dropped.  Code-point order is the
         order of the id tuples, and a string caches its hash, so the words
-        are deduplicated in a set and sorted at C speed.  A
+        are deduplicated in arrival order (a dict, not a set, so a success
+        set's nearly sorted words reach the sort as few runs, not in hash
+        order) and sorted at C speed.  A
         :class:`~trajcore.mdp.SuccessSet` under an abstraction without a
         mapping has them made from its encoding, if it keeps one: each of
         its items goes through :meth:`of` once, in the order the per-item
@@ -207,21 +209,24 @@ class Symbols:
         if encoding is None:
             raw = self._listed(items)
         elif not items.trajectories:  # "" is also the string of one empty trajectory
-            raw = set()
+            raw = {}
         else:
             table = list(map(self.of, encoding[0]))
             gap = min(set(range(len(table) + 1)).difference(table))
             table.append(gap)
-            raw = set(encoding[1].translate(table).split(chr(gap)))
+            raw = dict.fromkeys(encoding[1].translate(table).split(chr(gap)))
         if self.phi.collapse_runs or any(self.stripped):
-            raw = {self._drop_eps(word) for word in raw}
+            raw = dict.fromkeys(map(self._drop_eps, raw))
         return sorted(raw)
 
-    def _listed(self, items) -> set[str]:
-        """The raw words of ``items``, sequence by sequence: the per-item path of :meth:`words`."""
+    def _listed(self, items) -> dict[str, None]:
+        """The raw words of ``items``, sequence by sequence: the per-item path of :meth:`words`.
+
+        A dict keeps them as a set in arrival order.
+        """
         known = self._items.__getitem__
         pairs_only = self.phi.mapping is not None
-        raw = set()
+        raw = {}
         for item in items:
             seq = item
             if isinstance(item, Trajectory):
@@ -236,9 +241,9 @@ class Symbols:
                         self.phi.image(x)  # raises UnmappedSymbol
                     self.of(x)
             try:
-                raw.add("".join(map(known, seq)))
+                raw["".join(map(known, seq))] = None
             except (KeyError, TypeError):  # an item not seen yet, or a list
-                raw.add("".join(map(chr, map(self.of, seq))))
+                raw["".join(map(chr, map(self.of, seq)))] = None
         return raw
 
     def _drop_eps(self, word: str) -> str:

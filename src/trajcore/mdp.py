@@ -418,16 +418,18 @@ class SuccessSet:
         Of two trajectories with equal ``pairs()``, one that ends in a step
         whose action is ``TERMINAL`` and one that ends in that terminal
         pair, the terminated one comes first.  The trajectories are
-        deduplicated in a set, the terminated ones put first (a stable
-        partition, whose tie order each stable sort below keeps), and
-        encoded, then sorted by their code strings with each code replaced
+        deduplicated in arrival order (a dict keeps the first of equal
+        ones, as a set would, and the sorts below start from the caller's
+        order, often sorted already, not from hash order), the terminated
+        ones put first (a stable partition, whose tie order each stable sort
+        below keeps), and encoded, then sorted by their code strings with each code replaced
         by the rank of its item, which orders them as their ``pairs()``
         would.  The encoding is then renumbered in the order the items are
         first met along the sorted trajectories, and kept.  When the items
         cannot be encoded, or ``<`` does not rank them strictly, the set is
         sorted by ``pairs()`` and keeps no encoding.
         """
-        unique = sorted(set(trajectories), key=operator.attrgetter("terminated"), reverse=True)
+        unique = sorted(dict.fromkeys(trajectories), key=operator.attrgetter("terminated"), reverse=True)
         encoding = _encode(unique)
         ranked = None if encoding is None else _ranked(encoding[0])
         if ranked is None:

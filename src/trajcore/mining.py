@@ -14,7 +14,9 @@ as a tuple.  A mapping's keys must be pairs.
 one dict pass per sequence, or, for a :class:`~trajcore.mdp.SuccessSet`
 under an abstraction without a mapping, one translation of the set's
 encoding.  The words are strings of code points, one character per symbol
-id, which are deduplicated and sorted as strings.  :func:`core` builds
+id, which are deduplicated in arrival order and sorted as strings, so
+words that arrive nearly sorted, as a success set's do, reach the sort as
+few runs.  :func:`core` builds
 the minimal DAG of the distinct words top-down, one expansion per distinct
 suffix set (:func:`~trajcore.graph.sequence_graph`), and mines it with the
 same maximal-subsequence search as the support graph of an MDP (see

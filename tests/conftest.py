@@ -81,10 +81,12 @@ def oracle_enumerate(mdp: TabularMDP) -> SuccessSet:
 def oracle_canonical(trajectories) -> tuple[Trajectory, ...]:
     """The order of ``SuccessSet.from_iterable`` by one plain sort, with no encoding.
 
-    Deduplicate in a set, then sort by ``pairs()`` as tuples; of two
-    trajectories with equal pairs, the terminated one comes first.
+    Deduplicate in arrival order, then sort by ``pairs()`` as tuples; of two
+    trajectories with equal pairs, the terminated one comes first.  Items
+    that ``<`` cannot rank, such as NaN, are left in the order the sort
+    meets them, so both sorts must start from the same order.
     """
-    return tuple(sorted(set(trajectories), key=lambda traj: (traj.pairs(), not traj.terminated)))
+    return tuple(sorted(dict.fromkeys(trajectories), key=lambda traj: (traj.pairs(), not traj.terminated)))
 
 
 def _int_forms(value: int):

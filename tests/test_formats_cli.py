@@ -394,6 +394,23 @@ def test_the_module_entry_point_exits_with_the_code_of_main():
     assert json.loads(done.stdout)["results"]["agreements"] == 3
 
 
+def test_a_report_that_cannot_reach_stdout_exits_7():
+    # the pipe's reader is gone before the process starts, so printing the report fails
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "trajcore.cli", "oracle-check", "--trials", "1"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 7, done.stderr
+    assert done.stderr.startswith("trajcore: output error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
 def test_cli_oracle_disagreement_exits_internal_even_under_optimize():
     # under -O a bare assert would vanish and the run would exit 0
     script = (
@@ -545,16 +562,18 @@ def test_cli_gen_of_a_layout_too_large_to_allocate_exits_5(tmp_path, capsys, kin
         (["enumerate", "{mdp}", "--out", "{dir}"], "{dir}"),
         (["enumerate", "{mdp}", "--out", "{file}/x.json"], "{file}"),
         (["gen", "keydoor", "{cfg}", "--out-dir", "{file}"], "{file}"),
+        (["enumerate", "{mdp}", "--out", "{fifo}"], "{fifo}"),
     ],
-    ids=["out-is-a-directory", "out-under-a-file", "out-dir-is-a-file"],
+    ids=["out-is-a-directory", "out-under-a-file", "out-dir-is-a-file", "out-is-a-fifo"],
 )
 def test_cli_output_that_cannot_be_written_exits_7(tmp_path, capsys, keydoor, argv, blocked):
     paths = {"mdp": tmp_path / "m.json", "cfg": tmp_path / "cfg.json",
-             "dir": tmp_path / "adir", "file": tmp_path / "afile"}
+             "dir": tmp_path / "adir", "file": tmp_path / "afile", "fifo": tmp_path / "afifo"}
     formats.write_json(str(paths["mdp"]), formats.mdp_to_payload(keydoor[0]))
     formats.write_json(str(paths["cfg"]), formats.keydoor_config_to_payload(DEFAULT_KEYDOOR))
     paths["dir"].mkdir()
     paths["file"].write_text("{}")
+    os.mkfifo(paths["fifo"])
     before = sorted(os.listdir(tmp_path))
     argv = [arg.format(**{k: str(v) for k, v in paths.items()}) for arg in argv]
     assert main(argv) == 7
@@ -563,6 +582,7 @@ def test_cli_output_that_cannot_be_written_exits_7(tmp_path, capsys, keydoor, ar
     assert blocked.format(**{k: str(v) for k, v in paths.items()}) in err
     # no temp file is left behind
     assert sorted(os.listdir(tmp_path)) == before and os.listdir(paths["dir"]) == []
+    assert stat.S_ISFIFO(os.lstat(paths["fifo"]).st_mode)  # not replaced by a regular file
 
 
 
@@ -581,6 +601,31 @@ def test_gen_that_cannot_write_a_target_writes_no_file(tmp_path, capsys):
     assert (out_dir / "kd.mdp.json").read_bytes() == b"known bytes\n"
     assert sorted(os.listdir(out_dir)) == ["kd.mdp.json", "kd.phi.json"]
     assert os.listdir(out_dir / "kd.phi.json") == []
+
+def test_out_through_a_symlink_writes_its_target_and_keeps_the_link(tmp_path, capsys, keydoor):
+    mdp_path, real, link = tmp_path / "m.json", tmp_path / "real.json", tmp_path / "link.json"
+    formats.write_json(str(mdp_path), formats.mdp_to_payload(keydoor[0]))
+    real.write_text("stale\n")
+    link.symlink_to(real.name)
+    assert main(["enumerate", str(mdp_path), "--out", str(link)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert real.read_text() == formats.canonical_json(report["results"]) + "\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "m.json", "real.json"]
+
+
+def test_gen_with_a_fifo_target_writes_no_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    formats.write_json(str(cfg), formats.keydoor_config_to_payload(DEFAULT_KEYDOOR))
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    os.mkfifo(out_dir / "kd.phi.json")
+    assert main(["gen", "keydoor", str(cfg), "--out-dir", str(out_dir), "--prefix", "kd"]) == 7
+    err = capsys.readouterr().err
+    assert err.startswith("trajcore: output error: ") and str(out_dir / "kd.phi.json") in err
+    assert os.listdir(out_dir) == ["kd.phi.json"]
+    assert stat.S_ISFIFO(os.lstat(out_dir / "kd.phi.json").st_mode)
+
 
 def test_cli_env_budget_override(tmp_path, capsys, monkeypatch):
     mdp, _ = build_keydoor(DEFAULT_KEYDOOR)

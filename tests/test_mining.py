@@ -501,14 +501,37 @@ class _EncodedOnly(Symbols):
 MAPLESS = [IDENTITY, Abstraction(collapse_runs=True, label="collapsed")]
 
 
+def _oracle_words(phi: Abstraction, strip: bool, known, seqs) -> list[str]:
+    """The sorted distinct words of ``seqs``, built item by item through a fresh table."""
+    fresh = Symbols(phi, strip)
+    for item in known:
+        fresh.of(item)
+    words = set()
+    for seq in seqs:
+        ids = [fresh.of(x) for x in seq]
+        words.add("".join(
+            chr(sid) for k, sid in enumerate(ids)
+            if not (strip and phi.is_terminal_symbol(fresh.names[sid]))
+            and not (phi.collapse_runs and k and ids[k - 1] == sid)
+        ))
+    return sorted(words)
+
+
+def _assert_oracle_words(words: list[str], phi: Abstraction, strip: bool, known, seqs) -> None:
+    assert all(a < b for a, b in zip(words, words[1:]))  # sorted, each word once
+    assert words == _oracle_words(phi, strip, known, seqs)
+
+
 def _assert_words_of_its_list(made: SuccessSet, phi: Abstraction, strip: bool, known=()) -> None:
     listed, encoded = Symbols(phi, strip), _EncodedOnly(phi, strip)
     for table in (listed, encoded):  # a table shared with earlier work holds their ids first
         for item in known:
             table.of(item)
-    assert encoded.words(made) == listed.words(list(made))
+    words = listed.words(list(made))
+    assert encoded.words(made) == words
     # phi met the items in the same order, so every symbol has the same id
     assert encoded.names == listed.names and encoded.stripped == listed.stripped
+    _assert_oracle_words(words, phi, strip, known, [traj.pairs() for traj in made])
 
 
 @settings(max_examples=200, deadline=None)
@@ -529,6 +552,20 @@ def test_the_words_of_a_success_set_are_those_of_its_list(family, direct, phi, s
 def test_the_words_of_an_enumerated_success_set_are_those_of_its_list(seed, phi, strip):
     successes = enumerate_successes(random_mdp(num_states=5, num_actions=2, horizon=5, seed=seed))
     _assert_words_of_its_list(successes, phi, strip)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(["u", "v", (1, 0), (2, TERMINAL)]), max_size=5).map(tuple),
+             min_size=1, max_size=5),
+    st.sampled_from(MAPLESS),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_the_words_of_a_listed_family_with_repeats_are_its_distinct_words(family, phi, strip, rnd):
+    listed = family * 3
+    rnd.shuffle(listed)
+    _assert_oracle_words(Symbols(phi, strip).words(listed), phi, strip, (), listed)
 
 
 def _assert_mined_as_listed(made: SuccessSet) -> None:
