@@ -373,9 +373,12 @@ def main(argv=None) -> int:
     inputs: dict[str, str] = {}
     try:
         results = args.func(args, inputs)
+        results_json = formats.canonical_json(results)
         if getattr(args, "out", None):
-            formats.write_json(args.out, results)
-        report = formats.build_report(command_echo, inputs, results, time.perf_counter() - start)
+            formats.write_canonical(args.out, results_json)
+        report = formats.build_report(
+            command_echo, inputs, results, results_json, time.perf_counter() - start
+        )
     except OutputError as exc:
         print(f"trajcore: output error: {exc}", file=sys.stderr)
         return EXIT_OUTPUT

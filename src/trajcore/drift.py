@@ -14,6 +14,12 @@ induced by the full-support uniform peer policy, i.e. the structure that
 survives every peer behavior the joint dynamics support; this definition is
 echoed in every report.
 
+An episode whose peer table equals an earlier one bit for bit induces the
+same MDP, so it costs nothing new: a schedule folds each distinct table once
+and its episodes share that one :class:`TabularMDP`, which one analysis
+validates and signs once.  Between two episodes that share it the kernel
+delta is 0.0.
+
 Nothing here lists successes.  Each episode, and the uniform peer's MDP, is
 mined on its support graph (:mod:`trajcore.graph`).  Index aside, a step
 depends only on its two support signatures, so one call mines each distinct
@@ -63,7 +69,12 @@ INDIVIDUAL_CORE_DEFINITION = (
 
 @dataclass(frozen=True, eq=False)
 class EpisodeSequence:
-    """A game plus one peer policy per episode, with induced MDPs materialized."""
+    """A game plus one peer policy per episode, with induced MDPs materialized.
+
+    Episodes whose peer tables have equal shapes and bytes share one induced
+    MDP object, folded at the first of them; labels play no part.  Its
+    fields are read-only, so sharing it is safe.
+    """
 
     game: MarkovGame
     schedule: tuple[PeerPolicy, ...]
@@ -77,8 +88,14 @@ class EpisodeSequence:
         if not schedule:
             raise ValueError("need at least one episode")
         validate_game(game)
-        induced = tuple(_fold_peer(game, peer) for peer in schedule)
-        return cls(game=game, schedule=schedule, induced=induced)
+        folded: dict = {}  # (shape, bytes) of a peer table -> its induced MDP
+        induced = []
+        for peer in schedule:
+            key = peer.probs.shape, peer.probs.tobytes()
+            if key not in folded:
+                folded[key] = _fold_peer(game, peer)
+            induced.append(folded[key])
+        return cls(game=game, schedule=schedule, induced=tuple(induced))
 
     @property
     def num_episodes(self) -> int:
@@ -197,9 +214,14 @@ def variation_budget(seq: EpisodeSequence) -> BudgetReport:
 
     Raises :class:`ValidationError`, naming the step, when a reward delta or
     the running total leaves the float range; a kernel delta is at most 2.
+    Between two episodes that share one induced MDP the kernel delta is 0.0
+    without a measurement: the value :func:`_rows_distance` gives for any
+    kernel that a validated game and peer fold into.
     """
     steps = list(zip(seq.induced, seq.induced[1:]))
-    kernel_deltas = tuple(_rows_distance(cur.rows, prev.rows) for prev, cur in steps)
+    kernel_deltas = tuple(
+        0.0 if cur is prev else _rows_distance(cur.rows, prev.rows) for prev, cur in steps
+    )
     reward_deltas = tuple(reward_distance(cur.reward, prev.reward) for prev, cur in steps)
     total = float(sum(kernel_deltas) + sum(reward_deltas))
     if not math.isfinite(total):
@@ -230,7 +252,8 @@ class _Support(NamedTuple):
 class _Mined:
     """The supports and support pairs of one analysis.
 
-    Each distinct support signature is built and mined once.  Each unordered
+    Each distinct MDP object is validated and signed once, and each distinct
+    support signature is built and mined once.  Each unordered
     pair of them is measured once, as the step from its lower to its higher
     number with index 0, and the other order reads that record with vanished
     and gained swapped.  Held by one call, so nothing outlives it.
@@ -241,17 +264,23 @@ class _Mined:
         self.node_budget = node_budget
         self.seq_budget = seq_budget
         self.supports: dict = {}  # signature -> _Support
+        self.mdps: dict = {}  # TabularMDP, which hashes by identity -> _Support
         self.pairs: dict = {}  # (lower number, higher number) -> DriftStep with index 0
 
     def episode(self, mdp: TabularMDP) -> _Support:
-        """Validate ``mdp``, mine it unless its signature is known, and return its support."""
-        validate_mdp(mdp)
-        key = support_signature(mdp)
-        if key not in self.supports:
-            graph = build_graph(mdp, self.symbols, self.node_budget)
-            core = graph.core(self.seq_budget) if graph.roots else None
-            self.supports[key] = _Support(len(self.supports), graph, core)
-        return self.supports[key]
+        """Validate ``mdp``, mine it unless its signature is known, and return its support.
+
+        An MDP object met before is neither validated nor signed again.
+        """
+        if mdp not in self.mdps:
+            validate_mdp(mdp)
+            key = support_signature(mdp)
+            if key not in self.supports:
+                graph = build_graph(mdp, self.symbols, self.node_budget)
+                core = graph.core(self.seq_budget) if graph.roots else None
+                self.supports[key] = _Support(len(self.supports), graph, core)
+            self.mdps[mdp] = self.supports[key]
+        return self.mdps[mdp]
 
     def individual(self, game: MarkovGame) -> CoreSet | None:
         """The core of the uniform peer's MDP; None when nothing succeeds under it."""
@@ -349,9 +378,11 @@ def drift_report(
     union of consecutive success sets, plus the literal core intersection),
     vanished and gained prototypes with certifying witnesses, the individual
     task core, the variation budget, and a per-step check that the shared
-    structure is embedded in the individual core.  Episodes with equal
-    support signatures share one graph and one core; a step between them
-    has their core as its common core and no vanished or gained prototype.
+    structure is embedded in the individual core.  Episodes that share an
+    induced MDP (bit-equal peer tables) share one validation and one support
+    signature.  Episodes with equal support signatures share one graph and
+    one core; a step between them has their core as its common core and no
+    vanished or gained prototype.
     """
     mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
     supports = [mined.episode(mdp) for mdp in seq.induced]

@@ -49,7 +49,11 @@ def canonical_json(payload: Any) -> str:
 
 
 def digest(payload: Any) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return _sha256(canonical_json(payload))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def file_digest(path: str) -> str:
@@ -75,7 +79,12 @@ def output_target(path: str) -> str:
 
 
 def write_json(path: str, payload: Any) -> None:
-    """Atomic canonical write: temp file in the target directory, then rename.
+    """Atomic canonical write of ``payload``: :func:`write_canonical` of its canonical JSON."""
+    write_canonical(path, canonical_json(payload))
+
+
+def write_canonical(path: str, text: str) -> None:
+    """Atomic write of ``text`` and a newline: temp file in the target directory, then rename.
 
     The target is :func:`output_target`, so a symbolic link keeps its place
     and its target gets the new bytes.  The file gets mode
@@ -89,7 +98,7 @@ def write_json(path: str, payload: Any) -> None:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
-            handle.write(canonical_json(payload) + "\n")
+            handle.write(text + "\n")
         umask = os.umask(0)  # the only way to read it; put back at once
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -512,8 +521,14 @@ def drift_to_payload(report: DriftReport) -> dict:
     }
 
 
-def build_report(command: list[str], inputs: "dict[str, str]", results: Any, elapsed: float) -> dict:
-    """Self-describing command report with input and result digests."""
+def build_report(
+    command: list[str], inputs: "dict[str, str]", results: Any, results_json: str, elapsed: float
+) -> dict:
+    """Self-describing command report with input and result digests.
+
+    ``results_json`` is :func:`canonical_json` of ``results``, made once by
+    the caller for the digest and for any ``--out`` file.
+    """
     return {
         "format": "report",
         "version": FORMAT_VERSION,
@@ -521,6 +536,6 @@ def build_report(command: list[str], inputs: "dict[str, str]", results: Any, ela
         "command": list(command),
         "inputs": dict(sorted(inputs.items())),
         "results": results,
-        "results_digest": digest(results),
+        "results_digest": _sha256(results_json),
         "timing_s": round(elapsed, 6),
     }

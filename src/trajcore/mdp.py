@@ -604,13 +604,15 @@ def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
 
     The result is not validated: a validated game and peer fold into a valid
     MDP up to rounding, and :func:`enumerate_successes` validates its input.
+    A table of the wrong shape is a :class:`DimensionMismatch` before its
+    rows are checked, since its rows need not be the game's states.
     """
-    validate_peer(peer)
     if peer.probs.shape != (game.num_states, game.num_actions_2):
         raise DimensionMismatch(
             f"peer table shape {peer.probs.shape}, expected "
             f"{(game.num_states, game.num_actions_2)}"
         )
+    validate_peer(peer)
     plan = game._fold_plan
     products = game.rows.probs * peer.probs.ravel()[plan.peer_at]
     sums = np.bincount(plan.slot, weights=products, minlength=len(plan.keys))

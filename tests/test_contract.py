@@ -1,12 +1,16 @@
 """The behaviour contract: CLI results digests on the default environments.
 
 Each verb runs in process on files generated from the default key-door and
-cooperative configs.  A change that keeps these digests and the rest of the
-suite keeps the results of every verb byte-identical.  The generated game
+cooperative configs.  The cases "on repeated peers" run on the default
+cooperative layout with the peer modes helper, helper, independent, helper,
+so equal peer tables follow each other and recur apart.  A change that keeps
+these digests and the rest of the suite keeps the results of every verb
+byte-identical.  The generated game
 file is version 2 (non-zero entries); every case also runs on the same game
 written as a dense version-1 file, and must give the same digest.
 """
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +20,7 @@ from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
 from conftest import game_payload_v1
 
-# verb and flags -> (argv after the verb, with {placeholders}, results digest)
+# verb, flags and input -> (argv after the verb, with {placeholders}, results digest)
 CONTRACT = {
     "enumerate": (
         ["{mdp}"],
@@ -58,6 +62,18 @@ CONTRACT = {
         ["{game}", "{schedule}", "--phi", "{coop_phi}", "--collapse-runs", "--strip-terminal"],
         "41c719776e112a3fd7dbf03aceab4e432f804bbebcb9a07aceb1e586fbfc1cf8",
     ),
+    "budget on repeated peers": (
+        ["{game}", "{repeated}"],
+        "20841a127507e76f80cb9911de8550014371b237b5a06528d718dd1bfdd0279d",
+    ),
+    "drift on repeated peers": (
+        ["{game}", "{repeated}"],
+        "176b120e499b4237ecf7842eac1d8916057a7e7043de5b9a15fa83d29ae4aa68",
+    ),
+    "drift --phi --strip-terminal on repeated peers": (
+        ["{game}", "{repeated}", "--phi", "{coop_phi}", "--strip-terminal"],
+        "2c484c30acd5e5787a25b915df6e2ad233fc639a13a581851773978131ccf13e",
+    ),
     "induce": (
         ["{game}", "{peer}"],
         "84124e5888752a16c79b9e9838928bd9e57068027d6192359cae9b080138a22b",
@@ -71,18 +87,24 @@ CONTRACT = {
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """Generated inputs: the default key-door MDP, the coop game and the first peer."""
+    """Generated inputs: the default key-door MDP, the coop game, its schedules and first peer."""
     root = tmp_path_factory.mktemp("contract")
     keydoor_cfg, coop_cfg = str(root / "kd.json"), str(root / "coop.json")
+    repeated_cfg = str(root / "repeated.json")
     formats.write_json(keydoor_cfg, formats.keydoor_config_to_payload(DEFAULT_KEYDOOR))
     formats.write_json(coop_cfg, formats.coop_config_to_payload(DEFAULT_COOP))
+    repeated = replace(DEFAULT_COOP, peer_modes=("helper", "helper", "independent", "helper"))
+    formats.write_json(repeated_cfg, formats.coop_config_to_payload(repeated))
     assert main(["gen", "keydoor", keydoor_cfg, "--out-dir", str(root)]) == 0
     assert main(["gen", "coop-keydoor", coop_cfg, "--out-dir", str(root)]) == 0
+    repeated_gen = ["gen", "coop-keydoor", repeated_cfg, "--out-dir", str(root), "--prefix", "repeated"]
+    assert main(repeated_gen) == 0
     paths = {
         "mdp": str(root / "keydoor.mdp.json"),
         "keydoor_phi": str(root / "keydoor.phi.json"),
         "game": str(root / "coop_keydoor.game.json"),
         "schedule": str(root / "coop_keydoor.schedule.json"),
+        "repeated": str(root / "repeated.schedule.json"),
         "coop_phi": str(root / "coop_keydoor.phi.json"),
         "peer": str(root / "peer.json"),
     }

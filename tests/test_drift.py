@@ -45,6 +45,7 @@ from trajcore import (
 from trajcore import drift as drift_module
 from trajcore import formats
 from trajcore.drift import _certified_changes, _rows_distance
+from trajcore.mdp import _fold_peer
 from trajcore.graph import SuccessGraph, Symbols, build_graph, support_signature
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
 
@@ -480,7 +481,7 @@ def test_drift_path_validates_each_induced_mdp_once(monkeypatch):
     calls = count_calls(monkeypatch, "validate_mdp")
     seq = EpisodeSequence.from_schedule(game, schedule)
     drift_report(seq)
-    # one per episode plus one for the individual core, before its graph is built
+    # one per distinct induced MDP plus one for the individual core, before its graph is built
     assert len(calls) == seq.num_episodes + 1
 
 
@@ -501,12 +502,78 @@ def test_drift_builds_the_support_of_each_induced_mdp_once(monkeypatch):
     support.__set_name__(TabularMDP, "_support")
     monkeypatch.setattr(TabularMDP, "_support", support)
     drift_report(seq)
-    # one per episode plus one for the uniform peer; the signature, the goal
-    # distances and the graph walk all read the same kept support
-    assert len(built) == seq.num_episodes + 1
+    # the two gate episodes share one induced MDP
+    distinct = len({id(mdp) for mdp in seq.induced})
+    assert distinct == 3
+    # one per distinct induced MDP plus one for the uniform peer; the signature,
+    # the goal distances and the graph walk all read the same kept support
+    assert len(built) == distinct + 1
     assert all(any(mdp is other for other in built) for mdp in seq.induced)
     drift_report(seq)  # the episodes keep theirs; only the uniform peer is folded anew
-    assert len(built) == seq.num_episodes + 2
+    assert len(built) == distinct + 2
+
+
+def _repeating_schedule(rng, game) -> "list[PeerPolicy]":
+    """Eight episodes drawn from five peer tables, each a copy of its own under its own label.
+
+    The tables are a gate that never plays action 1, the same gate with -0.0
+    for 0.0 (equal values, other bytes), two sparse peers and a full-support
+    one.  The first pick recurs at once and again at the end.
+    """
+    gate = np.tile([1.0, 0.0], (game.num_states, 1))
+    pool = [gate, np.copysign(gate, [1.0, -1.0]), sparse_peer(rng, game).probs,
+            sparse_peer(rng, game).probs, random_peer(rng, game).probs]
+    picks = [int(k) for k in rng.integers(0, len(pool), 6)]
+    picks = [picks[0], picks[0], *picks[1:], picks[0]]
+    return [PeerPolicy(probs=pool[k].copy(), label=f"e{n}") for n, k in enumerate(picks, start=1)]
+
+
+def _tables(schedule) -> set:
+    return {(peer.probs.shape, peer.probs.tobytes()) for peer in schedule}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_episodes_that_share_a_fold_report_what_one_fold_per_episode_reports(seed):
+    rng = np.random.default_rng(seed)
+    game = sparse_game(rng)
+    schedule = _repeating_schedule(rng, game)
+    shared = EpisodeSequence.from_schedule(game, schedule)
+    fresh = EpisodeSequence(game=game, schedule=tuple(schedule),
+                            induced=tuple(_fold_peer(game, peer) for peer in schedule))
+    assert len({id(mdp) for mdp in shared.induced}) == len(_tables(schedule)) < len(schedule)
+    assert shared.induced[0] is shared.induced[1] and shared.induced[0] is shared.induced[-1]
+    budget = variation_budget(shared)
+    assert budget.kernel_deltas[0] == 0.0
+    digests = [formats.digest(formats.budget_to_payload(variation_budget(seq))) for seq in (shared, fresh)]
+    assert digests[0] == digests[1]
+    for strip_terminal in (False, True):
+        reports = [drift_report(seq, strip_terminal=strip_terminal) for seq in (shared, fresh)]
+        digests = [formats.digest(formats.drift_to_payload(report)) for report in reports]
+        assert digests[0] == digests[1]
+
+
+def test_each_distinct_peer_table_is_folded_and_validated_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    game = sparse_game(rng)
+    schedule = _repeating_schedule(rng, game)
+    folded = count_calls(monkeypatch, "_fold_peer")
+    peers = count_calls(monkeypatch, "validate_peer")
+    validated = count_calls(monkeypatch, "validate_mdp")
+    seq = EpisodeSequence.from_schedule(game, schedule)
+    assert len(folded) == len(peers) == len(_tables(schedule)) and validated == []
+    drift_report(seq)
+    # plus one of each for the uniform peer of the individual core
+    assert len(folded) == len(peers) == len(validated) == len(_tables(schedule)) + 1
+
+
+def test_a_peer_table_with_equal_bytes_in_another_shape_is_not_shared():
+    rng = np.random.default_rng(3)
+    game = random_game(rng, num_states=2, num_actions_2=4)
+    peer = random_peer(rng, game)
+    transposed = PeerPolicy(probs=peer.probs.reshape(4, 2), label=peer.label)
+    assert transposed.probs.tobytes() == peer.probs.tobytes()
+    with pytest.raises(DimensionMismatch, match=r"peer table shape \(4, 2\), expected \(2, 4\)"):
+        EpisodeSequence.from_schedule(game, [peer, transposed])
 
 
 def test_certified_change_without_witness_is_a_consistency_error(chain_mdp):

@@ -677,6 +677,31 @@ def test_a_file_holds_the_digested_bytes_then_a_newline(tmp_path, capsys, keydoo
     assert formats.file_digest(str(out)) != report["results_digest"]
 
 
+def test_the_cli_serializes_its_results_once_for_the_out_file_and_the_digest(
+    tmp_path, capsys, keydoor, monkeypatch
+):
+    mdp_file, out = tmp_path / "m.json", tmp_path / "out.json"
+    formats.write_json(str(mdp_file), formats.mdp_to_payload(keydoor[0]))
+    plain, serialized = formats.canonical_json, []
+
+    def counted(payload):
+        serialized.append(payload)
+        return plain(payload)
+
+    monkeypatch.setattr(formats, "canonical_json", counted)
+    assert main(["enumerate", str(mdp_file), "--out", str(out)]) == 0
+    assert len(serialized) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert out.read_text() == plain(report["results"]) + "\n"
+    assert report["results_digest"] == hashlib.sha256(plain(report["results"]).encode()).hexdigest()
+
+
+def test_write_canonical_removes_its_temp_file_and_reraises_an_error_that_is_not_an_os_error(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        formats.write_canonical(str(tmp_path / "x.json"), "\ud800")  # a lone surrogate
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_written_files_get_their_mode_from_the_umask(tmp_path, capsys, keydoor, umask, mode):
     mdp_file, out = tmp_path / "m.json", tmp_path / "out.json"
