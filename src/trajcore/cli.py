@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -307,7 +307,14 @@ def _add_mining_flags(parser):
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by all later ones.
+
+    Each subcommand binds its ``cmd_*`` function when the parser is built,
+    so an in-process caller of :func:`main` pays for the build once.  No
+    default reads the environment; callers must not change the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="trajcore",
         description="Mine shared trajectory structure in tabular MDPs and games.",
@@ -366,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     command_echo = list(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
     inputs: dict[str, str] = {}

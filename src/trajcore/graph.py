@@ -1,8 +1,10 @@
 """The labelled DAGs that hold a success set, and the core mined on them.
 
 Every success of a :class:`~trajcore.mdp.TabularMDP` is a path through its
-support graph (:func:`build_graph`), the only code that walks (state, t),
-which reads the kernel support the MDP keeps.  Its nodes are the
+support graph (:func:`build_graph`), the only code that walks (state, t).
+It reads the kernel support rows of the states that the initial support
+reaches, and of no other state (:func:`~trajcore.mdp._goal_closure`), so
+its cost grows with that reach, not with the MDP.  Its nodes are the
 (state, t) that lie on some success, and its edges the (action, next state)
 steps between them, plus an edge from each goal node to one accept node for
 the terminal pseudo-pair.  The graph has at most S·H (state, t) nodes, of
@@ -83,7 +85,7 @@ from .mdp import (
     SuccessSet,
     TabularMDP,
     Trajectory,
-    _goal_distances,
+    _goal_closure,
     _pair,
 )
 
@@ -281,20 +283,22 @@ def build_graph(
 ) -> "SuccessGraph":
     """The support graph of a validated ``mdp``, labelled from ``symbols``.
 
-    A forward walk over the kernel support that keeps one layer counts the
-    (state, t) nodes that lie on some success (a goal within the horizon:
-    :func:`~trajcore.mdp._goal_distances`).  Before ``phi`` sees a pair, it
+    Both walks read :func:`~trajcore.mdp._goal_closure`: the support rows
+    of the states the initial support reaches, and the distance from each
+    to a goal, so no other kernel row is read.  A forward walk over
+    those rows that keeps one layer counts the (state, t) nodes that lie on
+    some success (a goal within the horizon).  Before ``phi`` sees a pair, it
     raises :class:`ExplosionGuard` past ``node_budget`` nodes, with
     ``visited`` the nodes of the layers up to the one that crossed the
     budget and ``needed`` those of the graph.  A second walk labels them
     layer by layer, steps in ascending (action, next state) order, and
     numbers each next layer's nodes as they are first reached.  So the
-    build peaks at the graph plus a layer: 0.3 KB a node on the key-door.
+    build peaks at the graph plus a layer and the reached rows: 0.3 KB a
+    node on the key-door.
     """
-    targets, offsets = mdp._support.targets.tolist(), mdp._support.offsets.tolist()
     width, horizon, goals = mdp.num_actions, mdp.horizon, mdp.goals
-    dist = _goal_distances(mdp).tolist()
-    seeds = [s for s in mdp.initial_support() if 1 + dist[s] <= horizon]
+    dist, rows = _goal_closure(mdp)
+    seeds = [s for s in mdp.initial_support() if dist[s] < horizon]
     seen: dict[tuple[int, ...], tuple[int, int]] = {}  # layer -> first (t, total) past the budget
     layer, t, total, visited, steady = seeds, 1, 0, 0, 0
     while layer:
@@ -306,14 +310,14 @@ def build_graph(
         total += len(layer)
         if total > node_budget and not visited:
             visited = total
-            # up to layer `steady` the horizon prunes only states that reach no goal at all
-            steady = horizon - 1 - max(d for d in dist if d < horizon)
+            # a layer holds walked states only, so up to layer `steady` the horizon
+            # prunes only states that reach no goal at all
+            steady = horizon - 1 - max(d for d in dist.values() if d < horizon)
         slack = horizon - t - 1
         following: set[int] = set()
         for s in layer:
             if s not in goals:
-                reached = targets[offsets[s * width] : offsets[(s + 1) * width]]
-                following.update(m for m in reached if dist[m] <= slack)
+                following.update(m for m in rows[s][1] if dist[m] <= slack)
         layer, t = sorted(following), t + 1
     if visited:
         raise ExplosionGuard(node_budget, visited, total)
@@ -330,10 +334,10 @@ def build_graph(
                 sid = symbols.of((s, TERMINAL))
                 edges.append(((TERMINAL, ACCEPT, symbols.label(sid, last)),))
                 continue
-            row, base = [], s * width
+            row, (ends, reached) = [], rows[s]
             for a in range(width):
-                reached = targets[offsets[base + a] : offsets[base + a + 1]]
-                kept = [m for m in reached if dist[m] <= slack]
+                run = reached[ends[a] - ends[0] : ends[a + 1] - ends[0]]
+                kept = [m for m in run if dist[m] <= slack]
                 if kept:
                     sid = symbols.of((s, a))
                     label, key = symbols.label(sid, last), sid if collapse else None

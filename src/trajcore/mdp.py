@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -681,39 +682,66 @@ def enumerate_successes(
     return SuccessSet(graph.successes())
 
 
-def _goal_distances(mdp: TabularMDP) -> np.ndarray:
-    """Fewest support steps from each state to a goal, through non-goal states.
+def _goal_closure(mdp: TabularMDP) -> tuple[dict[int, int], dict[int, tuple[list[int], list[int]]]]:
+    """The states the initial support reaches, their goal distances and their support rows.
 
-    One backward breadth-first pass over the edges of the kernel support.
-    Goals are at distance 0; a state with no goal within ``horizon - 1``
-    steps gets ``horizon``, which no state reached at index ``t >= 1`` can
-    afford.
+    A forward walk from the initial support, which steps on from non-goal
+    states only, reads the kernel support rows of the states it reaches and
+    of no other.  ``rows`` maps each walked non-goal state to
+    ``(ends, reached)``: its next states action by action, each action's
+    ascending, those of action ``a`` at
+    ``reached[ends[a] - ends[0] : ends[a + 1] - ends[0]]``.  The walk holds
+    every step of its non-goal states, so one backward breadth-first pass
+    from its goals over those steps gives each walked state the distance a
+    pass over the whole kernel support would: ``dist`` maps it to the
+    fewest support steps to a goal through non-goal states (0 for a goal),
+    or to ``horizon``, which no state at index ``t >= 1`` can afford, when
+    none is within ``horizon - 1`` steps.
     """
-    dist = np.full(mdp.num_states, mdp.horizon, dtype=np.int64)
-    support = mdp._support
-    sources, targets = support.entry_rows() // mdp.num_actions, support.targets
-    frontier = np.zeros(mdp.num_states, dtype=bool)
-    frontier[list(mdp.goals)] = True
-    seen = frontier.copy()
-    dist[frontier] = 0
-    for steps in range(1, mdp.horizon):
-        reached = np.zeros(mdp.num_states, dtype=bool)
-        reached[sources[frontier[targets]]] = True
-        frontier = reached & ~seen
-        if not frontier.any():
+    support, width, goals, horizon = mdp._support, mdp.num_actions, mdp.goals, mdp.horizon
+    rows: dict[int, tuple[list[int], list[int]]] = {}
+    sources = defaultdict(list)  # walked state -> the walked non-goal states that step into it
+    todo = list(mdp.initial_support())
+    walked = set(todo)
+    while todo:
+        s = todo.pop()
+        if s in goals:
+            continue
+        ends = support.offsets[s * width : (s + 1) * width + 1].tolist()
+        reached = support.targets[ends[0] : ends[-1]].tolist()
+        rows[s] = ends, reached
+        fresh = set(reached)
+        for m in fresh:
+            sources[m].append(s)
+        fresh -= walked
+        walked |= fresh
+        todo += fresh
+    dist = dict.fromkeys(walked, horizon)
+    frontier = walked & goals
+    dist.update(dict.fromkeys(frontier, 0))
+    for d in range(1, horizon):
+        following = []
+        for m in frontier:
+            for s in sources[m]:
+                if dist[s] == horizon:
+                    dist[s] = d
+                    following.append(s)
+        if not following:
             break
-        seen |= frontier
-        dist[frontier] = steps
-    return dist
+        frontier = following
+    return dist, rows
 
 
 def goal_reachable(mdp: TabularMDP) -> bool:
     """True iff a goal lies within ``horizon - 1`` support steps of the initial support.
 
-    Decides ``len(enumerate_successes(mdp)) > 0`` without enumerating.
+    Decides ``len(enumerate_successes(mdp)) > 0`` without enumerating: some
+    initial state is less than ``horizon`` steps from a goal in
+    :func:`_goal_closure`, which reads the kernel support rows of the states
+    the initial support reaches and of no other state.
     """
-    dist = _goal_distances(mdp)
-    return any(1 + dist[s] <= mdp.horizon for s in mdp.initial_support())
+    dist, _ = _goal_closure(mdp)
+    return any(dist[s] < mdp.horizon for s in mdp.initial_support())
 
 
 def is_successful(traj: Trajectory, mdp: TabularMDP) -> bool:

@@ -1,4 +1,5 @@
 """Shared fixtures and independent oracles used across the test suite."""
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -23,6 +24,7 @@ from trajcore import (
     formats,
     induce_mdp,
     is_subsequence,
+    random_mdp,
     uniform_peer,
     variation_budget,
 )
@@ -76,6 +78,27 @@ def oracle_enumerate(mdp: TabularMDP) -> SuccessSet:
                     continue
                 successes.append(Trajectory(steps=steps, terminal_state=goal))
     return SuccessSet.from_iterable(successes)
+
+
+def oracle_case(seed: int, horizon: int, support_size: int, goals: str) -> TabularMDP:
+    """A random 4-state MDP, with its goals changed as ``goals`` says."""
+    mdp = random_mdp(num_states=4, num_actions=2, horizon=4, seed=seed, support_size=support_size)
+    mdp = replace(mdp, horizon=horizon)
+    (goal,) = mdp.goals
+    start = mdp.initial_support()[0]
+    if goals == "two":  # a second goal, which need not be absorbing
+        other = int(np.random.default_rng(seed).integers(0, goal))
+        return replace(mdp, goals=frozenset({goal, other}), goal_absorbing=False)
+    if goals == "leaky":  # the goal moves on under action 0
+        kernel = np.array(mdp.kernel)
+        kernel[goal, 0] = 0.0
+        kernel[goal, 0, start] = 1.0
+        return replace(mdp, kernel=kernel, goal_absorbing=False)
+    if goals == "initial":  # the initial support holds the goal
+        initial = np.zeros(mdp.num_states)
+        initial[[start, goal]] = 0.5
+        return replace(mdp, initial=initial)
+    return mdp
 
 
 def oracle_canonical(trajectories) -> tuple[Trajectory, ...]:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -694,6 +695,22 @@ def test_the_cli_serializes_its_results_once_for_the_out_file_and_the_digest(
     report = json.loads(capsys.readouterr().out)
     assert out.read_text() == plain(report["results"]) + "\n"
     assert report["results_digest"] == hashlib.sha256(plain(report["results"]).encode()).hexdigest()
+
+
+def test_the_cli_builds_its_parser_once_per_process(capsys, monkeypatch):
+    assert main(["oracle-check", "--trials", "1"]) == 0  # builds the parser if no test has yet
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(["oracle-check", "--trials", "1"]) == 0
+    with pytest.raises(SystemExit):
+        main(["oracle-check", "--trials", "-1"])
+    assert built == []
+    capsys.readouterr()
 
 
 def test_write_canonical_removes_its_temp_file_and_reraises_an_error_that_is_not_an_os_error(tmp_path):

@@ -19,6 +19,7 @@ from trajcore import (
     EpisodeSequence,
     ExplosionGuard,
     GuardError,
+    KernelRows,
     SymbolLimitExceeded,
     TabularMDP,
     UnmappedSymbol,
@@ -34,16 +35,19 @@ from trajcore import (
     is_successful,
     random_mdp,
     uniform_peer,
+    validate_mdp,
 )
 from trajcore.cli import main
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor
 from trajcore.graph import ACCEPT, EPS, SuccessGraph, Symbols, _pass, build_graph, sequence_graph
-from trajcore.mdp import DEFAULT_NODE_BUDGET
+from trajcore.mdp import DEFAULT_NODE_BUDGET, goal_reachable
 
 from conftest import (
     count_calls,
+    oracle_case,
     oracle_core,
     oracle_drift_report,
+    oracle_enumerate,
     oracle_witness,
     sparse_game,
     sparse_peer,
@@ -511,6 +515,145 @@ def test_the_node_count_of_a_far_horizon_is_exact_and_quick():
     start = time.perf_counter()
     assert needed(10**18) == needed(200) + (10**18 - 200) * per_step
     assert time.perf_counter() - start < 1.0
+
+
+def _same_graph(graph: SuccessGraph, bare: SuccessGraph, by: int = 0) -> bool:
+    """Whether ``graph`` is ``bare`` with every state moved up by ``by``."""
+    moved = [s + by if s >= 0 else s for s in bare.state]
+    names = [(s + by, a) for s, a in bare.symbols.names]
+    return (graph.state, graph.edges, graph.roots, graph.symbols.names) == (
+        moved, bare.edges, bare.roots, names)
+
+
+def test_a_graph_reads_only_the_states_its_initial_support_reaches(chain_mdp):
+    # 200,000 more states, each stepping into the chain, which steps into none of them
+    extra = 200_000
+    rows = chain_mdp.rows
+    size = chain_mdp.num_states + extra
+    mdp = TabularMDP(
+        num_states=size,
+        num_actions=2,
+        kernel=KernelRows(
+            (size, 2, size),
+            np.concatenate([rows.offsets, rows.offsets[-1] + np.arange(1, 2 * extra + 1)]),
+            np.concatenate([rows.targets, np.arange(2 * extra) % 3]),
+            np.concatenate([rows.probs, np.ones(2 * extra)]),
+        ),
+        reward=np.zeros((size, 2)),
+        horizon=chain_mdp.horizon,
+        goals=chain_mdp.goals,
+        initial=np.concatenate([chain_mdp.initial, np.zeros(extra)]),
+        goal_absorbing=True,
+    )
+    validate_mdp(mdp)
+    tracemalloc.start()
+    try:
+        graph = build_graph(mdp, Symbols(IDENTITY, False))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bare = build_graph(chain_mdp, Symbols(IDENTITY, False))
+    assert _same_graph(graph, bare)
+    assert graph.count_paths() == bare.count_paths() == (2, 6)
+    assert graph.core() == bare.core()
+    for member in list(bare.core()) + [((0, 0),), ((1, 0), (1, 1))]:
+        assert graph.witness(member) == bare.witness(member)
+    # the whole kernel support as Python lists would take about 30 MB
+    assert peak < 2**20
+
+
+LEAD = 8  # states added before those of a padded MDP, so that its state ids pass the horizon
+
+
+def _moved(pairs, by: int) -> tuple:
+    return tuple((s + by, a) for s, a in pairs)
+
+
+def _padded(mdp: TabularMDP, far: int, rng: np.random.Generator) -> TabularMDP:
+    """``mdp`` moved to states ``LEAD`` on, among more states that none of its states step into.
+
+    Its states are followed by ``far`` states that step, under every
+    action, each into the next and the last into a goal of ``mdp``, so the
+    first is ``far`` steps from a goal, and by a goal of their own.  The
+    ``LEAD`` states before and six states after these have rows of one to
+    three next states drawn from all states, each action 0 row holding a
+    state of ``mdp``.
+    """
+    n, width = mdp.num_states, mdp.num_actions
+    chain, size = LEAD + n, LEAD + n + far + 7
+    kernel = np.zeros((size, width, size))
+    kernel[LEAD:chain, :, LEAD:chain] = mdp.kernel
+    for p in range(chain, chain + far):
+        kernel[p, :, p + 1 if p + 1 < chain + far else LEAD + min(mdp.goals)] = 1.0
+    kernel[chain + far, :, chain + far] = 1.0
+    for p in [*range(LEAD), *range(chain + far + 1, size)]:
+        for a in range(width):
+            drawn = rng.choice(size, size=int(rng.integers(1, 4)), replace=False)
+            if a == 0:
+                drawn[0] = LEAD + rng.integers(0, n)
+            drawn = np.unique(drawn)
+            kernel[p, a, drawn] = 1.0 / len(drawn)
+    initial = np.zeros(size)
+    initial[LEAD:chain] = mdp.initial
+    return TabularMDP(
+        num_states=size,
+        num_actions=width,
+        kernel=kernel,
+        reward=np.zeros((size, width)),
+        horizon=mdp.horizon,
+        goals=frozenset({LEAD + g for g in mdp.goals} | {chain + far}),
+        initial=initial,
+        goal_absorbing=mdp.goal_absorbing,
+    )
+
+
+def _guard_fields(mdp: TabularMDP, budget: int):
+    """``(visited, needed)`` of the guard that building the graph raises at ``budget``, or None."""
+    try:
+        build_graph(mdp, Symbols(IDENTITY, False), budget)
+    except ExplosionGuard as tripped:
+        return tripped.visited, tripped.needed
+    return None
+
+
+@pytest.mark.parametrize("goals", ["one", "two", "leaky", "initial"])
+def test_states_the_initial_support_does_not_reach_change_no_result(goals):
+    horizon, far_horizon = 5, 10**15
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        mdp = oracle_case(seed, horizon, 2, goals)
+        # an added state holds the largest goal distance below the horizon
+        padded = _padded(mdp, horizon - 1, rng)
+        validate_mdp(padded)
+        expected = oracle_enumerate(mdp)
+        assert enumerate_successes(mdp) == expected
+        assert [_moved(t.pairs(), -LEAD) for t in enumerate_successes(padded)] == [
+            t.pairs() for t in expected]
+        assert goal_reachable(padded) == goal_reachable(mdp) == (len(expected) > 0)
+        graph, bare = (build_graph(m, Symbols(IDENTITY, False)) for m in (padded, mdp))
+        assert _same_graph(graph, bare, LEAD)
+        assert graph.count_paths() == bare.count_paths()
+        assert graph.num_successes() == len(expected)
+        if expected:
+            assert bare.core() == oracle_core(expected)
+            assert [_moved(m, -LEAD) for m in graph.core()] == list(bare.core())
+            names = bare.symbols.names
+            words = [tuple(names[i] for i in rng.integers(0, len(names), size=k)) for k in (1, 2, 3)]
+            for word in words + list(bare.core()):
+                found = oracle_witness(word, expected)
+                assert bare.witness(word) == (None if found is None else found[0])
+                witness = graph.witness(_moved(word, LEAD))
+                assert (None if witness is None else _moved(witness.pairs(), -LEAD)) == (
+                    None if found is None else found[0].pairs())
+        for budget in (0, -1, DEFAULT_NODE_BUDGET):
+            assert _guard_fields(padded, budget) == _guard_fields(mdp, budget)
+        # far from the horizon the guard's count takes the period skip, which
+        # stops where the horizon starts to cut the steps of a reached state
+        mdp = replace(mdp, horizon=far_horizon)
+        padded = _padded(mdp, mdp.num_states + 1, rng)
+        assert goal_reachable(padded) == goal_reachable(mdp) == (len(expected) > 0)
+        for budget in (0, -1, 50):
+            assert _guard_fields(padded, budget) == _guard_fields(mdp, budget)
 
 
 def test_cli_mine_counts_successes_on_the_graph(tmp_path, capsys, monkeypatch):

@@ -44,6 +44,7 @@ from conftest import (
     count_set_builds,
     dense_rollout,
     oracle_canonical,
+    oracle_case,
     oracle_enumerate,
     random_game,
     random_peer,
@@ -456,27 +457,6 @@ def test_guard_reports_the_exact_node_count_of_the_full_search():
     assert checked > 100
 
 
-def _oracle_case(seed: int, horizon: int, support_size: int, goals: str) -> TabularMDP:
-    """A random 4-state MDP, with its goals changed as ``goals`` says."""
-    mdp = random_mdp(num_states=4, num_actions=2, horizon=4, seed=seed, support_size=support_size)
-    mdp = replace(mdp, horizon=horizon)
-    (goal,) = mdp.goals
-    start = mdp.initial_support()[0]
-    if goals == "two":  # a second goal, which need not be absorbing
-        other = int(np.random.default_rng(seed).integers(0, goal))
-        return replace(mdp, goals=frozenset({goal, other}), goal_absorbing=False)
-    if goals == "leaky":  # the goal moves on under action 0
-        kernel = np.array(mdp.kernel)
-        kernel[goal, 0] = 0.0
-        kernel[goal, 0, start] = 1.0
-        return replace(mdp, kernel=kernel, goal_absorbing=False)
-    if goals == "initial":  # the initial support holds the goal
-        initial = np.zeros(mdp.num_states)
-        initial[[start, goal]] = 0.5
-        return replace(mdp, initial=initial)
-    return mdp
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
@@ -485,7 +465,7 @@ def _oracle_case(seed: int, horizon: int, support_size: int, goals: str) -> Tabu
     st.sampled_from(["one", "two", "leaky", "initial"]),
 )
 def test_enumerate_matches_generate_and_filter_oracle(seed, horizon, support_size, goals):
-    mdp = _oracle_case(seed, horizon, support_size, goals)
+    mdp = oracle_case(seed, horizon, support_size, goals)
     expected = oracle_enumerate(mdp)
     # the node count of the search is the number of prefixes of the oracle's successes
     needed = len(_success_prefixes(expected))
