@@ -6,13 +6,15 @@ moves (sup-norm variation budget) and how the per-episode common-subsequence
 cores change: which prototypes vanish or appear between consecutive episodes,
 each certified by a concrete counterexample trajectory.
 
-"Shared structure across two episodes" is computed as the core over the union
-of both success sets (sequences common to every success of either episode);
-the literal set intersection of the two core sets is reported alongside it
-for comparison.  The individual task core is defined as the core of the MDP
-induced by the full-support uniform peer policy, i.e. the structure that
-survives every peer behavior the joint dynamics support; this definition is
-echoed in every report.
+"Shared structure across two episodes" is the core over the union of both
+success sets (sequences common to every success of either episode).  A word
+is common to one episode's successes iff it embeds in a member of its core,
+so the common core is the maximal words among the cores of the pairs of one
+member of each episode core.  The literal set intersection of the two core sets
+is reported alongside it.  The individual task core is defined as the core of
+the MDP induced by the full-support uniform peer policy, i.e. the structure
+that survives every peer behavior the joint dynamics support; this
+definition is echoed in every report.
 
 An episode whose peer table equals an earlier one bit for bit induces the
 same MDP, so it costs nothing new: a schedule folds each distinct table once
@@ -23,11 +25,10 @@ delta is 0.0.
 Nothing here lists successes.  Each episode, and the uniform peer's MDP, is
 mined on its support graph (:mod:`trajcore.graph`).  Index aside, a step
 depends only on its two support signatures, so one call mines each distinct
-signature once and measures each unordered pair of them once: it mines the
-union of the two graphs and finds each witness by a walk over the other
-episode's graph.  ``node_budget`` bounds the (state, t) nodes of each support
-graph, so it is never above S·H, and ``seq_budget`` the nodes of each
-maximal-subsequence search.
+signature once and measures each unordered pair of them once, reading the
+graphs only for witnesses.  ``node_budget`` bounds the (state, t) nodes of
+each support graph, so it is never above S·H, and ``seq_budget`` the nodes of
+each maximal-subsequence search: one per support and one per member pair.
 """
 from __future__ import annotations
 
@@ -59,6 +60,7 @@ from .mining import (
     SymbolSeq,
     apply_abstraction,
     canonical_member_order,
+    core,
     is_subsequence,
 )
 
@@ -277,8 +279,8 @@ class _Mined:
             key = support_signature(mdp)
             if key not in self.supports:
                 graph = build_graph(mdp, self.symbols, self.node_budget)
-                core = graph.core(self.seq_budget) if graph.roots else None
-                self.supports[key] = _Support(len(self.supports), graph, core)
+                mined = graph.core(self.seq_budget) if graph.roots else None
+                self.supports[key] = _Support(len(self.supports), graph, mined)
             self.mdps[mdp] = self.supports[key]
         return self.mdps[mdp]
 
@@ -299,7 +301,7 @@ class _Mined:
     def _measure(self, a: _Support, b: _Support, individual: CoreSet | None) -> DriftStep:
         if a.core is None or b.core is None:
             return DriftStep(0, None, None, (), (), None)
-        common = a.core if a is b else a.graph.union(b.graph).core(self.seq_budget)
+        common = a.core if a is b else _common_core(a.core, b.core, self.seq_budget)
         literal = canonical_member_order(set(a.core.members) & set(b.core.members))
         contained = None if individual is None else all(
             any(is_subsequence(member, big) for big in individual.members)
@@ -341,6 +343,13 @@ def episode_cores(
     return [mined.episode(mdp).core for mdp in seq.induced]
 
 
+def _common_core(a: CoreSet, b: CoreSet, budget: int) -> CoreSet:
+    """The core of the union of two success sets, from their cores: see the module docstring."""
+    found = {w for u in a for v in b for w in core([u, v], budget=budget)}
+    maximal = [w for w in found if not any(w != x and is_subsequence(w, x) for x in found)]
+    return replace(a, members=canonical_member_order(maximal))
+
+
 def _certified_changes(
     lost_from: CoreSet, kept_in: CoreSet, other: SuccessGraph
 ) -> tuple[PrototypeChange, ...]:
@@ -375,14 +384,17 @@ def drift_report(
     """Full drift analysis of an episode schedule.
 
     Assembles per-episode cores, per-step shared structure (core over the
-    union of consecutive success sets, plus the literal core intersection),
+    union of consecutive success sets: the maximal words among the cores of
+    the pairs of one member of each episode core; plus the literal core
+    intersection),
     vanished and gained prototypes with certifying witnesses, the individual
     task core, the variation budget, and a per-step check that the shared
     structure is embedded in the individual core.  Episodes that share an
     induced MDP (bit-equal peer tables) share one validation and one support
     signature.  Episodes with equal support signatures share one graph and
     one core; a step between them has their core as its common core and no
-    vanished or gained prototype.
+    vanished or gained prototype.  ``seq_budget`` bounds each core search,
+    a member pair's among them.
     """
     mined = _Mined(phi, strip_terminal, node_budget, seq_budget)
     supports = [mined.episode(mdp) for mdp in seq.induced]

@@ -470,7 +470,7 @@ def _equal_suffixes(words, i: int, j: int, start: int, lo: int, depth: int) -> b
 
 @dataclass(frozen=True, eq=False)
 class SuccessGraph:
-    """The successes of one MDP (or, after :meth:`union`, of two) as a labelled DAG.
+    """The successes of one MDP as a labelled DAG.
 
     Node 0 is the accept node.  ``edges[n]`` lists the (action, target,
     label) edges of node ``n`` in ascending (action, next state) order; a
@@ -524,23 +524,6 @@ class SuccessGraph:
             else:
                 stack.extend((m, prefix + (pair,)) for pair, m in steps[n])
         return tuple(found)
-
-    def union(self, other: "SuccessGraph") -> "SuccessGraph":
-        """One graph holding the successes of both, with one accept node.
-
-        Both graphs must be labelled from the same :class:`Symbols`.
-        """
-        shift = len(self.edges) - 1
-        moved = [
-            tuple((a, m + shift if m else ACCEPT, lab) for a, m, lab in row)
-            for row in other.edges[1:]
-        ]
-        return SuccessGraph(
-            self.symbols,
-            self.state + other.state[1:],
-            self.edges + moved,
-            self.roots + tuple(r + shift for r in other.roots),
-        )
 
     def core(self, budget: int = DEFAULT_SEQ_BUDGET) -> CoreSet:
         """The core of the successes; ``budget`` bounds the search nodes.

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trajcore import (
@@ -24,9 +24,11 @@ from trajcore import (
     EpisodeSequence,
     KernelRows,
     MarkovGame,
+    OracleScaleError,
     PeerPolicy,
     TabularMDP,
     ValidationError,
+    brute_force_core,
     build_coop_keydoor,
     build_keydoor,
     core,
@@ -44,10 +46,10 @@ from trajcore import (
 )
 from trajcore import drift as drift_module
 from trajcore import formats
-from trajcore.drift import _certified_changes, _rows_distance
+from trajcore.drift import _certified_changes, _common_core, _rows_distance
 from trajcore.mdp import _fold_peer
-from trajcore.graph import SuccessGraph, Symbols, build_graph, support_signature
-from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR
+from trajcore.graph import DEFAULT_SEQ_BUDGET, Symbols, build_graph, support_signature
+from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, CoopKeyDoorConfig
 
 from conftest import (
     count_calls,
@@ -412,14 +414,7 @@ def test_drift_report_measures_each_support_pair_once(monkeypatch):
     mapping.update({(g, TERMINAL): "T" for g in game.goals})
     phi = Abstraction(mapping=mapping)
     certified = count_calls(monkeypatch, "_certified_changes")
-    unions = []
-    plain_union = SuccessGraph.union
-
-    def counted_union(graph, other):
-        unions.append(other)
-        return plain_union(graph, other)
-
-    monkeypatch.setattr(SuccessGraph, "union", counted_union)
+    common = count_calls(monkeypatch, "_common_core")
     report = drift_report(seq, phi)
     first, steps = report.steps[0], report.steps
     assert first.literal_intersection and first.gained
@@ -427,8 +422,97 @@ def test_drift_report_measures_each_support_pair_once(monkeypatch):
     assert all(step.common_core is first.common_core for step in steps)
     assert steps[1].vanished is first.gained and steps[1].gained is first.vanished
     assert [step.index for step in steps] == [1, 2, 3, 4]
-    assert len(certified) == 2 and len(unions) == 1
+    assert len(certified) == 2 and len(common) == 1
     assert report == oracle_drift_report(seq, phi)
+
+
+FAMILY_RULES = [
+    (phi, strip) for phi in (IDENTITY, Abstraction(collapse_runs=True)) for strip in (False, True)
+]
+string_families = st.lists(st.lists(st.sampled_from("abc"), max_size=6).map(tuple),
+                           min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(string_families, string_families, st.sampled_from(FAMILY_RULES))
+@example([("a",), ("b",)], [("a", "b")], (IDENTITY, False))  # a core with no members
+@example([("a", "b"), ("b", "a")], [("b", "a", "b")], (IDENTITY, False))  # several members
+@example([(), ("a",)], [("a",)], (IDENTITY, True))  # an empty word
+def test_the_common_core_of_two_cores_is_the_core_of_both_families(a, b, rules):
+    phi, strip = rules
+    expected = core(a + b, phi, strip)
+    got = _common_core(core(a, phi, strip), core(b, phi, strip), DEFAULT_SEQ_BUDGET)
+    assert got == expected == brute_force_core(a + b, phi, strip)
+
+
+def _walk_game(rng: np.random.Generator, num_states: int = 6, horizon: int = 5) -> MarkovGame:
+    """A game of 1-2 focal actions whose rows step back 1 or ahead 1-2 cells to 1-2 targets.
+
+    The last state is an absorbing goal, and play starts at state 0 or at
+    states 0 and 1.  Paths can visit the cells in crossing orders, so a
+    success set can have several maximal common subsequences.
+    """
+    goal, focal = num_states - 1, int(rng.integers(1, 3))
+    joint = np.zeros((num_states, focal, 2, num_states))
+    for s in range(goal):
+        moves = [m for m in (s - 1, s + 1, s + 2) if 0 <= m <= goal]
+        for row in joint[s].reshape(-1, num_states):
+            targets = rng.choice(moves, size=1 if rng.random() < 0.7 else 2, replace=False)
+            row[targets] = rng.random(len(targets)) + 1e-3
+            row /= row.sum()
+    joint[goal, :, :, goal] = 1.0
+    starts = [0] if rng.random() < 0.5 else [0, 1]
+    return MarkovGame(
+        num_states=num_states, num_actions_1=focal, num_actions_2=2, joint_kernel=joint,
+        reward_1=np.zeros((num_states, focal, 2)), horizon=horizon, goals=frozenset({goal}),
+        initial=np.eye(num_states)[starts].mean(axis=0),
+    )
+
+
+def _walk_case(seed: int) -> tuple[EpisodeSequence, list]:
+    """Two sparse peers folded into one drawn walk game, and the rules to mine it under.
+
+    The rules are the identity and a drawn mapping onto three names, each
+    with and without ``collapse_runs`` and ``strip_terminal``.
+    """
+    rng = np.random.default_rng(seed)
+    game = _walk_game(rng)
+    seq = EpisodeSequence.from_schedule(game, [sparse_peer(rng, game) for _ in range(2)])
+    mapping = {(s, a): "xyz"[rng.integers(3)]
+               for s in range(game.num_states) for a in range(game.num_actions_1)}
+    mapping.update({(g, TERMINAL): "T" for g in game.goals})
+    phis = (IDENTITY, Abstraction(collapse_runs=True),
+            Abstraction(mapping=mapping), Abstraction(mapping=mapping, collapse_runs=True))
+    return seq, [(phi, strip) for phi in phis for strip in (False, True)]
+
+
+def test_the_walk_examples_hold_cores_with_no_members_and_with_several():
+    sizes = set()
+    for seed in (10, 168):
+        seq, rules = _walk_case(seed)
+        sizes.update(len(c) for phi, strip in rules for c in episode_cores(seq, phi, strip))
+    assert {0, 2} <= sizes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+@example(10)  # episode cores with no members
+@example(168)  # episode cores with two members
+def test_the_common_core_of_two_folded_peers_is_the_core_of_both_success_sets(seed):
+    seq, rules = _walk_case(seed)
+    a, b = (enumerate_successes(mdp) for mdp in seq.induced)
+    both = a.trajectories + b.trajectories
+    for phi, strip in rules:
+        if not (len(a) and len(b)):
+            assert drift_report(seq, phi, strip).steps[0].common_core is None
+            continue
+        expected = core(both, phi, strip)
+        got = _common_core(core(a, phi, strip), core(b, phi, strip), DEFAULT_SEQ_BUDGET)
+        assert got == expected == drift_report(seq, phi, strip).steps[0].common_core
+        try:
+            assert expected == brute_force_core(both, phi, strip)
+        except OracleScaleError:
+            pass
 
 
 def _fork_game() -> MarkovGame:
@@ -598,6 +682,33 @@ def test_horizon_9_coop_layout_drifts_under_the_default_budget():
     report = drift_report(EpisodeSequence.from_schedule(game, schedule), phi=phi,
                           strip_terminal=True)
     assert formats.digest(formats.drift_to_payload(report)) == L5_K0_D2_G3_S1_P0_H9_DIGEST
+
+
+# Results digests of drift_report(..., strip_terminal=True) on the 100-episode
+# L12 H40 schedule below, under the corridor's abstraction and under the
+# identity; computed when each step mined the union of its two support graphs.
+L12_H40_DRIFT_DIGESTS = {
+    "coop": "c820eeb1b8764fab617e682c715df55869758576a922ff8715170c6ff40ada63",
+    "identity": "3e0b677978167ce3fb278cacb8d73521f06d0e8ce3af5208ef62b2a97cb3de6b",
+}
+
+
+def test_a_100_episode_l12_schedule_drifts_to_its_pinned_digests():
+    game, (helper, independent), phi = build_coop_keydoor(CoopKeyDoorConfig(12, 1, 5, 9, 2, 2, 40))
+    # the helper, then 99 episodes, each the last one's table with the rows of
+    # 5 drawn states set to the helper's row or the independent peer's
+    rng = np.random.default_rng(0)
+    probs = helper.probs.copy()
+    peers = [PeerPolicy(probs=probs, label="e1")]
+    for episode in range(2, 101):
+        probs = probs.copy()
+        for s in rng.choice(game.num_states, 5, replace=False):
+            probs[s] = helper.probs[s] if rng.random() < 0.5 else independent.probs[s]
+        peers.append(PeerPolicy(probs=probs, label=f"e{episode}"))
+    seq = EpisodeSequence.from_schedule(game, peers)
+    for name, abstraction in (("coop", phi), ("identity", IDENTITY)):
+        report = drift_report(seq, abstraction, strip_terminal=True)
+        assert formats.digest(formats.drift_to_payload(report)) == L12_H40_DRIFT_DIGESTS[name]
 
 
 @settings(max_examples=30, deadline=None)
