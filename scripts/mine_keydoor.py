@@ -8,7 +8,7 @@ state-action core.
 """
 import argparse
 
-from trajcore import IDENTITY, KeyDoorConfig, build_keydoor, validate_mdp
+from trajcore import IDENTITY, KeyDoorConfig, build_keydoor
 from trajcore.graph import Symbols, build_graph
 
 
@@ -31,7 +31,6 @@ def main() -> None:
         horizon=args.horizon,
     )
     mdp, phi = build_keydoor(cfg)
-    validate_mdp(mdp)
     concrete_graph = build_graph(mdp, Symbols(IDENTITY, strip_terminal=False))
     print(f"{concrete_graph.num_successes()} successful trajectories within horizon {cfg.horizon}")
 

@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import Symbols, build_graph
-from .mdp import DEFAULT_NODE_BUDGET, enumerate_successes, induce_mdp, validate_mdp
+from .mdp import DEFAULT_NODE_BUDGET, enumerate_successes, induce_mdp
 from .mining import (
     DEFAULT_SEQ_BUDGET,
     IDENTITY,
@@ -113,7 +113,6 @@ def cmd_mine(args, inputs):
     kind = formats.sniff_format(source, args.input_file)
     if kind == "mdp":
         mdp = formats.mdp_from_payload(source, args.input_file)
-        validate_mdp(mdp)
         phi = _load_phi(args, inputs)
         graph = build_graph(mdp, Symbols(phi, args.strip_terminal), node_budget)
         count, mine = graph.num_successes(), graph.core

@@ -18,9 +18,9 @@ definition is echoed in every report.
 
 An episode whose peer table equals an earlier one bit for bit induces the
 same MDP, so it costs nothing new: a schedule folds each distinct table once
-and its episodes share that one :class:`TabularMDP`, which one analysis
-validates and signs once.  Between two episodes that share it the kernel
-delta is 0.0.
+and its episodes share that one :class:`TabularMDP`, which validated itself
+when it was folded and which one analysis signs once.  Between two episodes
+that share it the kernel delta is 0.0.
 
 Nothing here lists successes.  Each episode, and the uniform peer's MDP, is
 mined on its support graph (:mod:`trajcore.graph`).  Index aside, a step
@@ -48,9 +48,7 @@ from .mdp import (
     PeerPolicy,
     TabularMDP,
     Trajectory,
-    _fold_peer,
-    validate_game,
-    validate_mdp,
+    induce_mdp,
 )
 from .mining import (
     DEFAULT_SEQ_BUDGET,
@@ -74,8 +72,9 @@ class EpisodeSequence:
     """A game plus one peer policy per episode, with induced MDPs materialized.
 
     Episodes whose peer tables have equal shapes and bytes share one induced
-    MDP object, folded at the first of them; labels play no part.  Its
-    fields are read-only, so sharing it is safe.
+    MDP object, folded and so validated by :func:`induce_mdp` at the first
+    of them; labels play no part.  Its fields are read-only, so sharing it
+    is safe.
     """
 
     game: MarkovGame
@@ -89,13 +88,12 @@ class EpisodeSequence:
         schedule = tuple(schedule)
         if not schedule:
             raise ValueError("need at least one episode")
-        validate_game(game)
         folded: dict = {}  # (shape, bytes) of a peer table -> its induced MDP
         induced = []
         for peer in schedule:
             key = peer.probs.shape, peer.probs.tobytes()
             if key not in folded:
-                folded[key] = _fold_peer(game, peer)
+                folded[key] = induce_mdp(game, peer)
             induced.append(folded[key])
         return cls(game=game, schedule=schedule, induced=tuple(induced))
 
@@ -217,8 +215,8 @@ def variation_budget(seq: EpisodeSequence) -> BudgetReport:
     Raises :class:`ValidationError`, naming the step, when a reward delta or
     the running total leaves the float range; a kernel delta is at most 2.
     Between two episodes that share one induced MDP the kernel delta is 0.0
-    without a measurement: the value :func:`_rows_distance` gives for any
-    kernel that a validated game and peer fold into.
+    without a measurement: the value :func:`_rows_distance` gives for a
+    kernel against itself, since no valid kernel holds a NaN.
     """
     steps = list(zip(seq.induced, seq.induced[1:]))
     kernel_deltas = tuple(
@@ -254,11 +252,11 @@ class _Support(NamedTuple):
 class _Mined:
     """The supports and support pairs of one analysis.
 
-    Each distinct MDP object is validated and signed once, and each distinct
-    support signature is built and mined once.  Each unordered
-    pair of them is measured once, as the step from its lower to its higher
-    number with index 0, and the other order reads that record with vanished
-    and gained swapped.  Held by one call, so nothing outlives it.
+    Each distinct MDP object is signed once, and each distinct support
+    signature is built and mined once.  Each unordered pair of them is
+    measured once, as the step from its lower to its higher number with
+    index 0, and the other order reads that record with vanished and gained
+    swapped.  Held by one call, so nothing outlives it.
     """
 
     def __init__(self, phi: Abstraction, strip_terminal: bool, node_budget: int, seq_budget: int):
@@ -270,12 +268,11 @@ class _Mined:
         self.pairs: dict = {}  # (lower number, higher number) -> DriftStep with index 0
 
     def episode(self, mdp: TabularMDP) -> _Support:
-        """Validate ``mdp``, mine it unless its signature is known, and return its support.
+        """Mine ``mdp`` unless its signature is known, and return its support.
 
-        An MDP object met before is neither validated nor signed again.
+        An MDP object met before is not signed again.
         """
         if mdp not in self.mdps:
-            validate_mdp(mdp)
             key = support_signature(mdp)
             if key not in self.supports:
                 graph = build_graph(mdp, self.symbols, self.node_budget)
@@ -286,8 +283,7 @@ class _Mined:
 
     def individual(self, game: MarkovGame) -> CoreSet | None:
         """The core of the uniform peer's MDP; None when nothing succeeds under it."""
-        validate_game(game)
-        return self.episode(_fold_peer(game, uniform_peer(game))).core
+        return self.episode(induce_mdp(game, uniform_peer(game))).core
 
     def step(self, index: int, a: _Support, b: _Support, individual: CoreSet | None) -> DriftStep:
         """The step from ``a`` to ``b``, read from the record of their pair."""
@@ -390,10 +386,10 @@ def drift_report(
     vanished and gained prototypes with certifying witnesses, the individual
     task core, the variation budget, and a per-step check that the shared
     structure is embedded in the individual core.  Episodes that share an
-    induced MDP (bit-equal peer tables) share one validation and one support
-    signature.  Episodes with equal support signatures share one graph and
-    one core; a step between them has their core as its common core and no
-    vanished or gained prototype.  ``seq_budget`` bounds each core search,
+    induced MDP (bit-equal peer tables) share one support signature.
+    Episodes with equal support signatures share one graph and one core; a
+    step between them has their core as its common core and no vanished or
+    gained prototype.  ``seq_budget`` bounds each core search,
     a member pair's among them.
     """
     mined = _Mined(phi, strip_terminal, node_budget, seq_budget)

@@ -37,10 +37,8 @@ from .mdp import (
     MarkovGame,
     PeerPolicy,
     TabularMDP,
-    _fold_peer,
     goal_reachable,
-    validate_game,
-    validate_mdp,
+    induce_mdp,
 )
 from .mining import Abstraction
 
@@ -215,7 +213,6 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
         initial=initial,
         goal_absorbing=True,
     )
-    validate_mdp(mdp)
     return mdp, phi
 
 
@@ -388,14 +385,13 @@ def build_coop_keydoor(
         goals=frozenset(goals),
         initial=initial,
     )
-    validate_game(game)
 
     schedule = [
         PeerPolicy(probs=policies[mode], label=f"{mode}-e{episode}")
         for episode, mode in enumerate(cfg.peer_modes, start=1)
     ]
     for mode, peer in zip(cfg.peer_modes, schedule):
-        if not goal_reachable(_fold_peer(game, peer)):
+        if not goal_reachable(induce_mdp(game, peer)):
             raise ConfigError(
                 f"peer mode {mode!r} admits no success within horizon {cfg.horizon}"
             )
@@ -452,9 +448,7 @@ def random_mdp(
         if not goal_reachable(candidate):
             continue
         # the reward is drawn only for an accepted kernel
-        mdp = replace(candidate, reward=rng.random((num_states, num_actions)))
-        validate_mdp(mdp)
-        return mdp
+        return replace(candidate, reward=rng.random((num_states, num_actions)))
     raise ConfigError(
         f"could not sample a goal-reachable MDP for seed {seed} "
         f"({num_states} states, {num_actions} actions, horizon {horizon})"

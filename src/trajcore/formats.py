@@ -289,7 +289,7 @@ def _version_2_tables(payload: dict, path: str) -> dict:
     Malformed ``entries`` are a :class:`ParseError`: not a list of JSON integers
     ``[s, a1, a2, t]`` and a number ``p``, an index out of range, or two entries
     at one (s, a1, a2, t).  Probabilities are checked, as for a dense table,
-    when the game is validated.
+    by the game as it is built.
     """
     with _malformed(path, "game"):
         dims = tuple(

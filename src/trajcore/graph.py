@@ -281,7 +281,7 @@ def support_signature(mdp: TabularMDP) -> tuple:
 def build_graph(
     mdp: TabularMDP, symbols: Symbols, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> "SuccessGraph":
-    """The support graph of a validated ``mdp``, labelled from ``symbols``.
+    """The support graph of ``mdp``, labelled from ``symbols``.
 
     Both walks read :func:`~trajcore.mdp._goal_closure`: the support rows
     of the states the initial support reaches, and the distance from each

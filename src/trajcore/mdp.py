@@ -16,6 +16,9 @@ Conventions used throughout the package:
   kernel support reads the one kept by :attr:`TabularMDP._support`.
 * An MDP and a game differ only in the rank of the kernel: both construct
   through :func:`_build_model` and validate through :func:`_validate_model`.
+  Each constructor validates, so every model object is valid, however it
+  was made (directly, by ``dataclasses.replace``, by a file reader or by
+  :func:`induce_mdp`), and no reader of one validates it again.
 * The successes of an MDP are the root-to-goal paths of one layered graph
   over (state, t), pruned to the nodes from which a goal is still reachable
   within the horizon.  :func:`trajcore.graph.build_graph` walks and labels
@@ -227,6 +230,7 @@ class TabularMDP:
     def __post_init__(self):
         s = self.num_states
         _build_model(self, "reward", (s, self.num_actions, s), "kernel")
+        validate_mdp(self)
 
     @cached_property
     def _support(self) -> KernelRows:
@@ -279,6 +283,7 @@ class MarkovGame:
     def __post_init__(self):
         shape = (self.num_states, self.num_actions_1, self.num_actions_2, self.num_states)
         _build_model(self, "reward_1", shape, "joint kernel")
+        validate_game(self)
 
     @cached_property
     def _fold_plan(self) -> "_FoldPlan":
@@ -506,7 +511,7 @@ def _validate_model(model, reward: str, what: str) -> None:
 
 
 def validate_mdp(mdp: TabularMDP) -> None:
-    """Raise unless every TabularMDP invariant holds.
+    """Raise unless every TabularMDP invariant holds; every TabularMDP runs it as it is built.
 
     The horizon is from 1 to ``MAX_HORIZON``, some state is a goal, every
     kernel row and the initial distribution sum to 1 within ``ROW_TOL`` with
@@ -547,18 +552,6 @@ def _goal_loops(rows: KernelRows, goals: frozenset[int]) -> np.ndarray:
     return at_own.reshape(rows.shape[:-1])[sorted(goals)]
 
 
-def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
-    """Fold a peer policy into a game, producing the focal agent's MDP.
-
-    kernel(s, a1, s') = sum_a2 joint_kernel(s, a1, a2, s') * probs(s, a2)
-    reward(s, a1)     = sum_a2 reward_1(s, a1, a2)        * probs(s, a2)
-    """
-    validate_game(game)
-    induced = _fold_peer(game, peer)
-    validate_mdp(induced)
-    return induced
-
-
 @dataclass(frozen=True, eq=False)
 class _FoldPlan:
     """The parts of folding a peer into a game that depend only on the game.
@@ -568,7 +561,8 @@ class _FoldPlan:
     its induced (s, a1, t) key in ``keys``, the ascending distinct keys
     ``(s * A1 + a1) * S + t``.  ``goal_absorbing`` is
     True iff every :func:`_goal_loops` entry of the joint kernel is 1 within
-    ``ROW_TOL``, the rule :func:`validate_mdp` enforces.
+    ``ROW_TOL``, the rule :func:`validate_mdp` enforces when each induced MDP
+    is built.
     """
 
     peer_at: np.ndarray
@@ -592,21 +586,25 @@ def _plan_fold(game: MarkovGame) -> _FoldPlan:
     )
 
 
-def _fold_peer(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
-    """:func:`induce_mdp` for a game the caller has already validated.
+def induce_mdp(game: MarkovGame, peer: PeerPolicy) -> TabularMDP:
+    """Fold a peer policy into a game, producing the focal agent's MDP.
 
-    The kernel is ``sum_a2 joint(s, a1, a2, t) * probs(s, a2)`` over the
-    game's fold plan.  Each sum starts at 0.0 and adds its products in
-    ascending ``a2``, the order in which the dense
+    kernel(s, a1, s') = sum_a2 joint_kernel(s, a1, a2, s') * probs(s, a2)
+    reward(s, a1)     = sum_a2 reward_1(s, a1, a2)        * probs(s, a2)
+
+    The kernel is summed over the game's fold plan.  Each sum starts at 0.0
+    and adds its products in ascending ``a2``, the order in which the dense
     ``einsum("sabt,sb->sat")`` accumulates: joint rows run over
     (s, a1, a2), so each key meets its products in ascending ``a2`` and
     ``bincount`` adds them in that order.  The folded entries therefore
     equal the dense fold's bit for bit.  Sums that come to 0 are not stored.
 
-    The result is not validated: a validated game and peer fold into a valid
-    MDP up to rounding, and :func:`enumerate_successes` validates its input.
     A table of the wrong shape is a :class:`DimensionMismatch` before its
-    rows are checked, since its rows need not be the game's states.
+    rows are checked by :func:`validate_peer`, since its rows need not be the
+    game's states.  The returned MDP validates itself as it is built: a
+    valid game and peer can fold into a row more than ``ROW_TOL`` from 1,
+    since each may be off by up to ``ROW_TOL``, and that row is a
+    :class:`RowSumError`.
     """
     if peer.probs.shape != (game.num_states, game.num_actions_2):
         raise DimensionMismatch(
@@ -670,7 +668,6 @@ def enumerate_successes(
     from .graph import Symbols, build_graph
     from .mining import IDENTITY
 
-    validate_mdp(mdp)
     limit = max(node_budget, 0)
     try:  # a graph of more (state, t) nodes than this has more prefixes too
         graph = build_graph(mdp, Symbols(IDENTITY, False), max(limit, _COUNTED_NODES))
@@ -793,7 +790,6 @@ def rollout(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    validate_mdp(mdp)
     policy = np.asarray(policy, dtype=float)
     if policy.shape != (mdp.num_states, mdp.num_actions):
         raise DimensionMismatch(

@@ -47,7 +47,6 @@ from trajcore import (
 from trajcore import drift as drift_module
 from trajcore import formats
 from trajcore.drift import _certified_changes, _common_core, _rows_distance
-from trajcore.mdp import _fold_peer
 from trajcore.graph import DEFAULT_SEQ_BUDGET, Symbols, build_graph, support_signature
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, CoopKeyDoorConfig
 
@@ -370,11 +369,13 @@ def test_uniform_peer_has_full_support():
 
 
 def test_from_schedule_validates_the_game_once(monkeypatch):
+    # once, as it is built: neither the schedule nor the analysis validates it again
+    calls = count_calls(monkeypatch, "validate_game")
     rng = np.random.default_rng(7)
     game = random_game(rng)
     schedule = [random_peer(rng, game) for _ in range(5)]
-    calls = count_calls(monkeypatch, "validate_game")
     seq = EpisodeSequence.from_schedule(game, schedule)
+    drift_report(seq)
     assert seq.num_episodes == 5
     assert len(calls) == 1
 
@@ -565,7 +566,7 @@ def test_drift_path_validates_each_induced_mdp_once(monkeypatch):
     calls = count_calls(monkeypatch, "validate_mdp")
     seq = EpisodeSequence.from_schedule(game, schedule)
     drift_report(seq)
-    # one per distinct induced MDP plus one for the individual core, before its graph is built
+    # one per distinct induced MDP, as it is folded, plus one as the uniform peer's is folded
     assert len(calls) == seq.num_episodes + 1
 
 
@@ -623,7 +624,7 @@ def test_episodes_that_share_a_fold_report_what_one_fold_per_episode_reports(see
     schedule = _repeating_schedule(rng, game)
     shared = EpisodeSequence.from_schedule(game, schedule)
     fresh = EpisodeSequence(game=game, schedule=tuple(schedule),
-                            induced=tuple(_fold_peer(game, peer) for peer in schedule))
+                            induced=tuple(induce_mdp(game, peer) for peer in schedule))
     assert len({id(mdp) for mdp in shared.induced}) == len(_tables(schedule)) < len(schedule)
     assert shared.induced[0] is shared.induced[1] and shared.induced[0] is shared.induced[-1]
     budget = variation_budget(shared)
@@ -640,11 +641,12 @@ def test_each_distinct_peer_table_is_folded_and_validated_once(monkeypatch):
     rng = np.random.default_rng(5)
     game = sparse_game(rng)
     schedule = _repeating_schedule(rng, game)
-    folded = count_calls(monkeypatch, "_fold_peer")
+    folded = count_calls(monkeypatch, "induce_mdp")
     peers = count_calls(monkeypatch, "validate_peer")
     validated = count_calls(monkeypatch, "validate_mdp")
     seq = EpisodeSequence.from_schedule(game, schedule)
-    assert len(folded) == len(peers) == len(_tables(schedule)) and validated == []
+    # each induced MDP validates itself as it is folded, and the analysis does not again
+    assert len(folded) == len(peers) == len(validated) == len(_tables(schedule))
     drift_report(seq)
     # plus one of each for the uniform peer of the individual core
     assert len(folded) == len(peers) == len(validated) == len(_tables(schedule)) + 1

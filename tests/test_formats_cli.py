@@ -10,9 +10,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from trajcore import TERMINAL, Abstraction, CoreSet, core, enumerate_successes
+from trajcore import (
+    TERMINAL,
+    Abstraction,
+    CoreSet,
+    EpisodeSequence,
+    MarkovGame,
+    PeerPolicy,
+    RowSumError,
+    core,
+    enumerate_successes,
+    induce_mdp,
+)
 from trajcore import cli, formats
 from trajcore.cli import main
+from trajcore.mdp import ROW_TOL
 from trajcore.envs import (
     DEFAULT_COOP,
     DEFAULT_KEYDOOR,
@@ -483,6 +495,32 @@ def test_cli_malformed_peer_and_schedule_are_parse_errors(tmp_path, capsys):
             assert main([command, str(game_file), str(bad_schedule)]) == 3
             err = capsys.readouterr().err
             assert "Traceback" not in err and "field 'policies' must be a nonempty list" in err
+
+
+def test_a_fold_past_the_row_tolerance_is_one_error_on_every_path(tmp_path, capsys):
+    # the joint row and the peer row each sum to 1 + 9e-10, inside ROW_TOL, so the game and
+    # the peer are valid, but the folded row sums to about 1 + 1.8e-9
+    joint = np.zeros((2, 1, 2, 2))
+    joint[0, 0, :] = [0.5 + 4.5e-10, 0.5 + 4.5e-10]
+    joint[1, 0, :, 1] = 1.0
+    game = MarkovGame(num_states=2, num_actions_1=1, num_actions_2=2, joint_kernel=joint,
+                      reward_1=np.zeros((2, 1, 2)), horizon=3, goals=frozenset({1}),
+                      initial=np.array([1.0, 0.0]))
+    peer = PeerPolicy(probs=np.array([[0.5 + 4.5e-10, 0.5 + 4.5e-10], [0.5, 0.5]]))
+    with pytest.raises(RowSumError) as folded:
+        induce_mdp(game, peer)
+    assert folded.value.row == (0, 0) and folded.value.total > 1 + ROW_TOL
+    with pytest.raises(RowSumError) as scheduled:
+        EpisodeSequence.from_schedule(game, [peer, peer])
+    assert str(scheduled.value) == str(folded.value)
+
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("game", "peer", "schedule")}
+    formats.write_json(paths["game"], formats.game_to_payload(game))
+    formats.write_json(paths["peer"], formats.peer_to_payload(peer))
+    formats.write_json(paths["schedule"], formats.schedule_to_payload([peer, peer]))
+    for command, second in (("induce", "peer"), ("budget", "schedule"), ("drift", "schedule")):
+        assert main([command, paths["game"], paths[second]]) == 4
+        assert capsys.readouterr().err == f"trajcore: invalid input: {folded.value}\n"
 
 
 def test_cli_exit_codes(tmp_path, capsys):

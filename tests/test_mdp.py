@@ -4,7 +4,7 @@ import operator
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +37,14 @@ from trajcore import (
     validate_mdp,
     validate_peer,
 )
+from trajcore import formats
 from trajcore.envs import DEFAULT_COOP, DEFAULT_KEYDOOR, build_keydoor, random_mdp
 from trajcore.mdp import _draw, _encode, _plan_fold, goal_reachable
 
 from conftest import (
     count_set_builds,
     dense_rollout,
+    game_payload_v1,
     oracle_canonical,
     oracle_case,
     oracle_enumerate,
@@ -65,64 +67,60 @@ def test_validate_chain_passes(chain_mdp):
 def test_validate_rejects_bad_row_sum(chain_mdp):
     kernel = np.array(chain_mdp.kernel)
     kernel[1, 1, 2] = 0.98
-    bad = TabularMDP(
-        num_states=3,
-        num_actions=2,
-        kernel=kernel,
-        reward=chain_mdp.reward,
-        horizon=4,
-        goals=frozenset({2}),
-        initial=chain_mdp.initial,
-    )
     with pytest.raises(RowSumError) as err:
-        validate_mdp(bad)
+        TabularMDP(
+            num_states=3,
+            num_actions=2,
+            kernel=kernel,
+            reward=chain_mdp.reward,
+            horizon=4,
+            goals=frozenset({2}),
+            initial=chain_mdp.initial,
+        )
     assert err.value.row == (1, 1)
     assert abs(err.value.total - 0.98) < 1e-12
 
 
 def test_validate_rejects_empty_goals(chain_mdp):
-    bad = TabularMDP(
-        num_states=3,
-        num_actions=2,
-        kernel=chain_mdp.kernel,
-        reward=chain_mdp.reward,
-        horizon=4,
-        goals=frozenset(),
-        initial=chain_mdp.initial,
-    )
     with pytest.raises(EmptyGoalError):
-        validate_mdp(bad)
+        TabularMDP(
+            num_states=3,
+            num_actions=2,
+            kernel=chain_mdp.kernel,
+            reward=chain_mdp.reward,
+            horizon=4,
+            goals=frozenset(),
+            initial=chain_mdp.initial,
+        )
 
 
 def test_validate_rejects_nonpositive_horizon(chain_mdp):
-    bad = TabularMDP(
-        num_states=3,
-        num_actions=2,
-        kernel=chain_mdp.kernel,
-        reward=chain_mdp.reward,
-        horizon=0,
-        goals=frozenset({2}),
-        initial=chain_mdp.initial,
-    )
     with pytest.raises(HorizonError):
-        validate_mdp(bad)
+        TabularMDP(
+            num_states=3,
+            num_actions=2,
+            kernel=chain_mdp.kernel,
+            reward=chain_mdp.reward,
+            horizon=0,
+            goals=frozenset({2}),
+            initial=chain_mdp.initial,
+        )
 
 
 def test_validate_enforces_absorbing_flag(chain_mdp):
     kernel = np.array(chain_mdp.kernel)
     kernel[2, 0] = [1.0, 0.0, 0.0]  # goal leaks back to state 0
-    bad = TabularMDP(
-        num_states=3,
-        num_actions=2,
-        kernel=kernel,
-        reward=chain_mdp.reward,
-        horizon=4,
-        goals=frozenset({2}),
-        initial=chain_mdp.initial,
-        goal_absorbing=True,
-    )
     with pytest.raises(RowSumError):
-        validate_mdp(bad)
+        TabularMDP(
+            num_states=3,
+            num_actions=2,
+            kernel=kernel,
+            reward=chain_mdp.reward,
+            horizon=4,
+            goals=frozenset({2}),
+            initial=chain_mdp.initial,
+            goal_absorbing=True,
+        )
 
 
 def _two_goal_mdp(leaks: dict) -> TabularMDP:
@@ -230,6 +228,97 @@ def test_validation_rejects_non_finite_rewards(chain_mdp, bad):
         validate_game(replace(game, reward_1=reward_1))
     with pytest.raises(ValidationError, match="reward_1 entry"):
         induce_mdp(replace(game, reward_1=reward_1), PeerPolicy(probs=np.full((2, 2), 0.5)))
+
+
+def _edited(table: np.ndarray, at, value) -> np.ndarray:
+    table = np.array(table)
+    table[at] = value
+    return table
+
+
+_OUT_OF_RANGE = "horizon must be from 1 to 9223372036854775807, got "
+
+# each invalid case that validate_mdp or validate_game rejects, as an edit of the
+# fields of the chain MDP or of the two-row game, with the error it raises
+_INVALID_MODELS = {
+    "mdp-row-sum": (
+        lambda m: {"kernel": _edited(m.kernel, (1, 1, 2), 0.98)},
+        RowSumError, "kernel row (1, 1) sums to 0.98, expected 1 within 1e-09"),
+    "mdp-negative-entry": (
+        lambda m: {"kernel": _edited(m.kernel, (1, 1), [-0.25, 0.0, 1.25])},
+        RowSumError, "kernel row (negative entry) sums to -0.25, expected 1 within 1e-09"),
+    "mdp-nan-probability": (
+        lambda m: {"kernel": _edited(m.kernel, (1, 1, 0), np.nan)},
+        RowSumError, "kernel row (1, 1) sums to nan, expected 1 within 1e-09"),
+    "mdp-nan-reward": (
+        lambda m: {"reward": _edited(m.reward, (1, 0), np.nan)},
+        ValidationError, "reward entry (1, 0) is not finite: nan"),
+    "mdp-inf-reward": (
+        lambda m: {"reward": _edited(m.reward, (1, 0), np.inf)},
+        ValidationError, "reward entry (1, 0) is not finite: inf"),
+    "mdp-empty-goals": (lambda m: {"goals": frozenset()}, EmptyGoalError, "goal set is empty"),
+    "mdp-horizon-0": (lambda m: {"horizon": 0}, HorizonError, _OUT_OF_RANGE + "0"),
+    "mdp-horizon-2**63": (
+        lambda m: {"horizon": 2**63}, HorizonError, _OUT_OF_RANGE + "9223372036854775808"),
+    "mdp-leaky-goal": (
+        lambda m: {"kernel": _edited(m.kernel, (2, 0), [1.0, 0.0, 0.0])},
+        RowSumError, "absorbing goal kernel row (2, 0) sums to 0.0, expected 1 within 1e-09"),
+    "game-row-sum": (
+        lambda g: {"joint_kernel": _edited(g.joint_kernel, (0, 0, 1, 1), 0.98)},
+        RowSumError, "joint kernel row (0, 0, 1) sums to 0.98, expected 1 within 1e-09"),
+    "game-negative-entry": (
+        lambda g: {"joint_kernel": _edited(g.joint_kernel, (0, 0, 1), [-0.25, 1.25])},
+        RowSumError, "joint kernel row (negative entry) sums to -0.25, expected 1 within 1e-09"),
+    "game-nan-probability": (
+        lambda g: {"joint_kernel": _edited(g.joint_kernel, (0, 0, 1, 0), np.nan)},
+        RowSumError, "joint kernel row (0, 0, 1) sums to nan, expected 1 within 1e-09"),
+    "game-nan-reward": (
+        lambda g: {"reward_1": _edited(g.reward_1, (0, 0, 1), np.nan)},
+        ValidationError, "reward_1 entry (0, 0, 1) is not finite: nan"),
+    "game-inf-reward": (
+        lambda g: {"reward_1": _edited(g.reward_1, (0, 0, 1), -np.inf)},
+        ValidationError, "reward_1 entry (0, 0, 1) is not finite: -inf"),
+    "game-empty-goals": (lambda g: {"goals": frozenset()}, EmptyGoalError, "goal set is empty"),
+    "game-horizon-0": (lambda g: {"horizon": 0}, HorizonError, _OUT_OF_RANGE + "0"),
+    "game-horizon-2**63": (
+        lambda g: {"horizon": 2**63}, HorizonError, _OUT_OF_RANGE + "9223372036854775808"),
+}
+
+
+def _payload_fields(changed: dict, entries: bool) -> dict:
+    """``changed`` as payload fields; with ``entries``, a joint kernel as version-2 entries."""
+    out = {}
+    for name, value in changed.items():
+        if name == "joint_kernel" and entries:
+            index = zip(*(axis.tolist() for axis in np.nonzero(value)))
+            out["entries"] = [[*at, float(value[at])] for at in index]
+        elif isinstance(value, frozenset):
+            out[name] = sorted(value)
+        else:
+            out[name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
+
+
+@pytest.mark.parametrize("case", list(_INVALID_MODELS))
+def test_no_invalid_model_can_be_built(chain_mdp, case):
+    edit, error, message = _INVALID_MODELS[case]
+    base = chain_mdp if case.startswith("mdp") else _two_row_game()
+    changed = edit(base)
+    builds = [
+        lambda: type(base)(**{**{f.name: getattr(base, f.name) for f in fields(base)}, **changed}),
+        lambda: replace(base, **changed),
+    ]
+    if isinstance(base, TabularMDP):
+        payload = {**formats.mdp_to_payload(base), **_payload_fields(changed, False)}
+        builds.append(lambda: formats.mdp_from_payload(payload))
+    else:
+        for payload, entries in ((game_payload_v1(base), False), (formats.game_to_payload(base), True)):
+            payload = {**payload, **_payload_fields(changed, entries)}
+            builds.append(lambda payload=payload: formats.game_from_payload(payload))
+    for build in builds:
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error and str(err.value) == message
 
 
 def test_induce_weighted_sum_row():
@@ -810,7 +899,8 @@ def test_positive_rows_equal_the_support_of_every_pair(support_size):
         )
         assert mdp._support is mdp.rows  # every stored entry is positive
         kernel = mdp.kernel.copy()
-        kernel[0, 0, -1] = -5e-10  # tolerated by validation, outside the support
+        # tolerated by validation, outside the support, and the row still sums to 1 within ROW_TOL
+        kernel[0, 0, np.flatnonzero(kernel[0, 0] == 0)[-1]] = -5e-10
         mdp = replace(mdp, kernel=kernel)
         support = mdp._support
         assert support is not mdp.rows and support.shape == mdp.rows.shape
