@@ -17,10 +17,9 @@ that survives every peer behavior the joint dynamics support; this
 definition is echoed in every report.
 
 An episode whose peer table equals an earlier one bit for bit induces the
-same MDP, so it costs nothing new: a schedule folds each distinct table once
-and its episodes share that one :class:`TabularMDP`, which validated itself
-when it was folded and which one analysis signs once.  Between two episodes
-that share it the kernel delta is 0.0.
+same MDP: a schedule folds each distinct table once and its episodes share
+that one :class:`TabularMDP`, which validated itself when it was folded.
+Between two episodes that share it the kernel delta is 0.0.
 
 Nothing here lists successes.  Each episode, and the uniform peer's MDP, is
 mined on its support graph (:mod:`trajcore.graph`).  Index aside, a step
@@ -252,11 +251,11 @@ class _Support(NamedTuple):
 class _Mined:
     """The supports and support pairs of one analysis.
 
-    Each distinct MDP object is signed once, and each distinct support
-    signature is built and mined once.  Each unordered pair of them is
-    measured once, as the step from its lower to its higher number with
-    index 0, and the other order reads that record with vanished and gained
-    swapped.  Held by one call, so nothing outlives it.
+    Every MDP given is signed, and each distinct support signature is built
+    and mined once.  Each unordered pair of them is measured once, as the
+    step from its lower to its higher number with index 0, and the other
+    order reads that record with vanished and gained swapped.  Held by one
+    call, so nothing outlives it.
     """
 
     def __init__(self, phi: Abstraction, strip_terminal: bool, node_budget: int, seq_budget: int):
@@ -264,22 +263,16 @@ class _Mined:
         self.node_budget = node_budget
         self.seq_budget = seq_budget
         self.supports: dict = {}  # signature -> _Support
-        self.mdps: dict = {}  # TabularMDP, which hashes by identity -> _Support
         self.pairs: dict = {}  # (lower number, higher number) -> DriftStep with index 0
 
     def episode(self, mdp: TabularMDP) -> _Support:
-        """Mine ``mdp`` unless its signature is known, and return its support.
-
-        An MDP object met before is not signed again.
-        """
-        if mdp not in self.mdps:
-            key = support_signature(mdp)
-            if key not in self.supports:
-                graph = build_graph(mdp, self.symbols, self.node_budget)
-                mined = graph.core(self.seq_budget) if graph.roots else None
-                self.supports[key] = _Support(len(self.supports), graph, mined)
-            self.mdps[mdp] = self.supports[key]
-        return self.mdps[mdp]
+        """Sign ``mdp``, mine it unless its signature is known, and return its support."""
+        key = support_signature(mdp)
+        if key not in self.supports:
+            graph = build_graph(mdp, self.symbols, self.node_budget)
+            mined = graph.core(self.seq_budget) if graph.roots else None
+            self.supports[key] = _Support(len(self.supports), graph, mined)
+        return self.supports[key]
 
     def individual(self, game: MarkovGame) -> CoreSet | None:
         """The core of the uniform peer's MDP; None when nothing succeeds under it."""

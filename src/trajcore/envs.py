@@ -117,6 +117,11 @@ def _check_keydoor(cfg: KeyDoorConfig | CoopKeyDoorConfig) -> int:
     return direction
 
 
+def _walk(pos: int, action: int, lo: int, hi: int) -> int:
+    """The cell one LEFT or RIGHT step from ``pos``, held within ``[lo, hi]``."""
+    return min(max(pos + (1 if action == RIGHT else -1), lo), hi)
+
+
 def shortest_solution_actions(cfg: KeyDoorConfig) -> int:
     """Action count of the shortest solve: walk to key, to door, to goal, plus two interacts."""
     return (
@@ -158,9 +163,7 @@ def build_keydoor(cfg: KeyDoorConfig) -> tuple[TabularMDP, Abstraction]:
 
     def step(pos: int, has_key: bool, door_open: bool, action: int):
         if action in (LEFT, RIGHT):
-            nxt = pos + (1 if action == RIGHT else -1)
-            if not 0 <= nxt < length:
-                nxt = pos
+            nxt = _walk(pos, action, 0, length - 1)
             # the edge from the door cell toward the goal is locked until open
             if not door_open and (
                 (pos == cfg.door_pos and nxt == cfg.door_pos + direction)
@@ -238,8 +241,6 @@ class _CoopLayout:
         self.held_peer = self.length + 2
         self.num_key_locs = self.length + 3
         self.num_states = self.length * self.length * self.num_key_locs * 2
-        self.peer_lo = cfg.key_pos
-        self.peer_hi = cfg.door_pos
 
     def encode(self, f: int, p: int, k: int, d: int) -> int:
         return ((f * self.length + p) * self.num_key_locs + k) * 2 + d
@@ -255,9 +256,7 @@ class _CoopLayout:
     def focal_effect(self, f: int, k: int, d: int, a1: int) -> tuple[int, int]:
         """The focal cell and key location after the focal action ``a1``."""
         if a1 in (LEFT, RIGHT):
-            nxt = f + (1 if a1 == RIGHT else -1)
-            if not 0 <= nxt < self.length:
-                nxt = f
+            nxt = _walk(f, a1, 0, self.length - 1)
             if not d and nxt == self.cfg.door_pos:
                 nxt = f
             return nxt, k
@@ -271,9 +270,7 @@ class _CoopLayout:
     def peer_effect(self, p: int, k: int, d: int, a2: int) -> tuple[int, int, int]:
         """The peer cell, key location and door after the peer action ``a2``."""
         if a2 in (LEFT, RIGHT):
-            nxt = p + (1 if a2 == RIGHT else -1)
-            nxt = min(max(nxt, self.peer_lo), self.peer_hi)
-            return nxt, k, d
+            return _walk(p, a2, self.cfg.key_pos, self.cfg.door_pos), k, d
         # USE: pick up a floor key here, else open the door
         if self.floor_cell(k) == p:
             return p, self.held_peer, d
@@ -292,7 +289,7 @@ class _CoopLayout:
                 return RIGHT
             return USE
         cell = self.floor_cell(k) if fetches or k != self.orig else None
-        if cell is not None and self.peer_lo <= cell <= self.peer_hi:
+        if cell is not None and self.cfg.key_pos <= cell <= self.cfg.door_pos:
             if p == cell:
                 return USE
             return RIGHT if cell > p else LEFT
@@ -353,8 +350,11 @@ def build_coop_keydoor(
             peer_symbol = "peer_reaches_door"
         elif k == layout.held_peer and not d and p == cfg.door_pos:
             peer_symbol = "peer_opens_door"
+        peer = {}  # key location after the focal step -> the peer's three outcomes
         for a1 in range(3):
             f1, k1 = layout.focal_effect(f, k, d, a1)
+            if k1 not in peer:
+                peer[k1] = [layout.peer_effect(p, k1, d, a2) for a2 in range(3)]
             symbol = peer_symbol
             if k == layout.orig and k1 == layout.held_focal:
                 symbol = "find_key"
@@ -363,8 +363,8 @@ def build_coop_keydoor(
             mapping[(state, a1)] = symbol
             if f1 == cfg.goal_pos:
                 reward[state, a1] = 1.0
-            for a2 in range(3):
-                successors[state, a1, a2] = layout.encode(f1, *layout.peer_effect(p, k1, d, a2))
+            for a2, outcome in enumerate(peer[k1]):
+                successors[state, a1, a2] = layout.encode(f1, *outcome)
     kernel = KernelRows(
         (num_states, 3, 3, num_states),
         offsets=np.arange(successors.size + 1),
@@ -390,8 +390,8 @@ def build_coop_keydoor(
         PeerPolicy(probs=policies[mode], label=f"{mode}-e{episode}")
         for episode, mode in enumerate(cfg.peer_modes, start=1)
     ]
-    for mode, peer in zip(cfg.peer_modes, schedule):
-        if not goal_reachable(induce_mdp(game, peer)):
+    for mode, probs in policies.items():  # each mode once, in schedule order
+        if not goal_reachable(induce_mdp(game, PeerPolicy(probs=probs, label=mode))):
             raise ConfigError(
                 f"peer mode {mode!r} admits no success within horizon {cfg.horizon}"
             )

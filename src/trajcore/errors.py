@@ -30,7 +30,7 @@ class EmptyGoalError(ValidationError):
 
 
 class HorizonError(ValidationError):
-    """The horizon is not an integer from 1 to 2**63 - 1."""
+    """The horizon is not an integer from 1 to 2**63 - 1; raised as a model is built."""
 
 
 class DimensionMismatch(ValidationError):

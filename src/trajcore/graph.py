@@ -74,7 +74,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from operator import eq, itemgetter
 from typing import TYPE_CHECKING, Iterator, Union
 
@@ -123,11 +122,7 @@ class CoreSet:
         return len(self.members)
 
     def __contains__(self, seq) -> bool:
-        return tuple(seq) in self._set
-
-    @cached_property
-    def _set(self) -> frozenset[SymbolSeq]:
-        return frozenset(self.members)
+        return tuple(seq) in self.members
 
     def max_length(self) -> int:
         return max((len(m) for m in self.members), default=0)
@@ -232,8 +227,7 @@ class Symbols:
         for item in items:
             seq = item
             if isinstance(item, Trajectory):
-                end = item.terminal_state
-                seq = item.steps if end is None else item.steps + ((end, TERMINAL),)
+                seq = item.pairs()
             elif not isinstance(item, tuple):
                 seq = tuple(item)  # a failed pass must not have consumed it
             if pairs_only and None in map(_pair, seq):

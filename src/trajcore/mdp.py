@@ -88,10 +88,12 @@ class KernelRows:
     A kernel's last axis is a distribution over next states; its leading axes,
     flattened row-major, number the rows: (s, a) for :class:`TabularMDP`,
     (s, a1, a2) for :class:`MarkovGame`.  Row ``r`` holds the next states
-    ``targets[offsets[r]:offsets[r + 1]]`` in ascending order and their
-    entries at the same positions of ``probs``.  Zero entries are not
+    ``targets[offsets[r]:offsets[r + 1]]`` in strictly ascending order and
+    their entries at the same positions of ``probs``.  Zero entries are not
     stored; every other entry is, including the small negative ones that
-    validation tolerates and the non-finite ones it rejects.
+    validation tolerates and the non-finite ones it rejects.  Construction
+    raises :class:`DimensionMismatch` unless the offsets ascend from 0 to
+    the number of entries and every target is a state in ``[0, shape[-1])``.
     """
 
     shape: tuple[int, ...]
@@ -104,15 +106,28 @@ class KernelRows:
         object.__setattr__(self, "offsets", _freeze(self.offsets, np.int64))
         object.__setattr__(self, "targets", _freeze(self.targets, np.int64))
         object.__setattr__(self, "probs", _freeze(self.probs))
+        offsets, targets, width = self.offsets, self.targets, self.shape[-1]
         rows = math.prod(self.shape[:-1])
         if not (
-            len(self.offsets) == rows + 1
-            and self.offsets[0] == 0
-            and self.offsets[-1] == len(self.targets) == len(self.probs)
+            len(offsets) == rows + 1
+            and offsets[0] == 0
+            and offsets[-1] == len(targets) == len(self.probs)
+            and (offsets[1:] >= offsets[:-1]).all()
         ):
             raise DimensionMismatch(
                 f"rows of a {self.shape} kernel need {rows + 1} offsets, "
-                f"from 0 to the number of entries"
+                f"ascending from 0 to the number of entries"
+            )
+        starts = np.zeros(len(targets) + 1, dtype=bool)
+        starts[offsets] = True  # entry i begins a row iff starts[i]
+        if len(targets) and not (
+            0 <= targets.min()
+            and targets.max() < width
+            and ((targets[1:] > targets[:-1]) | starts[1:-1]).all()
+        ):
+            raise DimensionMismatch(
+                f"rows of a {self.shape} kernel need targets in [0, {width}), "
+                f"strictly ascending within each row"
             )
 
     @classmethod
@@ -179,8 +194,20 @@ class _DenseView:
         obj.__dict__["rows"] = value
 
 
-def _build_model(model, reward: str, shape: tuple[int, ...], what: str) -> None:
-    """The one constructor of both models: ``reward`` names the reward field, ``what`` the kernel."""
+def _build_model(model, reward: str, actions: tuple[str, ...], what: str) -> None:
+    """The one constructor of both models: ``reward`` names the reward field, ``what`` the kernel.
+
+    The horizon, ``num_states`` and the ``actions`` counts are stored as
+    ``int``; a horizon that is not an integer is a :class:`HorizonError`.
+    """
+    for name in ("horizon", "num_states", *actions):
+        value = getattr(model, name)
+        try:
+            object.__setattr__(model, name, operator.index(value))
+        except TypeError:
+            error = HorizonError if name == "horizon" else ValidationError
+            raise error(f"{name} must be an integer, got {value!r}") from None
+    shape = (model.num_states, *(getattr(model, name) for name in actions), model.num_states)
     table = _freeze(getattr(model, reward))
     object.__setattr__(model, reward, table)
     object.__setattr__(model, "initial", _freeze(model.initial))
@@ -228,8 +255,7 @@ class TabularMDP:
     goal_absorbing: bool = False
 
     def __post_init__(self):
-        s = self.num_states
-        _build_model(self, "reward", (s, self.num_actions, s), "kernel")
+        _build_model(self, "reward", ("num_actions",), "kernel")
         validate_mdp(self)
 
     @cached_property
@@ -281,8 +307,7 @@ class MarkovGame:
     initial: np.ndarray
 
     def __post_init__(self):
-        shape = (self.num_states, self.num_actions_1, self.num_actions_2, self.num_states)
-        _build_model(self, "reward_1", shape, "joint kernel")
+        _build_model(self, "reward_1", ("num_actions_1", "num_actions_2"), "joint kernel")
         validate_game(self)
 
     @cached_property

@@ -38,9 +38,8 @@ class TrieNode:
 class TrajectoryTrie:
     """Immutable-after-build trie of trajectory prefixes."""
 
-    def __init__(self, root: TrieNode, num_inserted: int):
+    def __init__(self, root: TrieNode):
         self.root = root
-        self.num_inserted = num_inserted
 
     def node_count(self) -> int:
         total = 0
@@ -91,9 +90,7 @@ def build_trie(rollouts: RolloutSet | SuccessSet | Iterable[Trajectory]) -> Traj
     else:
         trajectories = list(rollouts)
     root = TrieNode()
-    inserted = 0
     for traj in trajectories:
-        inserted += 1
         root.count += 1
         node = root
         path = [root]
@@ -109,7 +106,7 @@ def build_trie(rollouts: RolloutSet | SuccessSet | Iterable[Trajectory]) -> Traj
         if traj.terminated:
             for seen in path:
                 seen.y = True
-    return TrajectoryTrie(root, inserted)
+    return TrajectoryTrie(root)
 
 
 def successful_leaves(trie: TrajectoryTrie) -> SuccessSet:

@@ -22,6 +22,8 @@ from trajcore import (
 from trajcore.envs import (
     DEFAULT_COOP,
     DEFAULT_KEYDOOR,
+    HELPER,
+    INDEPENDENT,
     random_mdp,
     shortest_solution_actions,
 )
@@ -317,3 +319,20 @@ def test_build_coop_keydoor_checks_feasibility_without_enumerating(monkeypatch):
     with pytest.raises(ConfigError):
         build_coop_keydoor(replace(DEFAULT_COOP, horizon=4))
     assert calls == []
+
+
+def test_build_coop_keydoor_checks_each_peer_mode_once(monkeypatch):
+    calls = count_calls(monkeypatch, "induce_mdp")
+    build_coop_keydoor(replace(DEFAULT_COOP, peer_modes=(HELPER, HELPER, INDEPENDENT, HELPER)))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("horizon, modes, failing", [
+    (5, (INDEPENDENT, HELPER, INDEPENDENT), INDEPENDENT),
+    (5, (HELPER, INDEPENDENT), HELPER),
+    (6, (INDEPENDENT, HELPER, INDEPENDENT), HELPER),
+])
+def test_build_coop_keydoor_names_the_first_failing_mode_in_schedule_order(horizon, modes, failing):
+    message = rf"^peer mode '{failing}' admits no success within horizon {horizon}$"
+    with pytest.raises(ConfigError, match=message):
+        build_coop_keydoor(replace(DEFAULT_COOP, horizon=horizon, peer_modes=modes))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import operator
 import os
 import subprocess
@@ -474,6 +475,36 @@ def test_a_horizon_outside_int64_is_a_horizon_error(chain_mdp, horizon):
         validate_mdp(replace(chain_mdp, horizon=horizon))
     with pytest.raises(HorizonError):
         validate_game(replace(game_from_mdp(chain_mdp), horizon=horizon))
+
+
+@pytest.mark.parametrize("horizon", [3.5, 2.0])
+def test_a_horizon_that_is_not_an_integer_is_a_horizon_error(chain_mdp, horizon):
+    message = rf"horizon must be an integer, got {horizon}"
+    with pytest.raises(HorizonError, match=message):
+        replace(chain_mdp, horizon=horizon)
+    with pytest.raises(HorizonError, match=message):
+        replace(game_from_mdp(chain_mdp), horizon=horizon)
+
+
+def test_a_count_that_is_not_an_integer_is_a_validation_error(chain_mdp):
+    with pytest.raises(ValidationError, match="num_actions must be an integer, got 2.0"):
+        replace(chain_mdp, num_actions=2.0)
+    with pytest.raises(ValidationError, match="num_states must be an integer, got 3.0"):
+        replace(game_from_mdp(chain_mdp), num_states=3.0)
+
+
+def test_numpy_integer_fields_are_stored_as_int_and_serialize(chain_mdp):
+    sized = {"horizon": np.int64(3), "num_states": np.int64(3)}
+    mdp = replace(chain_mdp, num_actions=np.int64(2), **sized)
+    counts = {"num_actions_1": np.int64(2), "num_actions_2": np.int64(1)}
+    game = replace(game_from_mdp(chain_mdp), **counts, **sized)
+    for model, names in ((mdp, ("num_actions",)), (game, tuple(counts))):
+        assert all(type(getattr(model, name)) is int for name in ("horizon", "num_states", *names))
+    for model, to_payload, from_payload in (
+        (mdp, formats.mdp_to_payload, formats.mdp_from_payload),
+        (game, formats.game_to_payload, formats.game_from_payload),
+    ):
+        assert from_payload(json.loads(json.dumps(to_payload(model)))).horizon == 3
 
 
 def test_the_largest_int64_horizon_is_valid_and_trips_the_guard(chain_mdp):
@@ -953,6 +984,22 @@ def test_kernels_are_held_as_non_zero_rows_behind_a_dense_view(chain_mdp):
     for shape in [(0, 2, 0), (2, 0, 2)]:
         empty = KernelRows.from_dense(np.zeros(shape))
         assert empty.num_rows == shape[0] * shape[1] and empty.dense().shape == shape
-    for offsets, targets in [([0, 1], [0]), ([0, 1, 2], [0]), ([1, 1, 1], [])]:
+    for offsets, targets in [([0, 1], [0]), ([0, 1, 2], [0]), ([1, 1, 1], []), ([0, 2, 1], [0])]:
         with pytest.raises(DimensionMismatch, match="offsets"):
             KernelRows((2, 1, 2), np.array(offsets), np.array(targets), np.ones(len(targets)))
+
+
+# each a 2-state, 1-action kernel that breaks a rule the readers of its rows rely on
+_BAD_TARGETS = {
+    "target-past-the-last-state": ([0, 1, 2], [5, 1], [1.0, 1.0]),
+    "negative-target": ([0, 1, 2], [-1, 1], [1.0, 1.0]),
+    "repeated-target": ([0, 2, 3], [1, 1, 1], [0.5, 0.5, 1.0]),
+    "descending-targets": ([0, 2, 3], [1, 0, 1], [0.5, 0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TARGETS))
+def test_kernel_rows_reject_targets_out_of_range_or_out_of_order(case):
+    offsets, targets, probs = _BAD_TARGETS[case]
+    with pytest.raises(DimensionMismatch, match=r"targets in \[0, 2\), strictly ascending"):
+        KernelRows((2, 1, 2), np.array(offsets), np.array(targets), np.array(probs))

@@ -65,6 +65,7 @@ L8_COOP = replace(DEFAULT_COOP, corridor_length=8, key_pos=1, door_pos=4, goal_p
 L12_COOP = replace(DEFAULT_COOP, corridor_length=12, key_pos=1, door_pos=6, goal_pos=9,
                    start_pos=2, peer_start=2, horizon=20,
                    peer_modes=("helper", "independent", "helper"))
+CORRIDORS = {"L8": (L8_COOP, 8), "L12": (L12_COOP, 12)}  # each with the seed of its relations
 
 
 def _rows_from(rows: KernelRows, old: np.ndarray, shape: tuple | None = None) -> KernelRows:
@@ -171,20 +172,13 @@ def _coop_drift(config, abstraction: str):
     return game, peers, IDENTITY if abstraction == "identity" else phi
 
 
-def _assert_every_step_changes_a_member(config, abstraction: str) -> None:
+@pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
+@pytest.mark.parametrize("corridor", list(CORRIDORS))
+def test_every_step_of_a_coop_drift_changes_a_member(corridor, abstraction):
     # so each relation on the corridor compares vanished and gained members and their witnesses
+    config, _seed = CORRIDORS[corridor]
     _, base = _drift(*_coop_drift(config, abstraction), strip_terminal=True)
     assert base.steps and all(step.vanished or step.gained for step in base.steps)
-
-
-@pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
-def test_every_step_of_the_l8_coop_drift_changes_a_member(abstraction):
-    _assert_every_step_changes_a_member(L8_COOP, abstraction)
-
-
-@pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
-def test_every_step_of_the_l12_coop_drift_changes_a_member(abstraction):
-    _assert_every_step_changes_a_member(L12_COOP, abstraction)
 
 
 # ---------------------------------------------------------------------------
@@ -335,14 +329,10 @@ def test_relations_hold_on_small_games(relation, kind, seed):
 
 @pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
 @pytest.mark.parametrize("relation", sorted(RELATIONS))
-def test_relations_hold_on_an_l8_coop_drift(relation, abstraction):
-    RELATIONS[relation](*_coop_drift(L8_COOP, abstraction), strip_terminal=True, seed=8)
-
-
-@pytest.mark.parametrize("abstraction", ["identity", "coop-keydoor"])
-@pytest.mark.parametrize("relation", sorted(RELATIONS))
-def test_relations_hold_on_an_l12_coop_drift(relation, abstraction):
-    RELATIONS[relation](*_coop_drift(L12_COOP, abstraction), strip_terminal=True, seed=12)
+@pytest.mark.parametrize("corridor", list(CORRIDORS))
+def test_relations_hold_on_a_coop_drift(corridor, relation, abstraction):
+    config, seed = CORRIDORS[corridor]
+    RELATIONS[relation](*_coop_drift(config, abstraction), strip_terminal=True, seed=seed)
 
 
 _PAIRS = [(s, a) for s in range(3) for a in (0, 1)] + [(s, TERMINAL) for s in range(3)]
